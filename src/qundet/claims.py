@@ -46,7 +46,6 @@ class ClaimResult:
             "title": self.title,
             "passed": self.passed,
             "details": self.details,
-            "elapsed_s": self.elapsed_s,
         }
 
 

@@ -99,14 +99,13 @@ def _load_target_spec(args) -> codes.CodeSpec:
 def _render_analysis(rep: und.UndeterminedReport) -> str:
     lines = [
         f"code {rep.name}: [[{rep.n},{rep.k}]] rank {rep.rank}",
-        f"  distance d = {rep.distance}",
+        f"  distance d = {rep.distance if rep.distance is not None else 'not computed'}",
         f"  difference-coset minimum weight = {rep.w_min}",
         f"  minimal unconditional D = {rep.d_min if rep.d_min is not None else 'none'}",
     ]
     if rep.threshold_shares is not None:
         lines.append(f"  threshold-scheme share count n-D+1 = {rep.threshold_shares}")
-    if rep.x_set_size is not None:
-        lines.append(f"  logical X set size = {rep.x_set_size}")
+    lines.append(f"  logical X set size = {rep.x_set_size}")
     for d, ed in rep.e_d_table:
         verdict = "pass" if ed.passed else "fail"
         lines.append(f"  E_{d} = {ed.e_d} vs C(n,{d}) = {ed.binomial}: {verdict}")
@@ -125,6 +124,7 @@ def _render_analysis(rep: und.UndeterminedReport) -> str:
             f"(witness {rep.mixed.witness}), |X12| = {rep.mixed.x12_size}"
         )
     lines.append(f"  methods: {', '.join(rep.methods)}")
+    lines.extend(f"  note: {note}" for note in rep.notes if note != und.X_SET_COUNTING_NOTE)
     return "\n".join(lines)
 
 
@@ -235,6 +235,7 @@ def _cmd_verify_paper(args) -> int:
     for r in results:
         print(r.line(), file=sys.stderr)
     failed = [r for r in results if not r.passed]
+    manifest.timings = {f"claim_{r.cid}": round(r.elapsed_s, 6) for r in results}
     doc = manifest.wrap(
         {"claims": [r.as_dict() for r in results], "all_passed": not failed}
     )

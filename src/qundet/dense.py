@@ -54,19 +54,10 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
     z = sum(1 << _bit_index(p.n, q) for q in range(1, p.n + 1) if p.z_bits >> (q - 1) & 1)
     cols = np.arange(dim)
     rows = cols ^ x
-    signs = 1 - 2 * (_popcount_array(cols & z) & 1)
+    signs = np.where(np.bitwise_count(cols & z) & 1, -1, 1)
     m = np.zeros((dim, dim), dtype=complex)
     m[rows, cols] = (1j ** p.phase_exp) * signs
     return m
-
-
-def _popcount_array(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    v = v.copy()
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
 
 
 def _signed_elements(generators: Sequence[PauliOperator]) -> Iterable[PauliOperator]:

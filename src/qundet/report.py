@@ -3,7 +3,8 @@
 Every JSON report embeds a manifest: the command, its parameters, the
 seed when randomness is involved, the package version, wall time, and
 a sha256 digest of the canonical result payload so reports can be
-diffed and cached by content.
+diffed and cached by content.  Timings live in the manifest only, so
+the digest names the answer, not the run.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -29,6 +30,8 @@ class RunManifest:
     parameters: dict
     seed: int | None = None
     started: float = 0.0
+    # per-stage seconds, reported as "timings_s" when any are recorded
+    timings: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.started:
@@ -37,17 +40,17 @@ class RunManifest:
     def wrap(self, result: Any) -> dict:
         """Embed the result under a finalized manifest."""
         canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
-        return {
-            "manifest": {
-                "command": self.command,
-                "parameters": self.parameters,
-                "seed": self.seed,
-                "version": _version(),
-                "wall_time_s": round(time.monotonic() - self.started, 6),
-                "result_digest": hashlib.sha256(canonical.encode()).hexdigest(),
-            },
-            "result": result,
+        manifest = {
+            "command": self.command,
+            "parameters": self.parameters,
+            "seed": self.seed,
+            "version": _version(),
+            "wall_time_s": round(time.monotonic() - self.started, 6),
+            "result_digest": hashlib.sha256(canonical.encode()).hexdigest(),
         }
+        if self.timings:
+            manifest["timings_s"] = self.timings
+        return {"manifest": manifest, "result": result}
 
 
 def emit(document: dict, json_target: str | None, human_text: str) -> None:

@@ -12,17 +12,28 @@ witnesses are chosen by (weight, string) so reruns agree byte-for-byte.
 An "unsigned" Pauli here means the phase is normalized to make the
 operator Hermitian with + sign; logical X sets and distance counts are
 over distinct unsigned Paulis, not cosets modulo the group.
+
+Cosets are enumerated into numpy arrays (``CosetTable``): bit-packed
+uint64 x/z rows, as in Aaronson-Gottesman (quant-ph/0406196), doubled
+once per generator.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from qundet import gf2
 from qundet.pauli import PauliOperator
 
 MAX_ENUM_RANK = 20
 MAX_ENUM_N = 16
+# x and z rows are bit-packed into one uint64 each
+MAX_ROW_N = 64
+# the kept-set lookup holds 2^n uint32; a k <= 2 code at the rank cap has n = 22
+MAX_LOOKUP_N = MAX_ENUM_RANK + 2
 
 
 class GroupValidationError(ValueError):
@@ -203,6 +214,117 @@ def centralizer_basis(group: StabilizerGroup) -> list[PauliOperator]:
     return group.centralizer_basis()
 
 
+def _letter_key(p: PauliOperator) -> int:
+    """Integer ordered like p.letters: digits I=0 < X=1 < Y=2 < Z=3, qubit 1 first.
+
+    The digit is x ^ 3z, so the key is XOR-linear in (x, z): the key of
+    a product is the XOR of the keys of its factors.
+    """
+    key = 0
+    for i in range(p.n):
+        key = key << 2 | ((p.x_bits >> i & 1) ^ 3 * (p.z_bits >> i & 1))
+    return key
+
+
+def _sorted_basis(
+    generators: Sequence[PauliOperator], rep: PauliOperator
+) -> tuple[list[PauliOperator], PauliOperator]:
+    """Re-base so that doubling emits rep * S in ascending letter-key order.
+
+    Row-reduces the generators on their letter keys (each key gets a
+    leading bit no other key has) and clears those bits from rep.  An
+    element's key then carries its generator choices at the leading
+    bits, most significant first, so index order is key order once the
+    generators are taken by ascending leading bit.
+    """
+    rows: list[tuple[int, PauliOperator]] = []  # (key, operator), reduced
+    for g in generators:
+        key = _letter_key(g)
+        for k, b in rows:
+            if key ^ k < key:  # key has k's leading bit
+                key, g = key ^ k, g * b
+        lead = 1 << key.bit_length() - 1
+        rows = [(k ^ key, b * g) if k & lead else (k, b) for k, b in rows]
+        rows.append((key, g))
+    rows.sort(key=lambda row: row[0])
+    rep_key = _letter_key(rep)
+    for k, b in rows:
+        if rep_key ^ k < rep_key:
+            rep_key, rep = rep_key ^ k, rep * b
+    return [b for _, b in rows], rep
+
+
+class CosetTable:
+    """The signed coset {rep * s : s in group} as numpy arrays, sorted by letters.
+
+    Built by doubling: multiplying the first 2^i entries by generator i
+    gives the next 2^i, with x and z XORed and the phase advanced by
+    g.phase + 2 * popcount(z & g.x).  The generators are re-based first
+    (``_sorted_basis``), so the entries come out in letters order
+    without a sort.
+    """
+
+    def __init__(self, group: StabilizerGroup, rep: PauliOperator, cap: int = MAX_ENUM_RANK):
+        if rep.n != group.n:
+            raise ValueError("qubit count mismatch")
+        if group.rank > cap:
+            raise EnumerationCapError(f"rank {group.rank} exceeds enumeration cap {cap}")
+        if group.n > MAX_ROW_N:
+            raise EnumerationCapError(f"n {group.n} exceeds bit-packed row cap {MAX_ROW_N}")
+        self.n = group.n
+        basis, rep = _sorted_basis(group.generators, rep)
+        size = 1 << group.rank
+        x = np.empty(size, dtype=np.uint64)
+        z = np.empty(size, dtype=np.uint64)
+        phase = np.empty(size, dtype=np.uint8)
+        x[0], z[0], phase[0] = rep.x_bits, rep.z_bits, rep.phase_exp
+        for i, g in enumerate(basis):
+            h = 1 << i
+            gx = np.uint64(g.x_bits)
+            flips = np.bitwise_count(z[:h] & gx)
+            np.bitwise_and(phase[:h] + np.uint8(g.phase_exp) + 2 * flips, 3, out=phase[h:2 * h])
+            np.bitwise_xor(x[:h], gx, out=x[h:2 * h])
+            np.bitwise_xor(z[:h], np.uint64(g.z_bits), out=z[h:2 * h])
+        self.x, self.z, self.phase = x, z, phase
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def element(self, pos: int) -> PauliOperator:
+        """The entry at a sorted position."""
+        return PauliOperator(self.n, int(self.x[pos]), int(self.z[pos]), int(self.phase[pos]))
+
+    def min_weight(self) -> tuple[int, PauliOperator]:
+        """Minimum weight and the least-letters entry of that weight."""
+        weight = np.bitwise_count(self.x | self.z)
+        w_min = weight.min()
+        return int(w_min), self.element(int(np.argmax(weight == w_min)))
+
+    @cached_property
+    def _lookup(self) -> np.ndarray:
+        # least[K] = sorted position of the first entry supported inside
+        # the kept mask K, or len(self); a min-zeta (Yates) transform over
+        # subsets, one pass per qubit, as in Bjorklund-Husfeldt-Kaski-
+        # Koivisto (cs/0611101)
+        if self.n > MAX_LOOKUP_N:
+            raise EnumerationCapError(f"n {self.n} exceeds lookup-table cap {MAX_LOOKUP_N}")
+        least = np.full(1 << self.n, len(self), dtype=np.uint32)
+        np.minimum.at(least, self.x | self.z, np.arange(len(self), dtype=np.uint32))
+        for i in range(self.n):
+            pairs = least.reshape(-1, 2, 1 << i)
+            np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+        return least
+
+    def least_inside(self, kept_mask: int) -> PauliOperator | None:
+        """The least-letters entry supported inside kept_mask, if any.
+
+        The first call builds a 2^n lookup table, O(n * 2^n); every
+        call after that is one array read.
+        """
+        pos = int(self._lookup[kept_mask])
+        return None if pos == len(self) else self.element(pos)
+
+
 def coset_min_weight(
     group: StabilizerGroup, rep: PauliOperator, cap: int = MAX_ENUM_RANK
 ) -> tuple[int, PauliOperator]:
@@ -211,13 +333,18 @@ def coset_min_weight(
     Ties break by the witness's string form, so results are stable
     across runs and generator orderings that span the same group.
     """
-    best: tuple[int, str, PauliOperator] | None = None
-    for el in group.coset(rep, cap):
-        key = (el.weight, el.letters)
-        if best is None or key < (best[0], best[1]):
-            best = (el.weight, el.letters, el)
-    assert best is not None
-    return best[0], best[2]
+    return CosetTable(group, rep, cap).min_weight()
+
+
+def _logical_x_masks(
+    group: StabilizerGroup, z_bar: PauliOperator, max_enum_n: int
+) -> Iterator[tuple[int, int]]:
+    if not group.commutes_with_all(z_bar):
+        raise ValueError("z_bar is not in the centralizer of the group")
+    zx, zz = z_bar.x_bits, z_bar.z_bits
+    for x, z in group.normalizer_masks(max_enum_n):
+        if ((x & zz).bit_count() + (z & zx).bit_count()) & 1:
+            yield x, z
 
 
 def logical_x_set(
@@ -231,15 +358,31 @@ def logical_x_set(
     group: one operator per (x, z) pair, sign stripped.  For a rank
     n - 1 group this yields 2^n operators.  Sorted by (weight, string).
     """
-    if not group.commutes_with_all(z_bar):
-        raise ValueError("z_bar is not in the centralizer of the group")
-    zx, zz = z_bar.x_bits, z_bar.z_bits
-    members = []
-    for x, z in group.normalizer_masks(max_enum_n):
-        if ((x & zz).bit_count() + (z & zx).bit_count()) & 1:
-            members.append(PauliOperator(group.n, x, z).unsigned())
+    members = [
+        PauliOperator(group.n, x, z).unsigned()
+        for x, z in _logical_x_masks(group, z_bar, max_enum_n)
+    ]
     members.sort(key=lambda p: (p.weight, p.letters))
     return members
+
+
+def logical_x_weights(
+    group: StabilizerGroup, z_bar: PauliOperator, max_enum_n: int = MAX_ENUM_N
+) -> tuple[int, ...]:
+    """counts[w] = number of logical X set members of weight w, w = 0..n."""
+    counts = [0] * (group.n + 1)
+    for x, z in _logical_x_masks(group, z_bar, max_enum_n):
+        counts[(x | z).bit_count()] += 1
+    return tuple(counts)
+
+
+def logical_x_count(group: StabilizerGroup) -> int:
+    """len(logical_x_set(group, z_bar)) without enumeration.
+
+    The centralizer holds 2^(2n - rank) unsigned Paulis; any z_bar in
+    it but outside the group anticommutes with exactly half of them.
+    """
+    return 1 << (2 * group.n - group.rank - 1)
 
 
 def in_logical_x_set(group: StabilizerGroup, z_bar: PauliOperator, candidate: PauliOperator) -> bool:
@@ -268,17 +411,3 @@ def code_distance(group: StabilizerGroup, cap_n: int = MAX_ENUM_N) -> int:
     if best is None:
         raise ValueError("group has no logical operators (rank = n with k = 0)")
     return best
-
-
-def min_weight_nontrivial(elements: Iterable[PauliOperator]) -> tuple[int, PauliOperator]:
-    """Minimum weight and deterministic witness over an iterable, identity excluded."""
-    best: tuple[int, str, PauliOperator] | None = None
-    for el in elements:
-        if el.weight == 0:
-            continue
-        key = (el.weight, el.letters)
-        if best is None or key < (best[0], best[1]):
-            best = (el.weight, el.letters, el)
-    if best is None:
-        raise ValueError("no nontrivial elements")
-    return best[0], best[2]

@@ -16,6 +16,8 @@ entirely inside the kept set.  Consequences used throughout:
   * the k=2 equal mixtures obey the same rule with the coset
     (Z-bar_1 Z-bar_2) * S.
 
+Each spec's difference coset is enumerated once into a
+``stabilizer.CosetTable``; w_min and every kept-set query read it.
 Everything here is exact integer/bit work; the dense module provides
 the independent floating-point verification.
 """
@@ -32,10 +34,13 @@ from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
 from qundet.stabilizer import (
     MAX_ENUM_N,
+    CosetTable,
+    EnumerationCapError,
     StabilizerGroup,
-    coset_min_weight,
     code_distance,
+    logical_x_count,
     logical_x_set,
+    logical_x_weights,
 )
 
 # cost ceiling (subset count * coset size) for automatic scan cross-checks
@@ -62,12 +67,17 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
     raise ValueError(f"unsupported k={spec.k}")
 
 
-@lru_cache(maxsize=128)
-def _coset_support_masks(spec: CodeSpec) -> tuple[tuple[int, PauliOperator], ...]:
-    """(support_mask, element) over the difference coset, enumeration order."""
-    group = _group_of(spec)
-    rep = _difference_rep(spec)
-    return tuple((el.support_mask, el) for el in group.coset(rep))
+# a table at the rank cap holds about 17 MB of coset rows plus a 16 MB
+# lookup, so keep only the specs in current use
+@lru_cache(maxsize=4)
+def _table_of(spec: CodeSpec) -> CosetTable:
+    return CosetTable(_group_of(spec), _difference_rep(spec))
+
+
+def _threshold_D(n: int, w_min: int) -> int | None:
+    """n - w_min + 1, or None when no feasible trace (at most n - 1 qubits) reaches it."""
+    d = n - w_min + 1
+    return d if d <= n - 1 else None
 
 
 def _subset_mask(subset: Iterable[int], n: int) -> int:
@@ -92,11 +102,9 @@ def reduced_equal_on(
     traced = sorted(set(traced_out))
     if not 1 <= len(traced) <= spec.n - 1:
         raise ValueError(f"traced set must have 1..{spec.n - 1} qubits, got {traced}")
-    mask = _subset_mask(traced, spec.n)
-    surviving = [el for sup, el in _coset_support_masks(spec) if sup & mask == 0]
-    if not surviving:
-        return True, None
-    return False, min(surviving, key=lambda p: p.letters)
+    kept = ((1 << spec.n) - 1) ^ _subset_mask(traced, spec.n)
+    witness = _table_of(spec).least_inside(kept)
+    return witness is None, witness
 
 
 class UnconditionalResult(NamedTuple):
@@ -114,10 +122,8 @@ def unconditional_D(spec: CodeSpec, cross_check: bool | None = None) -> Uncondit
     re-derived by scanning all subsets at d_min and d_min - 1.
     """
     group = _group_of(spec)
-    w_min, witness = coset_min_weight(group, _difference_rep(spec))
-    d_min: int | None = spec.n - w_min + 1
-    if d_min > spec.n - 1:
-        d_min = None
+    w_min, witness = _table_of(spec).min_weight()
+    d_min = _threshold_D(spec.n, w_min)
     if cross_check is None:
         cost = (1 << group.rank) * sum(
             math.comb(spec.n, d) for d in ((d_min, d_min - 1) if d_min else (spec.n - 1,))
@@ -271,6 +277,11 @@ class EDResult(NamedTuple):
     passed: bool
 
 
+@lru_cache(maxsize=4)
+def _x_weights_of(spec: CodeSpec, max_enum_n: int) -> tuple[int, ...]:
+    return logical_x_weights(_group_of(spec), _difference_rep(spec), max_enum_n)
+
+
 def necessary_ED(spec: CodeSpec, d: int, max_enum_n: int = MAX_ENUM_N) -> EDResult:
     """Count weight-d logical X members against the binomial threshold.
 
@@ -279,9 +290,7 @@ def necessary_ED(spec: CodeSpec, d: int, max_enum_n: int = MAX_ENUM_N) -> EDResu
     """
     if not 1 <= d <= spec.n:
         raise ValueError(f"d must be in 1..{spec.n}")
-    group = _group_of(spec)
-    members = logical_x_set(group, _difference_rep(spec), max_enum_n)
-    e_d = sum(1 for p in members if p.weight == d)
+    e_d = _x_weights_of(spec, max_enum_n)[d]
     binomial = math.comb(spec.n, d)
     return EDResult(e_d, binomial, e_d >= binomial)
 
@@ -387,12 +396,9 @@ def mixed_pair_n2(spec: CodeSpec, max_enum_n: int = MAX_ENUM_N) -> MixedPairResu
     if spec.k != 2:
         raise ValueError("mixed_pair_n2 needs a k=2 code")
     group = _group_of(spec)
-    rep = _difference_rep(spec)
-    w_min, witness = coset_min_weight(group, rep)
-    d_mixed: int | None = spec.n - w_min + 1
-    if d_mixed > spec.n - 1:
-        d_mixed = None
-    x12 = logical_x_set(group, rep, max_enum_n)
+    w_min, witness = _table_of(spec).min_weight()
+    d_mixed = _threshold_D(spec.n, w_min)
+    x12 = logical_x_set(group, _difference_rep(spec), max_enum_n)
     weight_d = tuple(p for p in x12 if d_mixed is not None and p.weight == d_mixed)
     return MixedPairResult(d_mixed, w_min, witness, len(x12), weight_d)
 
@@ -405,11 +411,11 @@ class UndeterminedReport:
     n: int
     k: int
     rank: int
-    distance: int
+    distance: int | None
     w_min: int
     d_min: int | None
     threshold_shares: int | None
-    x_set_size: int | None
+    x_set_size: int
     e_d_table: tuple[tuple[int, EDResult], ...]
     conditional: tuple[ConditionalScan, ...]
     mixed: MixedPairResult | None
@@ -450,19 +456,19 @@ def analyze_code(
     ``max_trace`` bounds the E_D table (default: just D = d_min when it
     exists); ``conditional`` lists the subset sizes to partition.  With
     ``oracle`` the symbolic verdict for every feasible subset is checked
-    against dense partial traces; any disagreement raises.
+    against dense partial traces; any disagreement raises.  Past the
+    normalizer enumeration cap the distance is None and the E_D table
+    empty, each with a reason in ``notes``; the coset fields still compute.
     """
     group = _group_of(spec)
-    rep = _difference_rep(spec)
-    w_min, witness = coset_min_weight(group, rep)
-    d_min: int | None = spec.n - w_min + 1
-    if d_min > spec.n - 1:
-        d_min = None
-    distance = code_distance(group)
-    if spec.n <= MAX_ENUM_N:
-        x_size = len(logical_x_set(group, rep))
-    else:
-        x_size = None
+    w_min, _ = _table_of(spec).min_weight()
+    d_min = _threshold_D(spec.n, w_min)
+    notes = [X_SET_COUNTING_NOTE]
+    try:
+        distance: int | None = code_distance(group)
+    except EnumerationCapError as exc:
+        distance = None
+        notes.append(f"distance not computed: {exc}")
     ed_ds: list[int]
     if max_trace is not None:
         ed_ds = list(range(1, min(max_trace, spec.n - 1) + 1))
@@ -470,9 +476,10 @@ def analyze_code(
         ed_ds = [d_min]
     else:
         ed_ds = []
-    e_d_table = tuple(
-        (d, necessary_ED(spec, d)) for d in ed_ds if spec.n <= MAX_ENUM_N
-    )
+    if ed_ds and spec.n > MAX_ENUM_N:
+        notes.append(f"e_d_table not computed: n {spec.n} exceeds enumeration cap {MAX_ENUM_N}")
+        ed_ds = []
+    e_d_table = tuple((d, necessary_ED(spec, d)) for d in ed_ds)
     scans = tuple(conditional_scan(spec, dp) for dp in sorted(set(conditional)))
     mixed = mixed_pair_n2(spec) if spec.k == 2 else None
     methods = ["symbolic"]
@@ -488,11 +495,12 @@ def analyze_code(
         w_min=w_min,
         d_min=d_min,
         threshold_shares=(spec.n - d_min + 1) if d_min is not None else None,
-        x_set_size=x_size,
+        x_set_size=logical_x_count(group),
         e_d_table=e_d_table,
         conditional=scans,
         mixed=mixed,
         methods=tuple(methods),
+        notes=tuple(notes),
     )
 
 

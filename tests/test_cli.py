@@ -164,6 +164,35 @@ def test_verify_paper(capsys):
     assert "12/12 claims passed" in captured.out
 
 
+def test_verify_paper_digest_stable(tmp_path, capsys):
+    docs = []
+    for name in ("a.json", "b.json"):
+        assert run(["verify-paper", "--json", str(tmp_path / name)]) == 0
+        docs.append(json.loads((tmp_path / name).read_text()))
+    capsys.readouterr()
+    a, b = docs
+    assert a["manifest"]["result_digest"] == b["manifest"]["result_digest"]
+    assert a["result"] == b["result"]
+    # timings stay out of the hashed result, in the manifest
+    assert sorted(a["manifest"]["timings_s"]) == sorted(f"claim_{i}" for i in range(1, 13))
+    assert "elapsed_s" not in json.dumps(a["result"])
+
+
+def test_analyze_past_normalizer_cap(capsys):
+    # rank 16 is inside the coset cap; only the distance needs n <= 16
+    rc = run(["analyze", "--catalog", "ghz", "--n", "17", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["w_min"] == 17
+    assert result["minimal_unconditional_d"] == 1
+    assert result["distance"] is None
+    assert result["x_set_size"] == 2 ** 17
+    assert result["e_d_table"] == {}
+    assert any(note.startswith("distance not computed") for note in result["notes"])
+    assert "distance d = not computed" in captured.err
+
+
 def test_main_raises_system_exit(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["qundet", "bc-demo", "--samples", "5"])
     with pytest.raises(SystemExit) as exc:

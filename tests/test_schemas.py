@@ -50,6 +50,7 @@ def test_schema_rejects_unknown_field(spec_schema):
     ["analyze", "--catalog", "code_422"],
     ["analyze", "--catalog", "steane_713", "--conditional", "3"],
     ["analyze", "--catalog", "ghz", "--n", "6"],
+    ["analyze", "--catalog", "ghz", "--n", "17"],
 ])
 def test_analyze_reports_conform(tmp_path, capsys, report_schema, argv):
     out = tmp_path / "report.json"

@@ -18,7 +18,9 @@ from qundet.stabilizer import (
     coset_min_weight,
     enumerate_group,
     in_logical_x_set,
+    logical_x_count,
     logical_x_set,
+    logical_x_weights,
 )
 
 from helpers import matrix_of
@@ -179,6 +181,21 @@ def test_logical_x_set_ghz():
         strs = {p.letters for p in members}
         for i in range(1, n + 1):
             assert PauliOperator.single(n, i, "Z").letters in strs
+
+
+@pytest.mark.parametrize("name,n", [
+    ("ghz", 4), ("code_412", None), ("code_513", None), ("steane_713", None),
+    ("code_422", None), ("cyclic", 7), ("cyclic", 9),
+])
+def test_logical_x_count_closed_form(name, n):
+    spec = codes.catalog(name, n=n)
+    group = spec.group()
+    z_bars = spec.logical_z_ops()
+    for z_bar in z_bars + [z_bars[0] * z_bars[-1]] * (spec.k == 2):
+        members = logical_x_set(group, z_bar)
+        assert logical_x_count(group) == len(members)
+        weights = logical_x_weights(group, z_bar)
+        assert weights == tuple(sum(p.weight == w for p in members) for w in range(spec.n + 1))
 
 
 def test_logical_x_set_412_contains_listed():
