@@ -140,6 +140,24 @@ def _stabilizer_sign(y_counts: np.ndarray, s: np.ndarray) -> np.ndarray:
     return ((-1) ** (y_counts // 2)) * (1 - 2 * s)
 
 
+def _sample_by_group(cum: np.ndarray, group: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample of each round from its group's cumulative row.
+
+    out[r] counts the entries of cum[group[r]] below draws[r], which is
+    one searchsorted per group since each row is non-decreasing.  Rounds
+    are ordered by group with one stable sort, so nothing wider than one
+    column per round is allocated.
+    """
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=len(cum))
+    ends = np.cumsum(counts)
+    out = np.empty(len(group), dtype=np.int64)
+    for g in np.flatnonzero(counts):
+        idx = order[ends[g] - counts[g] : ends[g]]
+        out[idx] = np.searchsorted(cum[g], draws[idx], side="left")
+    return out
+
+
 def qss_run(config: QssConfig) -> QssStats:
     """Simulate the secret-sharing protocol; deterministic per seed.
 
@@ -166,18 +184,18 @@ def qss_run(config: QssConfig) -> QssStats:
     if config.strategy == "honest":
         if n > _MAX_TABLE_PARTIES:
             raise ValueError(f"honest sampling tables capped at {_MAX_TABLE_PARTIES} parties")
-        tables = _outcome_tables(n)
-        combo_idx = np.zeros(rounds, dtype=int)
+        # one cumulative outcome row per (codeword, basis combo) group
+        cum = np.cumsum(_outcome_tables(n), axis=2).reshape(2 << n, 1 << n)
+        # group = s * 2^n + combo index; int16 (n <= 8) lets the stable
+        # argsort run as a radix sort
+        group = s.astype(np.int16) << n
         for i in range(n):
-            combo_idx = (combo_idx << 1) | bases[:, i]
-        cum = np.cumsum(tables, axis=2)
-        rows = cum[s, combo_idx]
-        draws = rng.random(rounds)
-        out_idx = (rows < draws[:, None]).sum(axis=1)
+            group |= bases[:, i] << (n - 1 - i)
+        out_idx = _sample_by_group(cum, group, rng.random(rounds))
         # outcome of party i: bit (n-1-i) of the joint index, 0 -> +1
-        outcomes = 1 - 2 * ((out_idx[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-        o_dealer = outcomes[:, 0]
-        product_receivers = outcomes[:, 1:].prod(axis=1)
+        o_dealer = 1 - 2 * ((out_idx >> (n - 1)) & 1)
+        parity = np.bitwise_count(out_idx & ((1 << (n - 1)) - 1)).astype(np.int64) & 1
+        product_receivers = 1 - 2 * parity
         sign = _stabilizer_sign(y_counts, s)
         reconstructed = sign * product_receivers
         agree = reconstructed == o_dealer
@@ -193,7 +211,8 @@ def qss_run(config: QssConfig) -> QssStats:
         o_dealer = 1 - 2 * rng.integers(0, 2, size=rounds)
         o_second = 1 - 2 * rng.integers(0, 2, size=rounds)
         # exact readout of the held pair: dealer outcome masked by the
-        # codeword choice (verified dense: collapse phases are o*(-1)^s)
+        # codeword choice; tests/test_protocols.py checks it against the
+        # dense state (test_delay_discriminate_readout_is_dense)
         v = o_dealer * (1 - 2 * s)
         # guess committed before the codeword announcement
         solo_guess = v

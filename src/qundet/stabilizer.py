@@ -311,8 +311,15 @@ class CosetTable:
         least = np.full(1 << self.n, len(self), dtype=np.uint32)
         np.minimum.at(least, self.x | self.z, np.arange(len(self), dtype=np.uint32))
         for i in range(self.n):
-            pairs = least.reshape(-1, 2, 1 << i)
-            np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+            if i < 4:
+                # an inner axis of 1-8 is slow in numpy's 2-D loop; run
+                # each column of the pass as one 1-D strided update
+                for c in range(1 << i):
+                    hi = least[(1 << i) + c :: 2 << i]
+                    np.minimum(hi, least[c :: 2 << i], out=hi)
+            else:
+                pairs = least.reshape(-1, 2, 1 << i)
+                np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
         return least
 
     def least_inside(self, kept_mask: int) -> PauliOperator | None:

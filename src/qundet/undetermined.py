@@ -373,15 +373,16 @@ class MixedPairResult:
     w_min: int
     witness: PauliOperator
     x12_size: int
-    weight_d_members: tuple[PauliOperator, ...]
+    weight_d_members: tuple[PauliOperator, ...] | None
 
     def as_dict(self) -> dict:
+        members = self.weight_d_members
         return {
             "d_mixed": self.d_mixed,
             "w_min": self.w_min,
             "witness": str(self.witness),
             "x12_size": self.x12_size,
-            "weight_d_members": [str(p) for p in self.weight_d_members],
+            "weight_d_members": None if members is None else [str(p) for p in members],
         }
 
 
@@ -391,16 +392,24 @@ def mixed_pair_n2(spec: CodeSpec, max_enum_n: int = MAX_ENUM_N) -> MixedPairResu
     X12 is the symmetric difference of the two logical X sets, which
     equals the set of unsigned centralizer members anticommuting with
     Z-bar_1 Z-bar_2 (anticommuting with the product means anticommuting
-    with exactly one factor).
+    with exactly one factor).  The size is closed-form; the weight-D
+    members need the normalizer enumeration, so past ``max_enum_n`` they
+    are None (and empty, with no enumeration, when D does not exist).
     """
     if spec.k != 2:
         raise ValueError("mixed_pair_n2 needs a k=2 code")
     group = _group_of(spec)
     w_min, witness = _table_of(spec).min_weight()
     d_mixed = _threshold_D(spec.n, w_min)
-    x12 = logical_x_set(group, _difference_rep(spec), max_enum_n)
-    weight_d = tuple(p for p in x12 if d_mixed is not None and p.weight == d_mixed)
-    return MixedPairResult(d_mixed, w_min, witness, len(x12), weight_d)
+    weight_d: tuple[PauliOperator, ...] | None
+    if d_mixed is None:
+        weight_d = ()
+    elif spec.n > max_enum_n:
+        weight_d = None
+    else:
+        x12 = logical_x_set(group, _difference_rep(spec), max_enum_n)
+        weight_d = tuple(p for p in x12 if p.weight == d_mixed)
+    return MixedPairResult(d_mixed, w_min, witness, logical_x_count(group), weight_d)
 
 
 @dataclass(frozen=True)
@@ -457,8 +466,9 @@ def analyze_code(
     exists); ``conditional`` lists the subset sizes to partition.  With
     ``oracle`` the symbolic verdict for every feasible subset is checked
     against dense partial traces; any disagreement raises.  Past the
-    normalizer enumeration cap the distance is None and the E_D table
-    empty, each with a reason in ``notes``; the coset fields still compute.
+    normalizer enumeration cap the distance and the mixed pair's weight-D
+    members are None and the E_D table empty, each with a reason in
+    ``notes``; the coset fields still compute.
     """
     group = _group_of(spec)
     w_min, _ = _table_of(spec).min_weight()
@@ -482,6 +492,10 @@ def analyze_code(
     e_d_table = tuple((d, necessary_ED(spec, d)) for d in ed_ds)
     scans = tuple(conditional_scan(spec, dp) for dp in sorted(set(conditional)))
     mixed = mixed_pair_n2(spec) if spec.k == 2 else None
+    if mixed is not None and mixed.weight_d_members is None:
+        notes.append(
+            f"mixed weight_d_members not computed: n {spec.n} exceeds enumeration cap {MAX_ENUM_N}"
+        )
     methods = ["symbolic"]
     if oracle:
         _oracle_sweep(spec, oracle_atol)

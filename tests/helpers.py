@@ -43,3 +43,16 @@ def matrix_from_string(text):
 def matrix_of(p):
     """Dense form of a PauliOperator via the bit definition."""
     return matrix_from_bits(p.n, p.x_bits, p.z_bits, p.phase_exp)
+
+
+def zz_chain_17_doc():
+    """A k=2 spec past the normalizer cap: Z_i Z_{i+1} for i = 1..15 on
+    17 qubits, with logical Z's X^16 I and I^16 X."""
+    n = 17
+    return {
+        "name": "zz_chain_17",
+        "n": n,
+        "k": 2,
+        "stabilizers": ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(15)],
+        "logical_z": ["X" * 16 + "I", "I" * 16 + "X"],
+    }

@@ -9,6 +9,8 @@ import pytest
 from qundet.cli import main, run
 from qundet.codes import catalog, save_spec
 
+from helpers import zz_chain_17_doc
+
 MANIFEST_KEYS = {
     "command", "parameters", "seed", "version", "wall_time_s", "result_digest",
 }
@@ -138,6 +140,35 @@ def test_qss_json(capsys):
     assert doc["result"]["rounds"] == 2000
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--parties", "6", "--rounds", "200000", "--seed", "3"],
+     "4c711b9894147d91e9470914e4fa7a00f83e4985ae8f17bca11c80a242aa9497"),
+    (["--variant", "original", "--parties", "4", "--rounds", "50000", "--seed", "8"],
+     "6a52a195ee1ed8db9d6327ca609599152d89bbc6a01d6186876e70af7e45ac33"),
+    (["--strategy", "delay_discriminate", "--rounds", "50000", "--seed", "1"],
+     "1a888e1923a89bc6a4855146fcf7da5a01f1122d43841eb9ed2ec6e07105f901"),
+])
+def test_qss_digest_pinned(capsys, argv, digest):
+    # the seeded samples are part of the answer: a change to the sampler
+    # must leave every QssStats field, and so this digest, unchanged
+    assert run(["qss", *argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["result_digest"] == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["qss", "--parties", "5", "--rounds", "3000", "--seed", "4"],
+    ["bc-demo", "--samples", "40", "--seed", "6"],
+    ["scan-cyclic", "--from", "7", "--to", "9"],
+])
+def test_digest_stable(capsys, argv):
+    # analyze and verify-paper have their own two-run tests
+    digests = []
+    for _ in range(2):
+        assert run([*argv, "--json"]) == 0
+        digests.append(json.loads(capsys.readouterr().out)["manifest"]["result_digest"])
+    assert digests[0] == digests[1]
+
+
 def test_qss_attack_human(capsys):
     rc = run(["qss", "--strategy", "delay_discriminate", "--rounds", "2000"])
     assert rc == 0
@@ -191,6 +222,22 @@ def test_analyze_past_normalizer_cap(capsys):
     assert result["e_d_table"] == {}
     assert any(note.startswith("distance not computed") for note in result["notes"])
     assert "distance d = not computed" in captured.err
+
+
+def test_analyze_mixed_pair_past_normalizer_cap(tmp_path, capsys):
+    # a k=2 code at n = 17: X12's size is closed-form, its members are not
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(zz_chain_17_doc()))
+    rc = run(["analyze", "--spec", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["rank"] == 15
+    assert result["mixed"]["d_mixed"] == 1
+    assert result["mixed"]["x12_size"] == 2 ** (2 * 17 - 15 - 1)
+    assert result["mixed"]["weight_d_members"] is None
+    assert any(note.startswith("mixed weight_d_members not computed")
+               for note in result["notes"])
 
 
 def test_main_raises_system_exit(monkeypatch, capsys):

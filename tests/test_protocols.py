@@ -1,10 +1,22 @@
 """Seeded protocol simulations: secret sharing and the commitment cheat."""
 
+import itertools
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from qundet.protocols import BcDemoResult, QssConfig, QssStats, bc_demo, qss_run
+from helpers import I2, X2, Y2, kron_all
+from qundet.protocols import (
+    BcDemoResult,
+    QssConfig,
+    QssStats,
+    _outcome_tables,
+    _sample_by_group,
+    bc_demo,
+    qss_run,
+)
 
 
 def test_config_validation():
@@ -80,6 +92,55 @@ def test_attack_on_original_reads_the_key():
     assert abs(stats.per_forged_round_detection - 0.5) \
         <= stats.radii["per_forged_round_detection"]
     assert stats.aborted
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_sample_by_group_matches_row_gather(n):
+    # the reference gathers each round's whole cumulative row and counts
+    # the entries below its draw
+    cum = np.cumsum(_outcome_tables(n), axis=2).reshape(2 << n, 1 << n)
+    rng = np.random.default_rng(n)
+    group = rng.integers(0, 2 << n, size=5000).astype(np.int16)
+    draws = rng.random(5000)
+    # draws on the row entries themselves, where ties decide the count
+    draws[:1000] = cum[group[:1000], rng.integers(0, 1 << n, size=1000)]
+    draws[1000:1004] = [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0)]
+    reference = (cum[group] < draws[:, None]).sum(axis=1)
+    np.testing.assert_array_equal(_sample_by_group(cum, group, draws), reference)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("bases", [b for b in itertools.product((0, 1), repeat=3)
+                                   if sum(b) % 2 == 0])
+@pytest.mark.parametrize("o", [1, -1])
+def test_delay_discriminate_readout_is_dense(s, bases, o):
+    # the attacker's readout of the held pair, (-1)^(y//2) * o * (1-2s)
+    # with v = o * (1-2s) in qss_run, against the dense GHZ state after
+    # the dealer's projection onto outcome o
+    psi = np.zeros(8, dtype=complex)
+    psi[0], psi[7] = 1, (-1) ** s
+    psi /= np.linalg.norm(psi)
+    sigma = (X2, Y2)
+    dealer = (I2 + o * sigma[bases[0]]) / 2
+    post = kron_all([dealer, I2, I2]) @ psi
+    post /= np.linalg.norm(post)
+    held = kron_all([I2, sigma[bases[1]], sigma[bases[2]]])
+    expectation = np.vdot(post, held @ post)
+    v = o * (1 - 2 * s)
+    assert np.allclose(expectation, (-1) ** (sum(bases) // 2) * v, atol=1e-12)
+
+
+def test_honest_memory_is_independent_of_parties():
+    def peak(parties):
+        tracemalloc.start()
+        qss_run(QssConfig(parties=parties, rounds=200_000, seed=3))
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    three, eight = peak(3), peak(8)
+    assert eight < 64 * 2**20
+    assert eight < 1.5 * three
 
 
 def test_radii_keys():

@@ -10,6 +10,8 @@ jsonschema = pytest.importorskip("jsonschema")
 from qundet.cli import run
 from qundet.codes import catalog, save_spec
 
+from helpers import zz_chain_17_doc
+
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
@@ -70,4 +72,15 @@ def test_no_unconditional_d_report_conforms(tmp_path, capsys, report_schema):
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert doc["result"]["minimal_unconditional_d"] is None
+    jsonschema.validate(doc, report_schema)
+
+
+def test_mixed_pair_past_cap_conforms(tmp_path, capsys, report_schema):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(zz_chain_17_doc()))
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--spec", str(spec), "--json", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["result"]["mixed"]["weight_d_members"] is None
     jsonschema.validate(doc, report_schema)
