@@ -152,33 +152,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan_cyclic(args) -> int:
-    if args.from_n < 5 or args.to_n < args.from_n:
-        raise ValueError("need 5 <= from <= to")
     manifest = report.RunManifest("scan-cyclic", {"from": args.from_n, "to": args.to_n})
-    rows = []
-    claim_ok = True
-    for n in range(args.from_n, args.to_n + 1):
-        row: dict = {"n": n}
-        try:
-            spec = codes.catalog("cyclic", n=n)
-        except CodeValidationError as exc:
-            row.update(valid=False, failures=list(exc.report.failures))
-            rows.append(row)
-            continue
-        r = und.unconditional_D(spec, cross_check=False)
-        ok = r.d_min is not None and r.d_min <= n - 2
-        row.update(
-            valid=True,
-            rank=spec.n - 1,
-            w_min=r.w_min,
-            d_min=r.d_min,
-            n_minus_2_undetermined=ok,
-        )
-        rows.append(row)
-        claim_ok = claim_ok and ok
+    rows = und.scan_cyclic(args.from_n, args.to_n)
+    claim_ok = all(row["n_minus_2_undetermined"] for row in rows if row["valid"])
     lines = []
     for row in rows:
-        if row.get("valid"):
+        if row["valid"]:
             verdict = "ok" if row["n_minus_2_undetermined"] else "CLAIM FAILED"
             lines.append(
                 f"n={row['n']:2d}: valid, w_min={row['w_min']}, D_min={row['d_min']}, "

@@ -19,11 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from qundet.pauli import PauliFormatError, PauliOperator, parse_pauli
-from qundet.stabilizer import (
-    GroupValidationError,
-    StabilizerGroup,
-    build_group,
-)
+from qundet.stabilizer import GroupValidationError, StabilizerGroup
 
 CATALOG_NAMES = ("ghz", "code_412", "code_513", "cyclic", "steane_713", "code_422")
 
@@ -66,7 +62,7 @@ class CodeSpec:
         return [parse_pauli(s, self.n) for s in self.logical_x]
 
     def group(self) -> StabilizerGroup:
-        return build_group(self.stabilizer_ops())
+        return StabilizerGroup(self.stabilizer_ops())
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -238,7 +234,7 @@ def validate(spec: CodeSpec) -> ValidationReport:
     group: StabilizerGroup | None = None
     if not failures:
         try:
-            group = build_group(stabs)
+            group = StabilizerGroup(stabs)
             rank = group.rank
         except GroupValidationError as exc:
             failures.append(str(exc))

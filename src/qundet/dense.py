@@ -17,7 +17,6 @@ can reach.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,28 +59,18 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
     return m
 
 
-def _signed_elements(generators: Sequence[PauliOperator]) -> Iterable[PauliOperator]:
-    """All 2^r products of the generators, Gray-code order."""
-    if not generators:
-        yield PauliOperator.identity(1)
-        return
-    cur = PauliOperator.identity(generators[0].n)
-    yield cur
-    for m in range(1, 1 << len(generators)):
-        cur = cur * generators[(m & -m).bit_length() - 1]
-        yield cur
-
-
-def group_projector(generators: Sequence[PauliOperator], n: int) -> np.ndarray:
-    """2^-r * sum of the dense realizations of the generated group."""
-    _check_cap(n)
-    dim = 1 << n
+def group_projector(group: StabilizerGroup) -> np.ndarray:
+    """2^-r * sum of the dense realizations of the group's elements."""
+    _check_cap(group.n)
+    dim = 1 << group.n
     acc = np.zeros((dim, dim), dtype=complex)
-    count = 0
-    for el in _signed_elements(generators):
+    # the oracle shares Pauli multiplication and group enumeration with
+    # the symbolic engine, but never its coset rule: equality here comes
+    # from dense matrices and partial traces alone
+    elements = group.elements()
+    for el in elements:
         acc += pauli_matrix(el)
-        count += 1
-    return acc / count
+    return acc / len(elements)
 
 
 def build_density(spec: CodeSpec, logical_bit: int) -> np.ndarray:
@@ -97,9 +86,8 @@ def build_density(spec: CodeSpec, logical_bit: int) -> np.ndarray:
     z_bar = spec.logical_z_ops()[0]
     if logical_bit:
         z_bar = PauliOperator(z_bar.n, z_bar.x_bits, z_bar.z_bits, (z_bar.phase_exp + 2) % 4)
-    # validate the extended generating set before densifying
-    StabilizerGroup(gens + [z_bar])
-    return group_projector(gens + [z_bar], spec.n)
+    # construction validates the extended generating set before densifying
+    return group_projector(StabilizerGroup(gens + [z_bar]))
 
 
 def build_mixed_density(spec: CodeSpec, which: int) -> np.ndarray:
@@ -114,8 +102,7 @@ def build_mixed_density(spec: CodeSpec, which: int) -> np.ndarray:
     for i, j in pairs:
         s1 = _flip_sign(zb1) if i else zb1
         s2 = _flip_sign(zb2) if j else zb2
-        StabilizerGroup(list(gens) + [s1, s2])
-        acc += group_projector(list(gens) + [s1, s2], spec.n)
+        acc += group_projector(StabilizerGroup(gens + [s1, s2]))
     return acc / 2
 
 
@@ -295,8 +282,3 @@ def phase_family_check(n: int, alpha: complex, beta: complex, theta: float, atol
         frobenius_distance(partial_trace(r0, [q], n), partial_trace(r1, [q], n)) < atol
         for q in range(1, n + 1)
     )
-
-
-def all_subsets(n: int, size: int) -> Iterable[tuple[int, ...]]:
-    """Lexicographic size-``size`` subsets of 1..n."""
-    return itertools.combinations(range(1, n + 1), size)

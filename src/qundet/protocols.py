@@ -18,6 +18,7 @@ hand-written tables, and every run is deterministic given its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import sqrt
 from typing import Mapping
 
@@ -113,11 +114,13 @@ def _ghz_vector(n: int, s: int) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=_MAX_TABLE_PARTIES)
 def _outcome_tables(n: int) -> np.ndarray:
     """P(outcomes | state s, basis combo) from dense projections.
 
     Shape (2, 2^n, 2^n): state index, basis-combo index (party 1 is the
-    most significant bit, 0=X 1=Y), outcome index (bit 0 -> +1).
+    most significant bit, 0=X 1=Y), outcome index (bit 0 -> +1).  Cached
+    per party count and read-only, since every caller shares the array.
     """
     dim = 1 << n
     tables = np.zeros((2, dim, dim))
@@ -132,6 +135,7 @@ def _outcome_tables(n: int) -> np.ndarray:
                 t = np.tensordot(e, t, axes=([1], [axis]))
                 t = np.moveaxis(t, 0, axis)
             tables[s, combo] = np.abs(t.reshape(-1)) ** 2
+    tables.flags.writeable = False
     return tables
 
 
@@ -196,16 +200,8 @@ def qss_run(config: QssConfig) -> QssStats:
         o_dealer = 1 - 2 * ((out_idx >> (n - 1)) & 1)
         parity = np.bitwise_count(out_idx & ((1 << (n - 1)) - 1)).astype(np.int64) & 1
         product_receivers = 1 - 2 * parity
-        sign = _stabilizer_sign(y_counts, s)
-        reconstructed = sign * product_receivers
-        agree = reconstructed == o_dealer
-        kept_n = int(kept.sum())
-        checked_n = int(checked.sum())
-        agreement = float(agree[kept].mean()) if kept_n else 0.0
-        check_errors = int((~agree[checked]).sum())
-        check_error_rate = check_errors / checked_n if checked_n else 0.0
-        solo = None
-        detection = None
+        reconstructed = _stabilizer_sign(y_counts, s) * product_receivers
+        solo_correct = None
     else:
         # fake qubit to the second party: uniform outcome either basis
         o_dealer = 1 - 2 * rng.integers(0, 2, size=rounds)
@@ -222,24 +218,24 @@ def qss_run(config: QssConfig) -> QssStats:
         guess_second = 1 - 2 * rng.integers(0, 2, size=rounds)
         m_sign = (-1) ** (y_counts // 2)
         o_third = m_sign * v * guess_second
-        sign = _stabilizer_sign(y_counts, s)
-        reconstructed = sign * o_second * o_third
-        agree = reconstructed == o_dealer
-        kept_n = int(kept.sum())
-        checked_n = int(checked.sum())
-        agreement = float(agree[kept].mean()) if kept_n else 0.0
-        check_errors = int((~agree[checked]).sum())
-        check_error_rate = check_errors / checked_n if checked_n else 0.0
-        solo = float(solo_correct[kept].mean()) if kept_n else 0.0
-        detection = check_error_rate
+        reconstructed = _stabilizer_sign(y_counts, s) * o_second * o_third
 
+    agree = reconstructed == o_dealer
+    kept_n = int(kept.sum())
+    checked_n = int(checked.sum())
+    agreement = float(agree[kept].mean()) if kept_n else 0.0
+    check_errors = int((~agree[checked]).sum())
+    check_error_rate = check_errors / checked_n if checked_n else 0.0
     keep_rate = kept.mean()
     radii = {
         "keep_rate": _binomial_radius(keep_rate, rounds),
         "honest_key_agreement": _binomial_radius(agreement, kept_n),
         "check_error_rate": _binomial_radius(check_error_rate, checked_n),
     }
-    if solo is not None:
+    solo = detection = None
+    if solo_correct is not None:
+        solo = float(solo_correct[kept].mean()) if kept_n else 0.0
+        detection = check_error_rate
         radii["attacker_solo_accuracy"] = _binomial_radius(solo, kept_n)
         radii["per_forged_round_detection"] = _binomial_radius(detection, checked_n)
     aborted = checked_n > 0 and check_error_rate > config.abort_threshold

@@ -199,21 +199,6 @@ class StabilizerGroup:
             yield x, z
 
 
-def build_group(generators: Sequence[PauliOperator]) -> StabilizerGroup:
-    """Validate a nonempty generating set into a StabilizerGroup."""
-    if not generators:
-        raise ValueError("empty generating set")
-    return StabilizerGroup(generators)
-
-
-def enumerate_group(group: StabilizerGroup, cap: int = MAX_ENUM_RANK) -> list[PauliOperator]:
-    return group.elements(cap)
-
-
-def centralizer_basis(group: StabilizerGroup) -> list[PauliOperator]:
-    return group.centralizer_basis()
-
-
 def _letter_key(p: PauliOperator) -> int:
     """Integer ordered like p.letters: digits I=0 < X=1 < Y=2 < Z=3, qubit 1 first.
 

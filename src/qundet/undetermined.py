@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
+from qundet import codes
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
 from qundet.stabilizer import (
@@ -138,26 +139,21 @@ def unconditional_D(spec: CodeSpec, cross_check: bool | None = None) -> Uncondit
 def _assert_scan_agreement(spec: CodeSpec, d_min: int | None) -> None:
     if d_min is None:
         # even the largest feasible trace must leave some subset determined
-        equal_all, _ = _scan_equal_all(spec, spec.n - 1)
-        if equal_all:
+        if _scan_equal_all(spec, spec.n - 1):
             raise RuntimeError("coset formula and subset scan disagree (d_min=None)")
         return
-    equal_all, _ = _scan_equal_all(spec, d_min)
-    if not equal_all:
+    if not _scan_equal_all(spec, d_min):
         raise RuntimeError(f"subset scan found a determined {d_min}-subset")
-    if d_min > 1:
-        equal_below, _ = _scan_equal_all(spec, d_min - 1)
-        if equal_below:
-            raise RuntimeError(f"all {d_min - 1}-subsets equal; d_min not minimal")
+    if d_min > 1 and _scan_equal_all(spec, d_min - 1):
+        raise RuntimeError(f"all {d_min - 1}-subsets equal; d_min not minimal")
 
 
-def _scan_equal_all(spec: CodeSpec, size: int) -> tuple[bool, tuple[int, ...] | None]:
-    """(all subsets of this size equal?, first determined subset if any)."""
-    for subset in itertools.combinations(range(1, spec.n + 1), size):
-        equal, _ = reduced_equal_on(spec, subset)
-        if not equal:
-            return False, subset
-    return True, None
+def _scan_equal_all(spec: CodeSpec, size: int) -> bool:
+    """Are the reductions equal after tracing out every subset of this size?"""
+    return all(
+        reduced_equal_on(spec, subset)[0]
+        for subset in itertools.combinations(range(1, spec.n + 1), size)
+    )
 
 
 @dataclass(frozen=True)
@@ -266,7 +262,7 @@ def undetected_error_cover(
             assignments.append((subset, by_support[subset]))
         else:
             uncovered.append(subset)
-    all_undet = _scan_equal_all(spec, d)[0]
+    all_undet = _scan_equal_all(spec, d)
     full = not uncovered
     return CoverResult(d, tuple(assignments), tuple(uncovered), full == all_undet)
 
@@ -498,7 +494,7 @@ def analyze_code(
         )
     methods = ["symbolic"]
     if oracle:
-        _oracle_sweep(spec, oracle_atol)
+        oracle_sweep(spec, atol=oracle_atol)
         methods.append("oracle")
     return UndeterminedReport(
         name=spec.name,
@@ -518,8 +514,15 @@ def analyze_code(
     )
 
 
-def _oracle_sweep(spec: CodeSpec, atol: float) -> None:
-    """Dense cross-check of reduced_equal_on over every traced subset."""
+def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None, atol: float = 1e-9) -> int:
+    """Dense cross-check of reduced_equal_on; returns the subsets compared.
+
+    Builds the codeword densities once (the k=2 equal mixtures for a
+    k=2 code) and, for every lexicographic traced subset of each size in
+    ``sizes`` (default 1..n-1), compares the symbolic verdict with the
+    Frobenius distance of the dense partial traces.  Any disagreement
+    raises RuntimeError.
+    """
     from qundet import dense
 
     if spec.k == 1:
@@ -528,7 +531,10 @@ def _oracle_sweep(spec: CodeSpec, atol: float) -> None:
     else:
         rho0 = dense.build_mixed_density(spec, 0)
         rho1 = dense.build_mixed_density(spec, 1)
-    for size in range(1, spec.n):
+    if sizes is None:
+        sizes = range(1, spec.n)
+    checked = 0
+    for size in sizes:
         for subset in itertools.combinations(range(1, spec.n + 1), size):
             symbolic, _ = reduced_equal_on(spec, subset)
             dev = dense.frobenius_distance(
@@ -541,3 +547,32 @@ def _oracle_sweep(spec: CodeSpec, atol: float) -> None:
                     f"symbolic/oracle disagreement on {spec.name} traced {subset}: "
                     f"symbolic={symbolic}, dense deviation={dev:.3e}"
                 )
+            checked += 1
+    return checked
+
+
+def scan_cyclic(lo: int, hi: int) -> list[dict]:
+    """Validity and (n-2)-undeterminedness of the cyclic code, per n in lo..hi.
+
+    A valid n gives its rank, w_min, d_min and whether d_min <= n - 2;
+    an invalid n gives the validation failures.
+    """
+    if lo < 5 or hi < lo:
+        raise ValueError("need 5 <= from <= to")
+    rows: list[dict] = []
+    for n in range(lo, hi + 1):
+        try:
+            spec = codes.catalog("cyclic", n=n)
+        except codes.CodeValidationError as exc:
+            rows.append({"n": n, "valid": False, "failures": list(exc.report.failures)})
+            continue
+        r = unconditional_D(spec, cross_check=False)
+        rows.append({
+            "n": n,
+            "valid": True,
+            "rank": spec.n - 1,
+            "w_min": r.w_min,
+            "d_min": r.d_min,
+            "n_minus_2_undetermined": r.d_min is not None and r.d_min <= n - 2,
+        })
+    return rows

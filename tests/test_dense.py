@@ -10,7 +10,6 @@ from qundet import dense
 from qundet.codes import catalog
 from qundet.dense import (
     OracleCapError,
-    all_subsets,
     apply_on_subset,
     build_density,
     build_mixed_density,
@@ -52,7 +51,7 @@ def test_pauli_matrix_matches_reference(args):
 
 def test_group_projector_is_projector():
     spec = catalog("code_412")
-    proj = group_projector(list(spec.stabilizer_ops()), spec.n)
+    proj = group_projector(spec.group())
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
     np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
     # rank 3 group on 4 qubits: 2^(4-3) dimensional codespace
@@ -259,11 +258,6 @@ def test_phase_family_check():
     assert phase_family_check(4, 0.6, 0.8, 1.0)
     with pytest.raises(ValueError):
         phase_family_check(3, 1.0, 1.0, 0.1)
-
-
-def test_all_subsets():
-    assert list(all_subsets(3, 2)) == [(1, 2), (1, 3), (2, 3)]
-    assert list(all_subsets(2, 0)) == [()]
 
 
 def test_oracle_cap():

@@ -94,6 +94,14 @@ def test_attack_on_original_reads_the_key():
     assert stats.aborted
 
 
+def test_outcome_tables_cached_and_read_only():
+    tables = _outcome_tables(4)
+    assert _outcome_tables(4) is tables
+    assert not tables.flags.writeable
+    with pytest.raises(ValueError):
+        tables[0, 0, 0] = 0.0
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_sample_by_group_matches_row_gather(n):
     # the reference gathers each round's whole cumulative row and counts

@@ -1,12 +1,13 @@
 """Symbolic undeterminedness analysis against frozen, oracle-backed values."""
 
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qundet.codes import CodeSpec, catalog
+from qundet.codes import CodeSpec, catalog, validate
 from qundet.undetermined import (
     analyze_code,
     conditional_scan,
@@ -14,6 +15,7 @@ from qundet.undetermined import (
     mixed_pair_n2,
     mixed_tracedown_check,
     necessary_ED,
+    oracle_sweep,
     reduced_equal_on,
     unconditional_D,
     undetected_error_cover,
@@ -315,3 +317,51 @@ def test_oracle_sweep_catches_disagreement(monkeypatch):
     monkeypatch.setattr(und, "reduced_equal_on", lying)
     with pytest.raises(RuntimeError, match="disagreement"):
         analyze_code(spec, oracle=True)
+
+
+_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+
+@st.composite
+def random_codes(draw):
+    """A random valid [[n, k]] code, k = 1 or 2, n <= 6.
+
+    Starts from the trivial code (Z on qubits k+1..n stabilizes, Z on
+    qubits 1..k are the logical Z's) and applies a random H/S/CNOT
+    circuit to the (x, z) bits of every row.  The image rows stay
+    independent and commuting, so any signs on the Hermitian generators
+    give a valid group.
+    """
+    k = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(k + 1, 6))
+    rows = [([0] * n, [1 if q == i else 0 for q in range(n)]) for i in range(n)]
+    gates = st.tuples(st.sampled_from("HSC"), st.integers(0, n - 1), st.integers(0, n - 1))
+    for gate, a, b in draw(st.lists(gates, min_size=4 * n, max_size=12 * n)):
+        for x, z in rows:
+            if gate == "H":
+                x[a], z[a] = z[a], x[a]
+            elif gate == "S":
+                z[a] ^= x[a]
+            elif a != b:  # CNOT, control a, target b
+                x[b] ^= x[a]
+                z[a] ^= z[b]
+    strings = ["".join(_LETTER[x[q], z[q]] for q in range(n)) for x, z in rows]
+    signs = draw(st.lists(st.sampled_from(("", "-")), min_size=n - k, max_size=n - k))
+    stabilizers = tuple(sign + s for sign, s in zip(signs, strings[k:]))
+    return CodeSpec(f"random_{n}_{k}", n, k, stabilizers, tuple(strings[:k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_codes())
+def test_random_codes_agree_with_oracle(spec):
+    assert validate(spec).ok
+    assert oracle_sweep(spec) == 2 ** spec.n - 2
+    # cross_check re-derives d_min by subset scans and raises on disagreement
+    unconditional_D(spec, cross_check=True)
+    # an equal trace stays equal when one more qubit is traced
+    qubits = range(1, spec.n + 1)
+    for size in range(1, spec.n - 1):
+        for traced in itertools.combinations(qubits, size):
+            if reduced_equal_on(spec, traced)[0]:
+                for q in set(qubits) - set(traced):
+                    assert reduced_equal_on(spec, traced + (q,))[0]
