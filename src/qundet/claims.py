@@ -145,10 +145,9 @@ def claim_5() -> ClaimResult:
         eq, witness = und.reduced_equal_on(spec, [2, 3, 4])
         if eq or witness is None:
             return False, "tracing {2,3,4} did not distinguish the codewords"
-        rho0 = dense.build_density(spec, 0)
-        rho1 = dense.build_density(spec, 1)
         dist = dense.frobenius_distance(
-            dense.partial_trace(rho0, [2, 3, 4], 7), dense.partial_trace(rho1, [2, 3, 4], 7)
+            dense.reduced_state(dense.codeword_states(spec, 0), [2, 3, 4]),
+            dense.reduced_state(dense.codeword_states(spec, 1), [2, 3, 4]),
         )
         if dist <= 1e-6:
             return False, f"oracle distance {dist} too small"

@@ -97,11 +97,15 @@ def _load_target_spec(args) -> codes.CodeSpec:
 
 
 def _render_analysis(rep: und.UndeterminedReport) -> str:
+    if rep.w_min is None:
+        w_min = d_min = "not computed"
+    else:
+        w_min, d_min = rep.w_min, rep.d_min if rep.d_min is not None else "none"
     lines = [
         f"code {rep.name}: [[{rep.n},{rep.k}]] rank {rep.rank}",
         f"  distance d = {rep.distance if rep.distance is not None else 'not computed'}",
-        f"  difference-coset minimum weight = {rep.w_min}",
-        f"  minimal unconditional D = {rep.d_min if rep.d_min is not None else 'none'}",
+        f"  difference-coset minimum weight = {w_min}",
+        f"  minimal unconditional D = {d_min}",
     ]
     if rep.threshold_shares is not None:
         lines.append(f"  threshold-scheme share count n-D+1 = {rep.threshold_shares}")

@@ -62,7 +62,7 @@ class CodeSpec:
         return [parse_pauli(s, self.n) for s in self.logical_x]
 
     def group(self) -> StabilizerGroup:
-        return StabilizerGroup(self.stabilizer_ops())
+        return StabilizerGroup(self.stabilizer_ops(), n=self.n)
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -234,7 +234,7 @@ def validate(spec: CodeSpec) -> ValidationReport:
     group: StabilizerGroup | None = None
     if not failures:
         try:
-            group = StabilizerGroup(stabs)
+            group = StabilizerGroup(stabs, n=spec.n)
             rank = group.rank
         except GroupValidationError as exc:
             failures.append(str(exc))

@@ -1,4 +1,4 @@
-"""Dense numeric oracle: states, density matrices, partial traces.
+"""Dense numeric oracle: state vectors, reduced states, partial traces.
 
 Everything here is an independent check on the symbolic engine.  A
 Pauli's dense realization is a generalized permutation matrix,
@@ -6,13 +6,25 @@ Pauli's dense realization is a generalized permutation matrix,
     P |b> = i**phase_exp * (-1)**(z.b) |b XOR x>,
 
 with qubit 1 the most significant bit of the basis index, matching the
-leftmost letter of the string form.  Density matrices for a code's
-codewords are built as uniform sums over an enumerated signed group,
-never from the symbolic decision rule they are meant to cross-check.
+leftmost letter of the string form.
 
-Sizes are capped (default n <= 10, i.e. 1024 x 1024 complex) because
-the whole point of the symbolic engine is to go beyond what densifying
-can reach.
+A codeword is built as a 2^n state vector: a seeded start vector is
+projected through (I + g)/2 for each generator g of its extended
+generating set (the stabilizers plus the signed logical Z's), each g
+applied as the signed permutation above.  No matrix is built and no
+group is enumerated; the generating set is validated by constructing
+its ``StabilizerGroup``, and nothing is taken from the symbolic
+decision rule the oracle cross-checks.  The projection is rounded to
+the state's exact amplitudes (one modulus times 0, 1, -1, i or -i), so
+reduced states come out exact and equal ones compare bitwise equal,
+whatever the start vector.  A k=2 equal mixture is a stack of two such
+vectors.  The reduced state on the kept qubits K is
+sum_i M_i M_i^dagger / m, where M_i is vector i reshaped to
+2^|K| x 2^|T| (T the traced qubits).
+
+Sizes are capped (default n <= 10).  Memory is O(2^n); the cap bounds
+time, since a sweep over every traced subset costs
+sum_K 2^(n+|K|) = O(6^n).
 """
 
 from __future__ import annotations
@@ -27,7 +39,12 @@ from qundet.stabilizer import StabilizerGroup
 
 ORACLE_MAX_N = 10
 
-_I2 = np.eye(2, dtype=complex)
+# seed of the start vector every codeword is projected from; any vector
+# with a nonzero overlap works, and a fixed one keeps reruns identical
+_START_SEED = 2008
+# below this norm the projection's rounding noise is no longer far
+# below the amplitudes that the exact rounding must tell apart from 0
+_VANISHED = 1e-6
 
 
 class OracleCapError(ValueError):
@@ -39,18 +56,19 @@ def _check_cap(n: int, cap: int = ORACLE_MAX_N) -> None:
         raise OracleCapError(f"dense oracle capped at n={cap}, got n={n}")
 
 
-def _bit_index(n: int, qubit: int) -> int:
-    # qubit 1 is the most significant bit of a basis state index
-    return n - qubit
+def _index_masks(p: PauliOperator) -> tuple[int, int]:
+    """x and z bits of ``p`` in basis-index order (qubit 1 = MSB)."""
+    def mirror(bits: int) -> int:
+        return sum(1 << (p.n - q) for q in range(1, p.n + 1) if bits >> (q - 1) & 1)
+
+    return mirror(p.x_bits), mirror(p.z_bits)
 
 
 def pauli_matrix(p: PauliOperator) -> np.ndarray:
     """Dense 2^n x 2^n realization of a signed Pauli operator."""
     _check_cap(p.n)
     dim = 1 << p.n
-    # mirror bit-vectors into basis-index order (qubit 1 = MSB)
-    x = sum(1 << _bit_index(p.n, q) for q in range(1, p.n + 1) if p.x_bits >> (q - 1) & 1)
-    z = sum(1 << _bit_index(p.n, q) for q in range(1, p.n + 1) if p.z_bits >> (q - 1) & 1)
+    x, z = _index_masks(p)
     cols = np.arange(dim)
     rows = cols ^ x
     signs = np.where(np.bitwise_count(cols & z) & 1, -1, 1)
@@ -59,85 +77,114 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
     return m
 
 
-def group_projector(group: StabilizerGroup) -> np.ndarray:
-    """2^-r * sum of the dense realizations of the group's elements."""
-    _check_cap(group.n)
-    dim = 1 << group.n
-    acc = np.zeros((dim, dim), dtype=complex)
-    # the oracle shares Pauli multiplication and group enumeration with
-    # the symbolic engine, but never its coset rule: equality here comes
-    # from dense matrices and partial traces alone
-    elements = group.elements()
-    for el in elements:
-        acc += pauli_matrix(el)
-    return acc / len(elements)
-
-
-def build_density(spec: CodeSpec, logical_bit: int) -> np.ndarray:
-    """Density matrix of codeword ``logical_bit`` of a k=1 code.
-
-    The projector onto the joint +1 eigenspace of the stabilizers and
-    (-1)^bit Z-bar equals the uniform sum over the signed group they
-    generate; that group has rank n, so the result is a rank-1 state.
-    """
-    if spec.k != 1:
-        raise ValueError("build_density needs a k=1 code")
-    gens = [g for g in spec.stabilizer_ops()]
-    z_bar = spec.logical_z_ops()[0]
-    if logical_bit:
-        z_bar = PauliOperator(z_bar.n, z_bar.x_bits, z_bar.z_bits, (z_bar.phase_exp + 2) % 4)
-    # construction validates the extended generating set before densifying
-    return group_projector(StabilizerGroup(gens + [z_bar]))
-
-
-def build_mixed_density(spec: CodeSpec, which: int) -> np.ndarray:
-    """Equal mixture of two k=2 codewords: 00/11 for which=0, 10/01 for 1."""
-    if spec.k != 2:
-        raise ValueError("build_mixed_density needs a k=2 code")
-    gens = spec.stabilizer_ops()
-    zb1, zb2 = spec.logical_z_ops()
-    pairs = [(0, 0), (1, 1)] if which == 0 else [(1, 0), (0, 1)]
-    dim = 1 << spec.n
-    acc = np.zeros((dim, dim), dtype=complex)
-    for i, j in pairs:
-        s1 = _flip_sign(zb1) if i else zb1
-        s2 = _flip_sign(zb2) if j else zb2
-        acc += group_projector(StabilizerGroup(gens + [s1, s2]))
-    return acc / 2
+def apply_pauli(p: PauliOperator, v: np.ndarray) -> np.ndarray:
+    """``P v`` along the last axis of ``v``, as a signed permutation."""
+    x, z = _index_masks(p)
+    src = np.arange(1 << p.n) ^ x
+    signs = np.where(np.bitwise_count(src & z) & 1, -1, 1)
+    return v[..., src] * ((1j ** p.phase_exp) * signs)
 
 
 def _flip_sign(p: PauliOperator) -> PauliOperator:
     return PauliOperator(p.n, p.x_bits, p.z_bits, (p.phase_exp + 2) % 4)
 
 
-def codeword_vector(spec: CodeSpec, logical_bit: int) -> np.ndarray:
-    """State vector of a k=1 codeword, by projecting a basis state.
+def _fixed_state(generators: list[PauliOperator]) -> np.ndarray:
+    """The unit vector every generator fixes, for a rank-n generating set.
 
-    Independent of :func:`build_density`: applies the projector of each
-    generator in sequence to computational basis states until one
-    survives.  The global phase is fixed by the first nonzero amplitude.
+    A stabilizer state's nonzero amplitudes share one modulus and, once
+    the first is real and positive, are all 1, -1, i or -i times it.
+    The projected vector is rounded to that exact form, so equal reduced
+    states come out bitwise equal; a projection that is not close to it
+    raises.
     """
+    # construction validates the extended generating set
+    group = StabilizerGroup(generators)
+    n = group.n
+    _check_cap(n)
+    if group.rank != n:
+        raise ValueError(f"rank {group.rank} generating set fixes no single state on {n} qubits")
+    v = np.random.default_rng(_START_SEED).normal(size=(2, 1 << n)).T @ np.array([1, 1j])
+    v /= np.linalg.norm(v)
+    for g in group.generators:
+        v = (v + apply_pauli(g, v)) / 2
+    norm = np.linalg.norm(v)
+    if norm < _VANISHED:
+        raise RuntimeError(f"start vector vanished under projection (norm {norm:.1e})")
+    mags = np.abs(v)
+    first = int(np.argmax(mags > mags.max() / 2))
+    units = v / v[first]
+    exact = np.round(units.real) + 1j * np.round(units.imag)
+    if np.abs(units - exact).max() > 1e-6 or not np.isin(np.abs(exact), (0, 1)).all():
+        raise RuntimeError("projected vector is not a stabilizer state")
+    return exact / np.sqrt(np.count_nonzero(exact))
+
+
+def codeword_states(spec: CodeSpec, which: int) -> np.ndarray:
+    """Codeword ``which`` as a stack of unit vectors, shape (m, 2^n).
+
+    For k=1 it is the one state fixed by the stabilizers and
+    (-1)^which Z-bar.  For k=2 it is the two states whose equal mixture
+    is the 00/11 pair (which=0) or the 10/01 pair (which=1).
+    """
+    gens = spec.stabilizer_ops()
+    z_bars = spec.logical_z_ops()
+    if spec.k == 1:
+        bit_rows = [(which,)]
+    elif spec.k == 2:
+        bit_rows = [(0, 0), (1, 1)] if which == 0 else [(1, 0), (0, 1)]
+    else:
+        raise ValueError(f"codewords need k=1 or k=2, got k={spec.k}")
+    return np.stack([
+        _fixed_state(gens + [_flip_sign(z) if bit else z for z, bit in zip(z_bars, bits)])
+        for bits in bit_rows
+    ])
+
+
+def reduced_state(states: np.ndarray, traced_out: Iterable[int]) -> np.ndarray:
+    """Reduced matrix of the equal mixture of ``states`` on the kept qubits.
+
+    ``states`` is a stack of 2^n vectors; the 1-based ``traced_out``
+    qubits are traced out and the kept ones stay in ascending order, as
+    in :func:`partial_trace`.
+    """
+    m, dim = states.shape
+    n = dim.bit_length() - 1
+    traced = sorted(set(traced_out))
+    if traced and not (1 <= traced[0] and traced[-1] <= n):
+        raise ValueError(f"traced qubits out of range 1..{n}")
+    kept = [q for q in range(1, n + 1) if q not in traced]
+    # axis 0 indexes the stack and axis q holds qubit q; the stack axis
+    # joins the traced side, so one product sums over both
+    t = states.reshape((m,) + (2,) * n).transpose(kept + [0] + traced)
+    mat = t.reshape(1 << len(kept), m << len(traced))
+    # the trace of mat mat^dagger is m for unit rows; with the amplitudes
+    # scaled to modulus at most 1 and the trace divided out of the small
+    # factor, a stabilizer state's reduced state is exact: Gaussian
+    # integers over a power of 2
+    mat = mat / np.abs(mat).max()
+    return mat @ (mat.conj().T / np.vdot(mat, mat).real)
+
+
+def codeword_vector(spec: CodeSpec, logical_bit: int) -> np.ndarray:
+    """State vector of codeword ``logical_bit`` of a k=1 code."""
     if spec.k != 1:
         raise ValueError("codeword_vector needs a k=1 code")
-    _check_cap(spec.n)
-    gens = list(spec.stabilizer_ops())
-    z_bar = spec.logical_z_ops()[0]
-    if logical_bit:
-        z_bar = _flip_sign(z_bar)
-    mats = [pauli_matrix(g) for g in gens + [z_bar]]
-    dim = 1 << spec.n
-    for seed in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[seed] = 1.0
-        for m in mats:
-            v = (v + m @ v) / 2
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            v /= norm
-            first = np.flatnonzero(np.abs(v) > 1e-12)[0]
-            v *= np.conj(v[first]) / abs(v[first])
-            return v
-    raise RuntimeError("no basis state survived projection")
+    return codeword_states(spec, logical_bit)[0]
+
+
+def build_density(spec: CodeSpec, logical_bit: int) -> np.ndarray:
+    """Density matrix of codeword ``logical_bit`` of a k=1 code."""
+    v = codeword_vector(spec, logical_bit)
+    return np.outer(v, v.conj())
+
+
+def build_mixed_density(spec: CodeSpec, which: int) -> np.ndarray:
+    """Equal mixture of two k=2 codewords: 00/11 for which=0, 10/01 for 1."""
+    if spec.k != 2:
+        raise ValueError("build_mixed_density needs a k=2 code")
+    states = codeword_states(spec, which)
+    return states.T @ states.conj() / len(states)
 
 
 def partial_trace(m: np.ndarray, traced_out: Iterable[int], n: int | None = None) -> np.ndarray:
@@ -248,16 +295,10 @@ def relates_codewords(spec: CodeSpec, subset: Sequence[int], u: np.ndarray, atol
 
 
 def reduced_equal_dense(spec: CodeSpec, traced_out: Iterable[int], atol: float = 1e-9) -> bool:
-    """Compare the codewords' reduced matrices by direct densification."""
-    traced = sorted(set(traced_out))
-    if spec.k == 1:
-        r0 = build_density(spec, 0)
-        r1 = build_density(spec, 1)
-    else:
-        r0 = build_mixed_density(spec, 0)
-        r1 = build_mixed_density(spec, 1)
+    """Compare the codewords' reduced matrices from their state vectors."""
     return frobenius_distance(
-        partial_trace(r0, traced, spec.n), partial_trace(r1, traced, spec.n)
+        reduced_state(codeword_states(spec, 0), traced_out),
+        reduced_state(codeword_states(spec, 1), traced_out),
     ) < atol
 
 
@@ -276,9 +317,7 @@ def phase_family_check(n: int, alpha: complex, beta: complex, theta: float, atol
     v0[0] = v1[0] = alpha
     v0[dim - 1] = beta
     v1[dim - 1] = beta * np.exp(1j * theta)
-    r0 = np.outer(v0, v0.conj())
-    r1 = np.outer(v1, v1.conj())
     return all(
-        frobenius_distance(partial_trace(r0, [q], n), partial_trace(r1, [q], n)) < atol
+        frobenius_distance(reduced_state(v0[None], [q]), reduced_state(v1[None], [q])) < atol
         for q in range(1, n + 1)
     )

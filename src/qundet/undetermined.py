@@ -323,7 +323,7 @@ def mixed_tracedown_check(
 ) -> TracedownResult:
     """Trace d_prime qubits off both codewords, then test D'' = D - d_prime.
 
-    Dense-oracle computation: builds both codeword densities, traces out
+    Dense-oracle computation: builds both codeword vectors, traces out
     ``traced_subset`` (default the first d_prime qubits), and checks that
     every further (D - d_prime)-qubit trace of the two mixed states
     leaves equal matrices.  The remaining qubits renumber to 1..n-d_prime
@@ -345,14 +345,16 @@ def mixed_tracedown_check(
         if len(traced_subset) != d_prime:
             raise ValueError("traced_subset size must equal d_prime")
     d_double = d_pure - d_prime
-    m = spec.n - d_prime
-    rho0 = dense.partial_trace(dense.build_density(spec, 0), traced_subset, spec.n)
-    rho1 = dense.partial_trace(dense.build_density(spec, 1), traced_subset, spec.n)
+    states0 = dense.codeword_states(spec, 0)
+    states1 = dense.codeword_states(spec, 1)
+    rest = [q for q in range(1, spec.n + 1) if q not in traced_subset]
     worst = 0.0
     checked = 0
-    for subset in itertools.combinations(range(1, m + 1), d_double):
+    # rest is ascending, so this is the lexicographic order over 1..n-d_prime
+    for further in itertools.combinations(rest, d_double):
+        traced = traced_subset + further
         dev = dense.frobenius_distance(
-            dense.partial_trace(rho0, subset, m), dense.partial_trace(rho1, subset, m)
+            dense.reduced_state(states0, traced), dense.reduced_state(states1, traced)
         )
         worst = max(worst, dev)
         checked += 1
@@ -417,7 +419,7 @@ class UndeterminedReport:
     k: int
     rank: int
     distance: int | None
-    w_min: int
+    w_min: int | None
     d_min: int | None
     threshold_shares: int | None
     x_set_size: int
@@ -461,15 +463,23 @@ def analyze_code(
     ``max_trace`` bounds the E_D table (default: just D = d_min when it
     exists); ``conditional`` lists the subset sizes to partition.  With
     ``oracle`` the symbolic verdict for every feasible subset is checked
-    against dense partial traces; any disagreement raises.  Past the
+    against dense reduced states; any disagreement raises.  Past the
     normalizer enumeration cap the distance and the mixed pair's weight-D
-    members are None and the E_D table empty, each with a reason in
-    ``notes``; the coset fields still compute.
+    members are None and the E_D table empty, and past the coset rank cap
+    w_min, d_min and the mixed pair are None, each with a reason in
+    ``notes``; the other fields still compute.
     """
     group = _group_of(spec)
-    w_min, _ = _table_of(spec).min_weight()
-    d_min = _threshold_D(spec.n, w_min)
     notes = [X_SET_COUNTING_NOTE]
+    w_min: int | None
+    try:
+        w_min, _ = _table_of(spec).min_weight()
+    except EnumerationCapError as exc:
+        w_min = None
+        notes.append(f"w_min and minimal_unconditional_d not computed: {exc}")
+        if spec.k == 2:
+            notes.append(f"mixed not computed: {exc}")
+    d_min = None if w_min is None else _threshold_D(spec.n, w_min)
     try:
         distance: int | None = code_distance(group)
     except EnumerationCapError as exc:
@@ -487,7 +497,7 @@ def analyze_code(
         ed_ds = []
     e_d_table = tuple((d, necessary_ED(spec, d)) for d in ed_ds)
     scans = tuple(conditional_scan(spec, dp) for dp in sorted(set(conditional)))
-    mixed = mixed_pair_n2(spec) if spec.k == 2 else None
+    mixed = mixed_pair_n2(spec) if spec.k == 2 and w_min is not None else None
     if mixed is not None and mixed.weight_d_members is None:
         notes.append(
             f"mixed weight_d_members not computed: n {spec.n} exceeds enumeration cap {MAX_ENUM_N}"
@@ -517,20 +527,16 @@ def analyze_code(
 def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None, atol: float = 1e-9) -> int:
     """Dense cross-check of reduced_equal_on; returns the subsets compared.
 
-    Builds the codeword densities once (the k=2 equal mixtures for a
-    k=2 code) and, for every lexicographic traced subset of each size in
-    ``sizes`` (default 1..n-1), compares the symbolic verdict with the
-    Frobenius distance of the dense partial traces.  Any disagreement
-    raises RuntimeError.
+    Builds the codeword state vectors once (two per codeword for the
+    k=2 equal mixtures) and, for every lexicographic traced subset of
+    each size in ``sizes`` (default 1..n-1), compares the symbolic
+    verdict with the Frobenius distance of the dense reduced states.
+    Any disagreement raises RuntimeError.
     """
     from qundet import dense
 
-    if spec.k == 1:
-        rho0 = dense.build_density(spec, 0)
-        rho1 = dense.build_density(spec, 1)
-    else:
-        rho0 = dense.build_mixed_density(spec, 0)
-        rho1 = dense.build_mixed_density(spec, 1)
+    states0 = dense.codeword_states(spec, 0)
+    states1 = dense.codeword_states(spec, 1)
     if sizes is None:
         sizes = range(1, spec.n)
     checked = 0
@@ -538,8 +544,7 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None, atol: float
         for subset in itertools.combinations(range(1, spec.n + 1), size):
             symbolic, _ = reduced_equal_on(spec, subset)
             dev = dense.frobenius_distance(
-                dense.partial_trace(rho0, subset, spec.n),
-                dense.partial_trace(rho1, subset, spec.n),
+                dense.reduced_state(states0, subset), dense.reduced_state(states1, subset)
             )
             numeric = dev < atol
             if symbolic != numeric:

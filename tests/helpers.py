@@ -45,14 +45,13 @@ def matrix_of(p):
     return matrix_from_bits(p.n, p.x_bits, p.z_bits, p.phase_exp)
 
 
-def zz_chain_17_doc():
-    """A k=2 spec past the normalizer cap: Z_i Z_{i+1} for i = 1..15 on
-    17 qubits, with logical Z's X^16 I and I^16 X."""
-    n = 17
+def zz_chain_doc(n=17):
+    """A k=2 spec past the normalizer cap: Z_i Z_{i+1} for i = 1..n-2 on
+    n qubits, with logical Z's X^(n-1) I and I^(n-1) X."""
     return {
-        "name": "zz_chain_17",
+        "name": f"zz_chain_{n}",
         "n": n,
         "k": 2,
-        "stabilizers": ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(15)],
-        "logical_z": ["X" * 16 + "I", "I" * 16 + "X"],
+        "stabilizers": ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 2)],
+        "logical_z": ["X" * (n - 1) + "I", "I" * (n - 1) + "X"],
     }

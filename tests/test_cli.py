@@ -9,7 +9,7 @@ import pytest
 from qundet.cli import main, run
 from qundet.codes import catalog, save_spec
 
-from helpers import zz_chain_17_doc
+from helpers import zz_chain_doc
 
 MANIFEST_KEYS = {
     "command", "parameters", "seed", "version", "wall_time_s", "result_digest",
@@ -224,10 +224,53 @@ def test_analyze_past_normalizer_cap(capsys):
     assert "distance d = not computed" in captured.err
 
 
+def test_analyze_past_coset_rank_cap(capsys):
+    # rank 21 is past the coset cap: w_min and D become null, the rest computes
+    rc = run(["analyze", "--catalog", "ghz", "--n", "22", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["rank"] == 21
+    assert result["w_min"] is None
+    assert result["minimal_unconditional_d"] is None
+    assert result["threshold_shares"] is None
+    assert result["x_set_size"] == 2 ** 22
+    assert any(note.startswith("w_min and minimal_unconditional_d not computed: rank 21")
+               for note in result["notes"])
+    assert "difference-coset minimum weight = not computed" in captured.err
+    assert "minimal unconditional D = not computed" in captured.err
+
+
+def test_analyze_mixed_pair_past_coset_rank_cap(tmp_path, capsys):
+    # a k=2 code of rank 21: the mixed pair reads the same capped coset table
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(zz_chain_doc(23)))
+    rc = run(["analyze", "--spec", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    result = json.loads(captured.out)["result"]
+    assert (result["k"], result["rank"]) == (2, 21)
+    assert result["w_min"] is None and result["mixed"] is None
+    assert any(note.startswith("mixed not computed: rank 21") for note in result["notes"])
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_analyze_spec_without_stabilizers(tmp_path, capsys, extra):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"name": "one", "n": 1, "k": 1,
+                                "stabilizers": [], "logical_z": ["Z"]}))
+    rc = run(["analyze", "--spec", str(path), "--json"] + extra)
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    result = json.loads(captured.out)["result"]
+    assert (result["n"], result["rank"], result["w_min"]) == (1, 0, 1)
+    assert result["methods"] == ["symbolic"] + ["oracle"] * bool(extra)
+
+
 def test_analyze_mixed_pair_past_normalizer_cap(tmp_path, capsys):
     # a k=2 code at n = 17: X12's size is closed-form, its members are not
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(zz_chain_17_doc()))
+    path.write_text(json.dumps(zz_chain_doc()))
     rc = run(["analyze", "--spec", str(path), "--json"])
     captured = capsys.readouterr()
     assert rc == 0, captured.err

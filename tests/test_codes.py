@@ -117,6 +117,15 @@ def test_validate_k2_logical_pair():
     assert any("logical_z[0]*logical_z[1]" in f for f in rep.failures)
 
 
+def test_validate_without_stabilizers():
+    # n = k leaves no stabilizers; the logical Z's alone fix the codewords
+    report = validate(CodeSpec("one", 1, 1, (), ("Z",)))
+    assert report.ok and report.rank == 0
+    assert CodeSpec("one", 1, 1, (), ("Z",)).group().n == 1
+    assert validate(CodeSpec("two", 2, 2, (), ("ZI", "IZ"))).ok
+    assert not validate(CodeSpec("two", 2, 2, (), ("ZI", "ZI"))).ok
+
+
 def test_validate_report_dict():
     d = validate(catalog("code_513")).as_dict()
     assert d["ok"] is True and d["rank"] == 4 and d["failures"] == []

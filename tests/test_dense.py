@@ -1,4 +1,6 @@
-"""Dense-matrix oracle: densification, density operators, reduced states."""
+"""Dense oracle: Pauli matrices, codeword state vectors, reduced states."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,24 +9,53 @@ from hypothesis import strategies as st
 
 from helpers import matrix_of
 from qundet import dense
-from qundet.codes import catalog
+from qundet.codes import CodeSpec, catalog
 from qundet.dense import (
     OracleCapError,
     apply_on_subset,
+    apply_pauli,
     build_density,
     build_mixed_density,
+    codeword_states,
     codeword_vector,
     frobenius_distance,
-    group_projector,
     partial_trace,
     pauli_matrix,
     phase_family_check,
     reduced_equal_dense,
+    reduced_state,
     relates_codewords,
     relating_unitary,
     trace_distance,
 )
 from qundet.pauli import PauliOperator, parse_pauli
+from qundet.stabilizer import NonCommutingGeneratorsError
+
+# every catalog code small enough for the exhaustive subset checks
+SMALL_CODES = [("ghz", n) for n in range(3, 7)] + [
+    ("code_412", None), ("code_513", None), ("steane_713", None), ("code_422", None),
+]
+
+
+def _extended_sets(spec):
+    """Per codeword, per stacked vector: the generators that fix it."""
+    gens = spec.stabilizer_ops()
+    z_bars = spec.logical_z_ops()
+    flip = [PauliOperator(z.n, z.x_bits, z.z_bits, (z.phase_exp + 2) % 4) for z in z_bars]
+    if spec.k == 1:
+        return {0: [gens + [z_bars[0]]], 1: [gens + [flip[0]]]}
+    return {
+        0: [gens + z_bars, gens + flip],
+        1: [gens + [flip[0], z_bars[1]], gens + [z_bars[0], flip[1]]],
+    }
+
+
+def _reference_projector(ops, n):
+    """prod (I + P)/2 over commuting ops, from the independent helper matrices."""
+    out = np.eye(1 << n, dtype=complex)
+    for op in ops:
+        out = out @ (np.eye(1 << n) + matrix_of(op)) / 2
+    return out
 
 
 def test_pauli_matrix_spot_checks():
@@ -49,13 +80,100 @@ def test_pauli_matrix_matches_reference(args):
     np.testing.assert_allclose(pauli_matrix(op), matrix_of(op), atol=1e-12)
 
 
-def test_group_projector_is_projector():
+def test_codeword_densities_span_the_codespace():
     spec = catalog("code_412")
-    proj = group_projector(spec.group())
+    proj = build_density(spec, 0) + build_density(spec, 1)
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
     np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
     # rank 3 group on 4 qubits: 2^(4-3) dimensional codespace
     assert abs(np.trace(proj) - 2) < 1e-12
+    np.testing.assert_allclose(proj, _reference_projector(spec.stabilizer_ops(), 4), atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(0, 2 ** n - 1),
+    st.integers(0, 2 ** n - 1),
+    st.integers(0, 3),
+    st.integers(0, 2 ** 32 - 1),
+)))
+def test_apply_pauli_matches_matrix(args):
+    n, x, z, p, seed = args
+    op = PauliOperator(n, x, z, p)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+    expect = (pauli_matrix(op) @ v.T).T
+    np.testing.assert_allclose(apply_pauli(op, v), expect, atol=1e-12)
+    np.testing.assert_allclose(apply_pauli(op, v[0]), expect[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("name,n", SMALL_CODES)
+def test_codeword_states_fixed_by_generators(name, n):
+    spec = catalog(name, n=n)
+    for which, sets in _extended_sets(spec).items():
+        states = codeword_states(spec, which)
+        assert states.shape == (spec.k, 1 << spec.n)
+        for vec, ops in zip(states, sets):
+            assert abs(np.linalg.norm(vec) - 1) < 1e-12
+            for op in ops:
+                np.testing.assert_allclose(pauli_matrix(op) @ vec, vec, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,n", SMALL_CODES)
+def test_reduced_state_matches_partial_trace(name, n):
+    spec = catalog(name, n=n)
+    for which in (0, 1):
+        states = codeword_states(spec, which)
+        rho = np.einsum("ia,ib->ab", states, states.conj()) / len(states)
+        for size in range(spec.n + 1):
+            for traced in itertools.combinations(range(1, spec.n + 1), size):
+                np.testing.assert_allclose(
+                    reduced_state(states, traced), partial_trace(rho, traced, spec.n),
+                    atol=1e-12, err_msg=f"{spec.name} codeword {which} traced {traced}")
+
+
+def test_codeword_states_do_not_depend_on_the_start_vector(monkeypatch):
+    # the projection is rounded to the exact stabilizer state, so any
+    # start vector gives the same bits
+    spec = catalog("steane_713")
+    base = [codeword_states(spec, b) for b in (0, 1)]
+    for seed in (0, 1, 12345):
+        monkeypatch.setattr(dense, "_START_SEED", seed)
+        for b in (0, 1):
+            assert np.array_equal(codeword_states(spec, b), base[b])
+
+
+def test_projection_failures_raise(monkeypatch):
+    spec = catalog("code_513")
+    # each (I - P)/2 step annihilates the vector
+    monkeypatch.setattr(dense, "apply_pauli", lambda p, v: -v)
+    with pytest.raises(RuntimeError, match="vanished"):
+        codeword_states(spec, 0)
+    # an unprojected random vector is no stabilizer state
+    monkeypatch.setattr(dense, "apply_pauli", lambda p, v: v)
+    with pytest.raises(RuntimeError, match="not a stabilizer state"):
+        codeword_states(spec, 0)
+
+
+def test_codeword_states_validate_the_extended_set():
+    # Z-bar anticommutes with the stabilizer
+    spec = CodeSpec("bad", 2, 1, ("XX",), ("ZI",))
+    with pytest.raises(NonCommutingGeneratorsError):
+        codeword_states(spec, 0)
+    # too few generators fix no single state
+    spec = CodeSpec("short", 3, 1, ("ZZI",), ("ZZZ",))
+    with pytest.raises(ValueError, match="fixes no single state"):
+        codeword_states(spec, 0)
+
+
+def test_codeword_states_without_stabilizers():
+    one = CodeSpec("one", 1, 1, (), ("Z",))
+    np.testing.assert_allclose(codeword_vector(one, 0), [1, 0])
+    np.testing.assert_allclose(codeword_vector(one, 1), [0, 1])
+    two = CodeSpec("two", 2, 2, (), ("ZI", "IZ"))
+    np.testing.assert_allclose(codeword_states(two, 0), np.eye(4)[[0, 3]])
+    np.testing.assert_allclose(codeword_states(two, 1), np.eye(4)[[2, 1]])
 
 
 def test_build_density_ghz3():
@@ -86,13 +204,13 @@ def test_build_density_rejects_k2():
 
 
 @pytest.mark.parametrize("name", ["code_412", "code_513", "ghz"])
-def test_codeword_vector_matches_density(name):
+def test_build_density_matches_reference_projector(name):
+    # the codeword's projector is the product of (I + g)/2 over its
+    # extended generating set, with g from the independent helper matrices
     spec = catalog(name, n=4) if name == "ghz" else catalog(name)
-    for bit in (0, 1):
-        vec = codeword_vector(spec, bit)
-        assert abs(np.linalg.norm(vec) - 1) < 1e-12
-        np.testing.assert_allclose(np.outer(vec, vec.conj()),
-                                   build_density(spec, bit), atol=1e-12)
+    for bit, (ops,) in _extended_sets(spec).items():
+        np.testing.assert_allclose(build_density(spec, bit),
+                                   _reference_projector(ops, spec.n), atol=1e-12)
 
 
 def test_codeword_vectors_orthogonal():
@@ -265,3 +383,5 @@ def test_oracle_cap():
         pauli_matrix(PauliOperator(dense.ORACLE_MAX_N + 1, 0, 0, 0))
     with pytest.raises(OracleCapError):
         phase_family_check(dense.ORACLE_MAX_N + 1, 1.0, 0.0, 0.1)
+    with pytest.raises(OracleCapError):
+        codeword_states(catalog("ghz", n=dense.ORACLE_MAX_N + 1), 0)

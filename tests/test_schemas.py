@@ -10,7 +10,7 @@ jsonschema = pytest.importorskip("jsonschema")
 from qundet.cli import run
 from qundet.codes import catalog, save_spec
 
-from helpers import zz_chain_17_doc
+from helpers import zz_chain_doc
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -53,6 +53,7 @@ def test_schema_rejects_unknown_field(spec_schema):
     ["analyze", "--catalog", "steane_713", "--conditional", "3"],
     ["analyze", "--catalog", "ghz", "--n", "6"],
     ["analyze", "--catalog", "ghz", "--n", "17"],
+    ["analyze", "--catalog", "ghz", "--n", "22"],
 ])
 def test_analyze_reports_conform(tmp_path, capsys, report_schema, argv):
     out = tmp_path / "report.json"
@@ -77,10 +78,35 @@ def test_no_unconditional_d_report_conforms(tmp_path, capsys, report_schema):
 
 def test_mixed_pair_past_cap_conforms(tmp_path, capsys, report_schema):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(zz_chain_17_doc()))
+    spec.write_text(json.dumps(zz_chain_doc()))
     out = tmp_path / "report.json"
     assert run(["analyze", "--spec", str(spec), "--json", str(out)]) == 0
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert doc["result"]["mixed"]["weight_d_members"] is None
+    jsonschema.validate(doc, report_schema)
+
+
+def test_mixed_pair_past_coset_cap_conforms(tmp_path, capsys, report_schema):
+    # rank 21: w_min and the whole mixed pair are null
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(zz_chain_doc(23)))
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--spec", str(spec), "--json", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["result"]["mixed"] is None
+    jsonschema.validate(doc, report_schema)
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_no_stabilizer_spec_conforms(tmp_path, capsys, report_schema, extra):
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"name": "one", "n": 1, "k": 1,
+                                "stabilizers": [], "logical_z": ["Z"]}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--spec", str(spec), "--json", str(out)] + extra) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["result"]["rank"] == 0
     jsonschema.validate(doc, report_schema)
