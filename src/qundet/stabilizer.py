@@ -15,12 +15,13 @@ over distinct unsigned Paulis, not cosets modulo the group.
 
 Cosets are enumerated into numpy arrays (``CosetTable``): bit-packed
 uint64 x/z rows, as in Aaronson-Gottesman (quant-ph/0406196), doubled
-once per generator.
+once per generator.  Kept-set queries enumerate nothing: a
+``RestrictionSolve`` decides them by GF(2) elimination over the same
+bit-packed rows, for any n up to 64.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,8 +33,6 @@ MAX_ENUM_RANK = 20
 MAX_ENUM_N = 16
 # x and z rows are bit-packed into one uint64 each
 MAX_ROW_N = 64
-# the kept-set lookup holds 2^n uint32; a k <= 2 code at the rank cap has n = 22
-MAX_LOOKUP_N = MAX_ENUM_RANK + 2
 
 
 class GroupValidationError(ValueError):
@@ -130,10 +129,7 @@ class StabilizerGroup:
                 subset = tuple(
                     i + 1 for i in range(len(generators)) if combo >> i & 1
                 )
-                prod = PauliOperator.identity(self.n)
-                for i in range(len(generators)):
-                    if combo >> i & 1:
-                        prod = prod * generators[i]
+                prod = _combo_product(PauliOperator.identity(self.n), generators, combo)
                 if prod.phase_exp == 2:
                     raise MinusIdentityError(subset)
                 raise DependentGeneratorsError(subset)
@@ -199,6 +195,16 @@ class StabilizerGroup:
             yield x, z
 
 
+def _combo_product(
+    p: PauliOperator, generators: Sequence[PauliOperator], combo: int
+) -> PauliOperator:
+    """p times the generators whose bits are set in combo, in index order."""
+    for i, g in enumerate(generators):
+        if combo >> i & 1:
+            p = p * g
+    return p
+
+
 def _letter_key(p: PauliOperator) -> int:
     """Integer ordered like p.letters: digits I=0 < X=1 < Y=2 < Z=3, qubit 1 first.
 
@@ -237,6 +243,59 @@ def _sorted_basis(
         if rep_key ^ k < rep_key:
             rep_key, rep = rep_key ^ k, rep * b
     return [b for _, b in rows], rep
+
+
+class RestrictionSolve:
+    """Which traced sets leave some element of rep * S inside the kept set.
+
+    rep * s avoids a traced set T iff rep restricted to T is the product
+    of the restrictions of the generators in s, so some element lies
+    inside the kept set iff rep|_T is in the GF(2) span of the g|_T.
+    Those elements are e0 * S_K, with e0 any one of them and S_K the
+    subgroup supported inside the kept set: the reduced state of a
+    stabilizer state is fixed by its local subgroup (Fattal, Cubitt,
+    Yamamoto, Bravyi and Chuang, quant-ph/0406168).
+
+    One forward elimination decides a whole array of traced masks.  Row
+    i holds (x & T, z & T, combo) of generator i for every mask, where
+    combo records which generators the row is the product of; the last
+    row holds rep with combo 0.  Each mask pivots on the lowest set bit
+    of x, or of z when x is zero, so a batch costs O(rank) array steps.
+    """
+
+    def __init__(self, group: StabilizerGroup, rep: PauliOperator, traced: Sequence[int]):
+        if rep.n != group.n:
+            raise ValueError("qubit count mismatch")
+        if group.n > MAX_ROW_N:
+            raise EnumerationCapError(f"n {group.n} exceeds bit-packed row cap {MAX_ROW_N}")
+        self.group, self.rep = group, rep
+        masks = np.array(traced, dtype=np.uint64)
+        ops = [*group.generators, rep]
+        rows = np.empty((len(ops), 3, len(masks)), dtype=np.uint64)
+        rows[:, 0] = np.array([p.x_bits for p in ops], dtype=np.uint64)[:, None] & masks
+        rows[:, 1] = np.array([p.z_bits for p in ops], dtype=np.uint64)[:, None] & masks
+        rows[:, 2] = np.array([1 << i for i in range(group.rank)] + [0], dtype=np.uint64)[:, None]
+        for i in range(group.rank):
+            x, z = rows[i, 0], rows[i, 1]
+            pivot_x = x & -x
+            pivot_z = np.where(pivot_x == 0, z & -z, 0)
+            below = rows[i + 1 :]
+            hit = ((below[:, 0] & pivot_x) | (below[:, 1] & pivot_z)) != 0
+            np.bitwise_xor(below, rows[i], out=below, where=hit[:, None])
+        self._rows = rows
+        # True where rep's row survives: no element lies inside the kept set
+        self.equal = (rows[-1, 0] | rows[-1, 1]) != 0
+
+    def witness(self, j: int) -> PauliOperator | None:
+        """The least-letters element inside mask j's kept set, sign included, or None."""
+        if self.equal[j]:
+            return None
+        gens = self.group.generators
+        rows = self._rows[:, :, j].tolist()
+        e0 = _combo_product(self.rep, gens, rows[-1][2])
+        identity = PauliOperator.identity(self.group.n)
+        local = [_combo_product(identity, gens, c) for x, z, c in rows[:-1] if x == z == 0]
+        return _sorted_basis(local, e0)[1]
 
 
 class CosetTable:
@@ -284,37 +343,6 @@ class CosetTable:
         weight = np.bitwise_count(self.x | self.z)
         w_min = weight.min()
         return int(w_min), self.element(int(np.argmax(weight == w_min)))
-
-    @cached_property
-    def _lookup(self) -> np.ndarray:
-        # least[K] = sorted position of the first entry supported inside
-        # the kept mask K, or len(self); a min-zeta (Yates) transform over
-        # subsets, one pass per qubit, as in Bjorklund-Husfeldt-Kaski-
-        # Koivisto (cs/0611101)
-        if self.n > MAX_LOOKUP_N:
-            raise EnumerationCapError(f"n {self.n} exceeds lookup-table cap {MAX_LOOKUP_N}")
-        least = np.full(1 << self.n, len(self), dtype=np.uint32)
-        np.minimum.at(least, self.x | self.z, np.arange(len(self), dtype=np.uint32))
-        for i in range(self.n):
-            if i < 4:
-                # an inner axis of 1-8 is slow in numpy's 2-D loop; run
-                # each column of the pass as one 1-D strided update
-                for c in range(1 << i):
-                    hi = least[(1 << i) + c :: 2 << i]
-                    np.minimum(hi, least[c :: 2 << i], out=hi)
-            else:
-                pairs = least.reshape(-1, 2, 1 << i)
-                np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-        return least
-
-    def least_inside(self, kept_mask: int) -> PauliOperator | None:
-        """The least-letters entry supported inside kept_mask, if any.
-
-        The first call builds a 2^n lookup table, O(n * 2^n); every
-        call after that is one array read.
-        """
-        pos = int(self._lookup[kept_mask])
-        return None if pos == len(self) else self.element(pos)
 
 
 def coset_min_weight(

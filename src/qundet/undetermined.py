@@ -17,7 +17,11 @@ entirely inside the kept set.  Consequences used throughout:
     (Z-bar_1 Z-bar_2) * S.
 
 Each spec's difference coset is enumerated once into a
-``stabilizer.CosetTable``; w_min and every kept-set query read it.
+``stabilizer.CosetTable`` for w_min.  Kept-set queries need no
+enumeration: some coset element avoids the traced set T iff Z-bar
+restricted to T lies in the span of the generators restricted to T,
+which ``stabilizer.RestrictionSolve`` decides for a batch of traced
+sets at once.
 Everything here is exact integer/bit work; the dense module provides
 the independent floating-point verification.
 """
@@ -28,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from qundet import codes
 from qundet.codes import CodeSpec
@@ -37,6 +41,7 @@ from qundet.stabilizer import (
     MAX_ENUM_N,
     CosetTable,
     EnumerationCapError,
+    RestrictionSolve,
     StabilizerGroup,
     code_distance,
     logical_x_count,
@@ -46,6 +51,9 @@ from qundet.stabilizer import (
 
 # cost ceiling (subset count * coset size) for automatic scan cross-checks
 _AUTO_SCAN_BUDGET = 4_000_000
+# traced sets per elimination batch: at n = 64 a batch holds 64 rows of
+# three uint64 words per set, about 6 MB
+_BATCH = 4096
 
 X_SET_COUNTING_NOTE = (
     "logical X sets and E_D counts are over distinct unsigned Paulis "
@@ -68,8 +76,8 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
     raise ValueError(f"unsupported k={spec.k}")
 
 
-# a table at the rank cap holds about 17 MB of coset rows plus a 16 MB
-# lookup, so keep only the specs in current use
+# a table at the rank cap holds about 17 MB of coset rows, so keep only
+# the specs in current use
 @lru_cache(maxsize=4)
 def _table_of(spec: CodeSpec) -> CosetTable:
     return CosetTable(_group_of(spec), _difference_rep(spec))
@@ -103,9 +111,17 @@ def reduced_equal_on(
     traced = sorted(set(traced_out))
     if not 1 <= len(traced) <= spec.n - 1:
         raise ValueError(f"traced set must have 1..{spec.n - 1} qubits, got {traced}")
-    kept = ((1 << spec.n) - 1) ^ _subset_mask(traced, spec.n)
-    witness = _table_of(spec).least_inside(kept)
-    return witness is None, witness
+    mask = _subset_mask(traced, spec.n)
+    solve = RestrictionSolve(_group_of(spec), _difference_rep(spec), [mask])
+    return bool(solve.equal[0]), solve.witness(0)
+
+
+def _solves(spec: CodeSpec, size: int) -> Iterator[tuple[list[tuple[int, ...]], RestrictionSolve]]:
+    """Every size-``size`` traced subset, lexicographic, in batches with their solves."""
+    group, rep = _group_of(spec), _difference_rep(spec)
+    subsets = itertools.combinations(range(1, spec.n + 1), size)
+    while batch := list(itertools.islice(subsets, _BATCH)):
+        yield batch, RestrictionSolve(group, rep, [_subset_mask(s, spec.n) for s in batch])
 
 
 class UnconditionalResult(NamedTuple):
@@ -150,10 +166,7 @@ def _assert_scan_agreement(spec: CodeSpec, d_min: int | None) -> None:
 
 def _scan_equal_all(spec: CodeSpec, size: int) -> bool:
     """Are the reductions equal after tracing out every subset of this size?"""
-    return all(
-        reduced_equal_on(spec, subset)[0]
-        for subset in itertools.combinations(range(1, spec.n + 1), size)
-    )
+    return all(solve.equal.all() for _, solve in _solves(spec, size))
 
 
 @dataclass(frozen=True)
@@ -192,22 +205,20 @@ def conditional_scan(spec: CodeSpec, d_prime: int) -> ConditionalScan:
         raise ValueError(f"d_prime must be in 1..{spec.n - 1}")
     undet: list[tuple[int, ...]] = []
     det: list[tuple[tuple[int, ...], PauliOperator]] = []
-    for subset in itertools.combinations(range(1, spec.n + 1), d_prime):
-        equal, witness = reduced_equal_on(spec, subset)
-        if equal:
-            undet.append(subset)
-        else:
-            det.append((subset, witness))
+    for batch, solve in _solves(spec, d_prime):
+        for j, subset in enumerate(batch):
+            if solve.equal[j]:
+                undet.append(subset)
+            else:
+                det.append((subset, solve.witness(j)))
     return ConditionalScan(d_prime, tuple(undet), tuple(det))
 
 
 def minimal_conditional_D(spec: CodeSpec) -> int | None:
     """Smallest subset size with at least one undetermined traced set."""
     for size in range(1, spec.n):
-        for subset in itertools.combinations(range(1, spec.n + 1), size):
-            equal, _ = reduced_equal_on(spec, subset)
-            if equal:
-                return size
+        if any(solve.equal.any() for _, solve in _solves(spec, size)):
+            return size
     return None
 
 
@@ -525,13 +536,14 @@ def analyze_code(
 
 
 def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None, atol: float = 1e-9) -> int:
-    """Dense cross-check of reduced_equal_on; returns the subsets compared.
+    """Dense cross-check of the symbolic verdicts; returns the subsets compared.
 
     Builds the codeword state vectors once (two per codeword for the
     k=2 equal mixtures) and, for every lexicographic traced subset of
     each size in ``sizes`` (default 1..n-1), compares the symbolic
-    verdict with the Frobenius distance of the dense reduced states.
-    Any disagreement raises RuntimeError.
+    verdict (one batched solve per size, the rule behind
+    ``reduced_equal_on``) with the Frobenius distance of the dense
+    reduced states.  Any disagreement raises RuntimeError.
     """
     from qundet import dense
 
@@ -541,18 +553,18 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None, atol: float
         sizes = range(1, spec.n)
     checked = 0
     for size in sizes:
-        for subset in itertools.combinations(range(1, spec.n + 1), size):
-            symbolic, _ = reduced_equal_on(spec, subset)
-            dev = dense.frobenius_distance(
-                dense.reduced_state(states0, subset), dense.reduced_state(states1, subset)
-            )
-            numeric = dev < atol
-            if symbolic != numeric:
-                raise RuntimeError(
-                    f"symbolic/oracle disagreement on {spec.name} traced {subset}: "
-                    f"symbolic={symbolic}, dense deviation={dev:.3e}"
+        for batch, solve in _solves(spec, size):
+            for subset, symbolic in zip(batch, solve.equal.tolist()):
+                dev = dense.frobenius_distance(
+                    dense.reduced_state(states0, subset), dense.reduced_state(states1, subset)
                 )
-            checked += 1
+                numeric = dev < atol
+                if symbolic != numeric:
+                    raise RuntimeError(
+                        f"symbolic/oracle disagreement on {spec.name} traced {subset}: "
+                        f"symbolic={symbolic}, dense deviation={dev:.3e}"
+                    )
+                checked += 1
     return checked
 
 

@@ -241,6 +241,17 @@ def test_analyze_past_coset_rank_cap(capsys):
     assert "minimal unconditional D = not computed" in captured.err
 
 
+def test_analyze_conditional_past_coset_rank_cap(capsys):
+    # kept-set verdicts need no coset table, so the rank cap leaves them alone
+    rc = run(["analyze", "--catalog", "ghz", "--n", "22", "--conditional", "1", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    scan = json.loads(captured.out)["result"]["conditional"]["1"]
+    assert scan["undetermined"] == [[q] for q in range(1, 23)]
+    assert scan["determined"] == []
+    assert "conditional D'=1: 22 undetermined, 0 determined" in captured.err
+
+
 def test_analyze_mixed_pair_past_coset_rank_cap(tmp_path, capsys):
     # a k=2 code of rank 21: the mixed pair reads the same capped coset table
     path = tmp_path / "spec.json"

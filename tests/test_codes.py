@@ -138,13 +138,6 @@ def test_round_trip(tmp_path):
     assert load_spec(path) == spec
 
 
-def test_shipped_fixture_matches_catalog():
-    from importlib import resources
-
-    with resources.as_file(resources.files("qundet") / "data" / "steane_713.json") as p:
-        assert load_spec(p) == catalog("steane_713")
-
-
 def test_schema_unknown_field():
     with pytest.raises(SchemaError, match="unknown field"):
         spec_from_dict({"name": "x", "n": 2, "k": 1, "stabilizers": ["ZZ"],

@@ -1,8 +1,9 @@
-"""The coset table against a brute-force loop over group.coset(rep).
+"""The coset table and the kept-set solve against a brute-force loop.
 
-The loop is the per-element algorithm the table replaced, kept here as
-the reference: every verdict, witness (sign included) and minimum
-weight must match it on random presentations of the small catalog codes.
+The loop over group.coset(rep) is the per-element algorithm both
+replaced, kept here as the reference: every verdict, witness (sign
+included) and minimum weight must match it on random presentations of
+the small catalog codes.
 """
 
 import itertools
@@ -15,7 +16,13 @@ from qundet import codes
 from qundet import undetermined as und
 from qundet.codes import CodeSpec
 from qundet.pauli import parse_pauli
-from qundet.stabilizer import MAX_ENUM_RANK, CosetTable, EnumerationCapError, coset_min_weight
+from qundet.stabilizer import (
+    MAX_ENUM_RANK,
+    MAX_ROW_N,
+    CosetTable,
+    EnumerationCapError,
+    coset_min_weight,
+)
 
 SMALL = [
     ("code_412", None), ("code_513", None), ("steane_713", None), ("code_422", None),
@@ -74,12 +81,25 @@ def test_table_matches_brute_force(spec):
     letters = [table.element(i).letters for i in range(len(table))]
     assert letters == sorted({p.letters for p in coset})
 
+    first_undetermined = None
     for size in range(1, spec.n):
+        undetermined, determined = [], []
         for traced in itertools.combinations(range(1, spec.n + 1), size):
             mask = sum(1 << (q - 1) for q in traced)
             surviving = [el for el in coset if el.support_mask & mask == 0]
-            want = (False, min(surviving, key=lambda p: p.letters)) if surviving else (True, None)
-            assert und.reduced_equal_on(spec, traced) == want
+            if surviving:
+                determined.append((traced, min(surviving, key=lambda p: p.letters)))
+            else:
+                undetermined.append(traced)
+        scan = und.conditional_scan(spec, size)
+        assert scan.undetermined == tuple(undetermined)
+        assert scan.determined == tuple(determined)
+        # a batch of one gives the same answers as the batched scan
+        traced, witness = (determined or [(undetermined[0], None)])[0]
+        assert und.reduced_equal_on(spec, traced) == (witness is None, witness)
+        if undetermined and first_undetermined is None:
+            first_undetermined = size
+    assert und.minimal_conditional_D(spec) == first_undetermined
 
 
 def test_enumeration_cap_still_fires():
@@ -89,8 +109,15 @@ def test_enumeration_cap_still_fires():
     past_cap = codes.catalog("ghz", n=MAX_ENUM_RANK + 2)
     with pytest.raises(EnumerationCapError):
         und.unconditional_D(past_cap, cross_check=False)
-    with pytest.raises(EnumerationCapError):
-        und.reduced_equal_on(past_cap, [1])
+    # kept-set queries enumerate nothing, so the rank cap does not bind them
+    assert und.reduced_equal_on(past_cap, [1]) == (True, None)
+
+
+def test_queries_run_to_the_row_cap():
+    widest = codes.catalog("ghz", n=MAX_ROW_N)
+    assert und.reduced_equal_on(widest, [1]) == (True, None)
+    with pytest.raises(EnumerationCapError, match="bit-packed row cap 64"):
+        und.reduced_equal_on(codes.catalog("ghz", n=MAX_ROW_N + 1), [1])
 
 
 def test_table_cache_stays_small():

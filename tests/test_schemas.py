@@ -54,6 +54,7 @@ def test_schema_rejects_unknown_field(spec_schema):
     ["analyze", "--catalog", "ghz", "--n", "6"],
     ["analyze", "--catalog", "ghz", "--n", "17"],
     ["analyze", "--catalog", "ghz", "--n", "22"],
+    ["analyze", "--catalog", "ghz", "--n", "22", "--conditional", "1"],
 ])
 def test_analyze_reports_conform(tmp_path, capsys, report_schema, argv):
     out = tmp_path / "report.json"

@@ -308,13 +308,16 @@ def test_oracle_sweep_catches_disagreement(monkeypatch):
     import qundet.undetermined as und
 
     spec = catalog("code_412")
-    real = und.reduced_equal_on
+    real = und._solves
 
-    def lying(s, traced):
-        equal, w = real(s, traced)
-        return (not equal, w) if tuple(traced) == (1, 2) else (equal, w)
+    def lying(s, size):
+        # flip the batched verdict for the traced set (1, 2)
+        for batch, solve in real(s, size):
+            if (1, 2) in batch:
+                solve.equal[batch.index((1, 2))] ^= True
+            yield batch, solve
 
-    monkeypatch.setattr(und, "reduced_equal_on", lying)
+    monkeypatch.setattr(und, "_solves", lying)
     with pytest.raises(RuntimeError, match="disagreement"):
         analyze_code(spec, oracle=True)
 
