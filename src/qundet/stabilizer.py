@@ -7,17 +7,18 @@ the symplectic form, so the centralizer of the group is the kernel of
 the swapped rows (z_bits | x_bits << n).
 
 Enumeration-based operations (group elements, cosets, logical X sets,
-code distance) fail loudly past configurable caps instead of sampling;
-witnesses are chosen by (weight, string) so reruns agree byte-for-byte.
-An "unsigned" Pauli here means the phase is normalized to make the
-operator Hermitian with + sign; logical X sets and distance counts are
-over distinct unsigned Paulis, not cosets modulo the group.
+code distance) fail loudly past one cap, rank ``MAX_ENUM_RANK``, instead
+of sampling; witnesses are chosen by (weight, string) so reruns agree
+byte-for-byte.  An "unsigned" Pauli here means the phase is normalized
+to make the operator Hermitian with + sign; logical X sets and distance
+counts are over distinct unsigned Paulis, not cosets modulo the group.
 
 Cosets are enumerated into numpy arrays (``CosetTable``): bit-packed
 uint64 x/z rows, as in Aaronson-Gottesman (quant-ph/0406196), doubled
 once per generator.  Kept-set queries enumerate nothing: a
 ``RestrictionSolve`` decides them by GF(2) elimination over the same
-bit-packed rows, for any n up to 64.
+bit-packed rows, for any n up to 64.  The centralizer is read as one
+coset table per logical class L * S (``logical_classes``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from qundet import gf2
 from qundet.pauli import PauliOperator
 
 MAX_ENUM_RANK = 20
-MAX_ENUM_N = 16
 # x and z rows are bit-packed into one uint64 each
 MAX_ROW_N = 64
 
@@ -176,16 +176,17 @@ class StabilizerGroup:
             basis.append(PauliOperator(self.n, v & mask, v >> self.n).unsigned())
         return basis
 
-    def normalizer_masks(self, cap_n: int = MAX_ENUM_N) -> Iterator[tuple[int, int]]:
+    def normalizer_masks(self) -> Iterator[tuple[int, int]]:
         """(x_bits, z_bits) of every element of the centralizer span.
 
         Yields 2^(2n - rank) pairs in Gray-code order, the zero pair
         first.  Phases are irrelevant at this level; wrap a pair in
         PauliOperator(...).unsigned() for the Hermitian representative.
+        The brute-force reference for ``logical_classes``.
         """
-        if self.n > cap_n:
-            raise EnumerationCapError(f"n {self.n} exceeds enumeration cap {cap_n}")
         basis = self.centralizer_basis()
+        if len(basis) > MAX_ENUM_RANK:
+            raise EnumerationCapError(f"rank {len(basis)} exceeds enumeration cap {MAX_ENUM_RANK}")
         x, z = 0, 0
         yield x, z
         for m in range(1, 1 << len(basis)):
@@ -356,22 +357,35 @@ def coset_min_weight(
     return CosetTable(group, rep, cap).min_weight()
 
 
-def _logical_x_masks(
-    group: StabilizerGroup, z_bar: PauliOperator, max_enum_n: int
-) -> Iterator[tuple[int, int]]:
-    if not group.commutes_with_all(z_bar):
+def logical_classes(
+    group: StabilizerGroup, z_bar: PauliOperator | None = None
+) -> Iterator[CosetTable]:
+    """The nontrivial logical classes L * S, one coset table at a time.
+
+    Modulo S the centralizer is the union of 2^(2k) classes L * S
+    (Gottesman, quant-ph/9705052).  L runs over the nonempty products of
+    the centralizer basis vectors independent of S and of each other.
+    With z_bar, only the classes anticommuting with it are built (z_bar
+    commutes with S, so L decides).  Keep no table longer than its use.
+    """
+    if z_bar is not None and not group.commutes_with_all(z_bar):
         raise ValueError("z_bar is not in the centralizer of the group")
-    zx, zz = z_bar.x_bits, z_bar.z_bits
-    for x, z in group.normalizer_masks(max_enum_n):
-        if ((x & zz).bit_count() + (z & zx).bit_count()) & 1:
-            yield x, z
+    ech, pivots = list(group._ech), list(group._pivots)
+    reps = []
+    for p in group.centralizer_basis():
+        row = gf2.reduce_row(group._symplectic_row(p), ech, pivots)
+        if row:
+            ech.append(row)
+            pivots.append(gf2.lowest_set_bit(row))
+            reps.append(p)
+    identity = PauliOperator.identity(group.n)
+    for combo in range(1, 1 << len(reps)):
+        rep = _combo_product(identity, reps, combo)
+        if z_bar is None or rep.anticommutes(z_bar):
+            yield CosetTable(group, rep)
 
 
-def logical_x_set(
-    group: StabilizerGroup,
-    z_bar: PauliOperator,
-    max_enum_n: int = MAX_ENUM_N,
-) -> list[PauliOperator]:
+def logical_x_set(group: StabilizerGroup, z_bar: PauliOperator) -> list[PauliOperator]:
     """All unsigned centralizer members anticommuting with z_bar.
 
     Counting is per distinct unsigned Pauli, not per coset modulo the
@@ -380,20 +394,18 @@ def logical_x_set(
     """
     members = [
         PauliOperator(group.n, x, z).unsigned()
-        for x, z in _logical_x_masks(group, z_bar, max_enum_n)
+        for table in logical_classes(group, z_bar)
+        for x, z in zip(table.x.tolist(), table.z.tolist())
     ]
-    members.sort(key=lambda p: (p.weight, p.letters))
-    return members
+    return sorted(members, key=lambda p: (p.weight, p.letters))
 
 
-def logical_x_weights(
-    group: StabilizerGroup, z_bar: PauliOperator, max_enum_n: int = MAX_ENUM_N
-) -> tuple[int, ...]:
+def logical_x_weights(group: StabilizerGroup, z_bar: PauliOperator) -> tuple[int, ...]:
     """counts[w] = number of logical X set members of weight w, w = 0..n."""
-    counts = [0] * (group.n + 1)
-    for x, z in _logical_x_masks(group, z_bar, max_enum_n):
-        counts[(x | z).bit_count()] += 1
-    return tuple(counts)
+    counts = np.zeros(group.n + 1, dtype=np.int64)
+    for table in logical_classes(group, z_bar):
+        counts += np.bincount(np.bitwise_count(table.x | table.z), minlength=group.n + 1)
+    return tuple(counts.tolist())
 
 
 def logical_x_count(group: StabilizerGroup) -> int:
@@ -410,24 +422,13 @@ def in_logical_x_set(group: StabilizerGroup, z_bar: PauliOperator, candidate: Pa
     return group.commutes_with_all(candidate) and candidate.anticommutes(z_bar)
 
 
-def code_distance(group: StabilizerGroup, cap_n: int = MAX_ENUM_N) -> int:
+def code_distance(group: StabilizerGroup) -> int:
     """Minimum weight over unsigned centralizer members outside the group.
 
-    This is the usual stabilizer-code distance; it needs only the group
-    (logical representatives are centralizer members too).
+    This is the usual stabilizer-code distance: the least w_min over
+    the nontrivial logical classes.
     """
-    best: int | None = None
-    for x, z in group.normalizer_masks(cap_n):
-        if x == 0 and z == 0:
-            continue
-        row = x | (z << group.n)
-        if gf2.reduce_row(row, group._ech, group._pivots) == 0:
-            continue
-        w = (x | z).bit_count()
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
-    if best is None:
+    weights = [table.min_weight()[0] for table in logical_classes(group)]
+    if not weights:
         raise ValueError("group has no logical operators (rank = n with k = 0)")
-    return best
+    return min(weights)

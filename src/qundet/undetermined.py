@@ -34,22 +34,24 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from qundet import codes
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
 from qundet.stabilizer import (
-    MAX_ENUM_N,
     CosetTable,
     EnumerationCapError,
     RestrictionSolve,
     StabilizerGroup,
     code_distance,
+    logical_classes,
     logical_x_count,
-    logical_x_set,
     logical_x_weights,
 )
 
-# cost ceiling (subset count * coset size) for automatic scan cross-checks
+# cost ceiling (subset count * rank, the batched elimination work) for
+# automatic scan cross-checks
 _AUTO_SCAN_BUDGET = 4_000_000
 # traced sets per elimination batch: at n = 64 a batch holds 64 rows of
 # three uint64 words per set, about 6 MB
@@ -142,7 +144,7 @@ def unconditional_D(spec: CodeSpec, cross_check: bool | None = None) -> Uncondit
     w_min, witness = _table_of(spec).min_weight()
     d_min = _threshold_D(spec.n, w_min)
     if cross_check is None:
-        cost = (1 << group.rank) * sum(
+        cost = group.rank * sum(
             math.comb(spec.n, d) for d in ((d_min, d_min - 1) if d_min else (spec.n - 1,))
             if d and 1 <= d <= spec.n - 1
         )
@@ -247,9 +249,18 @@ class CoverResult:
         }
 
 
-def undetected_error_cover(
-    spec: CodeSpec, d: int, max_enum_n: int = MAX_ENUM_N
-) -> CoverResult:
+def _x_members_of_weight(spec: CodeSpec, d: int) -> list[PauliOperator]:
+    """The weight-d logical X members in letters order, filtered in numpy
+    before any PauliOperator is built (the set has 2^(2n - rank - 1))."""
+    pairs: list[tuple[int, int]] = []
+    for table in logical_classes(_group_of(spec), _difference_rep(spec)):
+        at = np.bitwise_count(table.x | table.z) == d
+        pairs += zip(table.x[at].tolist(), table.z[at].tolist())
+    members = [PauliOperator(spec.n, x, z).unsigned() for x, z in pairs]
+    return sorted(members, key=lambda p: p.letters)
+
+
+def undetected_error_cover(spec: CodeSpec, d: int) -> CoverResult:
     """Find, per size-d subset, a logical X member supported exactly there.
 
     Full coverage is the structural counterpart of d-undeterminedness:
@@ -259,13 +270,9 @@ def undetected_error_cover(
     """
     if not 1 <= d <= spec.n - 1:
         raise ValueError(f"d must be in 1..{spec.n - 1}")
-    group = _group_of(spec)
-    members = logical_x_set(group, _difference_rep(spec), max_enum_n)
     by_support: dict[tuple[int, ...], PauliOperator] = {}
-    for p in members:
-        if p.weight == d:
-            key = tuple(sorted(p.support))
-            by_support.setdefault(key, p)
+    for p in _x_members_of_weight(spec, d):
+        by_support.setdefault(tuple(sorted(p.support)), p)
     assignments = []
     uncovered = []
     for subset in itertools.combinations(range(1, spec.n + 1), d):
@@ -285,11 +292,11 @@ class EDResult(NamedTuple):
 
 
 @lru_cache(maxsize=4)
-def _x_weights_of(spec: CodeSpec, max_enum_n: int) -> tuple[int, ...]:
-    return logical_x_weights(_group_of(spec), _difference_rep(spec), max_enum_n)
+def _x_weights_of(spec: CodeSpec) -> tuple[int, ...]:
+    return logical_x_weights(_group_of(spec), _difference_rep(spec))
 
 
-def necessary_ED(spec: CodeSpec, d: int, max_enum_n: int = MAX_ENUM_N) -> EDResult:
+def necessary_ED(spec: CodeSpec, d: int) -> EDResult:
     """Count weight-d logical X members against the binomial threshold.
 
     E_D >= C(n, D) is necessary for unconditional D-undeterminedness:
@@ -297,7 +304,7 @@ def necessary_ED(spec: CodeSpec, d: int, max_enum_n: int = MAX_ENUM_N) -> EDResu
     """
     if not 1 <= d <= spec.n:
         raise ValueError(f"d must be in 1..{spec.n}")
-    e_d = _x_weights_of(spec, max_enum_n)[d]
+    e_d = _x_weights_of(spec)[d]
     binomial = math.comb(spec.n, d)
     return EDResult(e_d, binomial, e_d >= binomial)
 
@@ -382,43 +389,34 @@ class MixedPairResult:
     w_min: int
     witness: PauliOperator
     x12_size: int
-    weight_d_members: tuple[PauliOperator, ...] | None
+    weight_d_members: tuple[PauliOperator, ...]
 
     def as_dict(self) -> dict:
-        members = self.weight_d_members
         return {
             "d_mixed": self.d_mixed,
             "w_min": self.w_min,
             "witness": str(self.witness),
             "x12_size": self.x12_size,
-            "weight_d_members": None if members is None else [str(p) for p in members],
+            "weight_d_members": [str(p) for p in self.weight_d_members],
         }
 
 
-def mixed_pair_n2(spec: CodeSpec, max_enum_n: int = MAX_ENUM_N) -> MixedPairResult:
+def mixed_pair_n2(spec: CodeSpec) -> MixedPairResult:
     """D for the two k=2 equal mixtures, plus the X12 anticommutant.
 
     X12 is the symmetric difference of the two logical X sets, which
     equals the set of unsigned centralizer members anticommuting with
     Z-bar_1 Z-bar_2 (anticommuting with the product means anticommuting
     with exactly one factor).  The size is closed-form; the weight-D
-    members need the normalizer enumeration, so past ``max_enum_n`` they
-    are None (and empty, with no enumeration, when D does not exist).
+    members come from the logical-class tables that anticommute with
+    Z-bar_1 Z-bar_2 (empty, with no enumeration, when D does not exist).
     """
     if spec.k != 2:
         raise ValueError("mixed_pair_n2 needs a k=2 code")
-    group = _group_of(spec)
     w_min, witness = _table_of(spec).min_weight()
     d_mixed = _threshold_D(spec.n, w_min)
-    weight_d: tuple[PauliOperator, ...] | None
-    if d_mixed is None:
-        weight_d = ()
-    elif spec.n > max_enum_n:
-        weight_d = None
-    else:
-        x12 = logical_x_set(group, _difference_rep(spec), max_enum_n)
-        weight_d = tuple(p for p in x12 if p.weight == d_mixed)
-    return MixedPairResult(d_mixed, w_min, witness, logical_x_count(group), weight_d)
+    weight_d = () if d_mixed is None else tuple(_x_members_of_weight(spec, d_mixed))
+    return MixedPairResult(d_mixed, w_min, witness, logical_x_count(_group_of(spec)), weight_d)
 
 
 @dataclass(frozen=True)
@@ -474,11 +472,11 @@ def analyze_code(
     ``max_trace`` bounds the E_D table (default: just D = d_min when it
     exists); ``conditional`` lists the subset sizes to partition.  With
     ``oracle`` the symbolic verdict for every feasible subset is checked
-    against dense reduced states; any disagreement raises.  Past the
-    normalizer enumeration cap the distance and the mixed pair's weight-D
-    members are None and the E_D table empty, and past the coset rank cap
-    w_min, d_min and the mixed pair are None, each with a reason in
-    ``notes``; the other fields still compute.
+    against dense reduced states; any disagreement raises.  The distance,
+    w_min and E_D table read coset tables, so past the rank cap
+    (``MAX_ENUM_RANK``) w_min, d_min, the distance and the mixed pair are
+    None and the E_D table empty, each with a reason in ``notes``; the
+    other fields still compute.
     """
     group = _group_of(spec)
     notes = [X_SET_COUNTING_NOTE]
@@ -503,16 +501,13 @@ def analyze_code(
         ed_ds = [d_min]
     else:
         ed_ds = []
-    if ed_ds and spec.n > MAX_ENUM_N:
-        notes.append(f"e_d_table not computed: n {spec.n} exceeds enumeration cap {MAX_ENUM_N}")
-        ed_ds = []
-    e_d_table = tuple((d, necessary_ED(spec, d)) for d in ed_ds)
+    try:
+        e_d_table = tuple((d, necessary_ED(spec, d)) for d in ed_ds)
+    except EnumerationCapError as exc:
+        e_d_table = ()
+        notes.append(f"e_d_table not computed: {exc}")
     scans = tuple(conditional_scan(spec, dp) for dp in sorted(set(conditional)))
     mixed = mixed_pair_n2(spec) if spec.k == 2 and w_min is not None else None
-    if mixed is not None and mixed.weight_d_members is None:
-        notes.append(
-            f"mixed weight_d_members not computed: n {spec.n} exceeds enumeration cap {MAX_ENUM_N}"
-        )
     methods = ["symbolic"]
     if oracle:
         oracle_sweep(spec, atol=oracle_atol)

@@ -1,11 +1,15 @@
-"""Independent dense reference for the Pauli algebra tests.
+"""Independent references for the Pauli algebra and stabilizer tests.
 
-Built from literal 2x2 matrices and Kronecker products, on purpose:
-the package's own dense module shares bit conventions with the
-symbolic code, so these helpers are the conventions' outside check.
+The dense helpers are built from literal 2x2 matrices and Kronecker
+products, on purpose: the package's own dense module shares bit
+conventions with the symbolic code, so these helpers are the
+conventions' outside check.  ``walk_distance`` walks the whole
+centralizer pair by pair, the reference for the logical-class tables.
 """
 
 import numpy as np
+
+from qundet.pauli import PauliOperator
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,9 +49,18 @@ def matrix_of(p):
     return matrix_from_bits(p.n, p.x_bits, p.z_bits, p.phase_exp)
 
 
+def walk_distance(group):
+    """Least weight over centralizer pairs outside the group, by brute force."""
+    return min(
+        (x | z).bit_count()
+        for x, z in group.normalizer_masks()
+        if not group.contains_unsigned(PauliOperator(group.n, x, z))
+    )
+
+
 def zz_chain_doc(n=17):
-    """A k=2 spec past the normalizer cap: Z_i Z_{i+1} for i = 1..n-2 on
-    n qubits, with logical Z's X^(n-1) I and I^(n-1) X."""
+    """A k=2 spec: Z_i Z_{i+1} for i = 1..n-2 on n qubits, with logical
+    Z's X^(n-1) I and I^(n-1) X.  The default n = 17 is past 16 qubits."""
     return {
         "name": f"zz_chain_{n}",
         "n": n,

@@ -209,19 +209,19 @@ def test_verify_paper_digest_stable(tmp_path, capsys):
     assert "elapsed_s" not in json.dumps(a["result"])
 
 
-def test_analyze_past_normalizer_cap(capsys):
-    # rank 16 is inside the coset cap; only the distance needs n <= 16
+def test_analyze_distance_past_n16(capsys):
+    # rank 16 is inside the rank cap, so the class tables give the distance and E_D
     rc = run(["analyze", "--catalog", "ghz", "--n", "17", "--json"])
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     result = json.loads(captured.out)["result"]
     assert result["w_min"] == 17
     assert result["minimal_unconditional_d"] == 1
-    assert result["distance"] is None
+    assert result["distance"] == 1
     assert result["x_set_size"] == 2 ** 17
-    assert result["e_d_table"] == {}
-    assert any(note.startswith("distance not computed") for note in result["notes"])
-    assert "distance d = not computed" in captured.err
+    assert result["e_d_table"] == {"1": {"count": 17, "binomial": 17, "pass": True}}
+    assert not any("not computed" in note for note in result["notes"])
+    assert "distance d = 1" in captured.err
 
 
 def test_analyze_past_coset_rank_cap(capsys):
@@ -235,8 +235,10 @@ def test_analyze_past_coset_rank_cap(capsys):
     assert result["minimal_unconditional_d"] is None
     assert result["threshold_shares"] is None
     assert result["x_set_size"] == 2 ** 22
+    assert result["distance"] is None
     assert any(note.startswith("w_min and minimal_unconditional_d not computed: rank 21")
                for note in result["notes"])
+    assert "distance not computed: rank 21 exceeds enumeration cap 20" in result["notes"]
     assert "difference-coset minimum weight = not computed" in captured.err
     assert "minimal unconditional D = not computed" in captured.err
 
@@ -278,8 +280,8 @@ def test_analyze_spec_without_stabilizers(tmp_path, capsys, extra):
     assert result["methods"] == ["symbolic"] + ["oracle"] * bool(extra)
 
 
-def test_analyze_mixed_pair_past_normalizer_cap(tmp_path, capsys):
-    # a k=2 code at n = 17: X12's size is closed-form, its members are not
+def test_analyze_mixed_pair_members_past_n16(tmp_path, capsys):
+    # a k=2 code at n = 17: the class tables list X12's weight-D members
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(zz_chain_doc()))
     rc = run(["analyze", "--spec", str(path), "--json"])
@@ -289,9 +291,11 @@ def test_analyze_mixed_pair_past_normalizer_cap(tmp_path, capsys):
     assert result["rank"] == 15
     assert result["mixed"]["d_mixed"] == 1
     assert result["mixed"]["x12_size"] == 2 ** (2 * 17 - 15 - 1)
-    assert result["mixed"]["weight_d_members"] is None
-    assert any(note.startswith("mixed weight_d_members not computed")
-               for note in result["notes"])
+    # Y or Z on the free qubit 17, and Z on any chain qubit, in letters order
+    assert result["mixed"]["weight_d_members"] == ["I" * 16 + "Y"] + [
+        "I" * (q - 1) + "Z" + "I" * (17 - q) for q in range(17, 0, -1)
+    ]
+    assert not any("not computed" in note for note in result["notes"])
 
 
 def test_main_raises_system_exit(monkeypatch, capsys):

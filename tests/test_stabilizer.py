@@ -20,7 +20,7 @@ from qundet.stabilizer import (
     logical_x_weights,
 )
 
-from helpers import matrix_of
+from helpers import matrix_of, walk_distance
 
 
 def paulis(text, n=None):
@@ -181,15 +181,25 @@ def test_logical_x_set_ghz():
 
 
 @pytest.mark.parametrize("name,n", [
-    ("ghz", 4), ("code_412", None), ("code_513", None), ("steane_713", None),
-    ("code_422", None), ("cyclic", 7), ("cyclic", 9),
+    *(("ghz", n) for n in range(3, 13)),
+    ("code_412", None), ("code_513", None), ("steane_713", None), ("code_422", None),
+    *(("cyclic", n) for n in (5, 6, 7, 9, 11, 13, 14)),
 ])
 def test_logical_x_count_closed_form(name, n):
+    # the logical-class tables against a walk over every centralizer pair
     spec = codes.catalog(name, n=n)
     group = spec.group()
+    assert code_distance(group) == walk_distance(group)
     z_bars = spec.logical_z_ops()
     for z_bar in z_bars + [z_bars[0] * z_bars[-1]] * (spec.k == 2):
         members = logical_x_set(group, z_bar)
+        walked = [
+            PauliOperator(spec.n, x, z).unsigned()
+            for x, z in group.normalizer_masks()
+            if ((x & z_bar.z_bits).bit_count() + (z & z_bar.x_bits).bit_count()) & 1
+        ]
+        walked.sort(key=lambda p: (p.weight, p.letters))
+        assert [str(p) for p in members] == [str(p) for p in walked]
         assert logical_x_count(group) == len(members)
         weights = logical_x_weights(group, z_bar)
         assert weights == tuple(sum(p.weight == w for p in members) for w in range(spec.n + 1))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qundet.undetermined as und
 from qundet.codes import CodeSpec, catalog, validate
+from qundet.stabilizer import code_distance
 from qundet.undetermined import (
     analyze_code,
     conditional_scan,
@@ -20,6 +22,8 @@ from qundet.undetermined import (
     unconditional_D,
     undetected_error_cover,
 )
+
+from helpers import walk_distance
 
 
 def test_reduced_equal_on_steane():
@@ -75,6 +79,16 @@ def test_unconditional_none_when_w_min_one():
     assert r.d_min is None
     assert r.w_min == 1
     assert str(r.witness) == "IZ"
+
+
+def test_auto_cross_check_runs_at_cyclic_13(monkeypatch):
+    # priced at subset count * rank, cyclic 13's scans fit the budget
+    scanned = []
+    real = und._assert_scan_agreement
+    monkeypatch.setattr(und, "_assert_scan_agreement",
+                        lambda spec, d_min: scanned.append(d_min) or real(spec, d_min))
+    r = unconditional_D(catalog("cyclic", n=13))
+    assert scanned == [r.d_min]
 
 
 @pytest.mark.parametrize("name,d_prime,n_undet,n_det", [
@@ -305,8 +319,6 @@ def test_ghz_x_set_size_scaling():
 
 
 def test_oracle_sweep_catches_disagreement(monkeypatch):
-    import qundet.undetermined as und
-
     spec = catalog("code_412")
     real = und._solves
 
@@ -361,6 +373,8 @@ def test_random_codes_agree_with_oracle(spec):
     assert oracle_sweep(spec) == 2 ** spec.n - 2
     # cross_check re-derives d_min by subset scans and raises on disagreement
     unconditional_D(spec, cross_check=True)
+    group = spec.group()
+    assert code_distance(group) == walk_distance(group)
     # an equal trace stays equal when one more qubit is traced
     qubits = range(1, spec.n + 1)
     for size in range(1, spec.n - 1):
