@@ -8,14 +8,18 @@ the swapped rows (z_bits | x_bits << n).
 
 Enumeration-based operations (group elements, cosets, logical X sets,
 code distance) fail loudly past one cap, rank ``MAX_ENUM_RANK``, instead
-of sampling; witnesses are chosen by (weight, string) so reruns agree
-byte-for-byte.  An "unsigned" Pauli here means the phase is normalized
-to make the operator Hermitian with + sign; logical X sets and distance
-counts are over distinct unsigned Paulis, not cosets modulo the group.
+of sampling; witnesses are chosen by (weight, letters), the unsigned
+string (a sign prefix plays no part), so reruns agree byte-for-byte.
+An "unsigned" Pauli here means the phase is normalized to make the
+operator Hermitian with + sign; logical X sets and distance counts are
+over distinct unsigned Paulis, not cosets modulo the group.
 
-Cosets are enumerated into numpy arrays (``CosetTable``): bit-packed
-uint64 x/z rows, as in Aaronson-Gottesman (quant-ph/0406196), doubled
-once per generator.  Kept-set queries enumerate nothing: a
+Cosets are scanned as numpy blocks (``CosetTable``): bit-packed uint64
+x/z rows, as in Aaronson-Gottesman (quant-ph/0406196), formed as the
+XOR of two half-rank factors, each doubled once per generator, so a
+scan takes O(2^rank) time and O(2^(rank/2) + block) memory.  Rows are
+unsigned; the one row a caller asks for (the witness) gets its sign
+from one product.  Kept-set queries enumerate nothing: a
 ``RestrictionSolve`` decides them by GF(2) elimination over the same
 bit-packed rows, for any n up to 64.  The centralizer is read as one
 coset table per logical class L * S (``logical_classes``).
@@ -33,6 +37,8 @@ from qundet.pauli import PauliOperator
 MAX_ENUM_RANK = 20
 # x and z rows are bit-packed into one uint64 each
 MAX_ROW_N = 64
+# rows per CosetTable block: 2^14 rows of x and z words, 256 KB
+_BLOCK_ROWS = 1 << 14
 
 
 class GroupValidationError(ValueError):
@@ -218,6 +224,20 @@ def _letter_key(p: PauliOperator) -> int:
     return key
 
 
+# a Pauli as (letter key, x_bits, z_bits, phase_exp) ints
+_Row = tuple[int, int, int, int]
+
+
+def _row(p: PauliOperator) -> _Row:
+    return _letter_key(p), p.x_bits, p.z_bits, p.phase_exp
+
+
+def _row_product(a: _Row, b: _Row) -> _Row:
+    """a * b by the rule of PauliOperator.__mul__: phases add, plus 2 per z(a) & x(b) bit."""
+    phase = (a[3] + b[3] + 2 * (a[2] & b[1]).bit_count()) & 3
+    return a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], phase
+
+
 def _sorted_basis(
     generators: Sequence[PauliOperator], rep: PauliOperator
 ) -> tuple[list[PauliOperator], PauliOperator]:
@@ -227,23 +247,26 @@ def _sorted_basis(
     leading bit no other key has) and clears those bits from rep.  An
     element's key then carries its generator choices at the leading
     bits, most significant first, so index order is key order once the
-    generators are taken by ascending leading bit.
+    generators are taken by ascending leading bit.  The reduction runs
+    on (key, x, z, phase) int rows; operators are built only for the
+    result.
     """
-    rows: list[tuple[int, PauliOperator]] = []  # (key, operator), reduced
+    rows: list[_Row] = []  # reduced, so the keys are distinct
     for g in generators:
-        key = _letter_key(g)
-        for k, b in rows:
-            if key ^ k < key:  # key has k's leading bit
-                key, g = key ^ k, g * b
-        lead = 1 << key.bit_length() - 1
-        rows = [(k ^ key, b * g) if k & lead else (k, b) for k, b in rows]
-        rows.append((key, g))
-    rows.sort(key=lambda row: row[0])
-    rep_key = _letter_key(rep)
-    for k, b in rows:
-        if rep_key ^ k < rep_key:
-            rep_key, rep = rep_key ^ k, rep * b
-    return [b for _, b in rows], rep
+        r = _row(g)
+        for b in rows:
+            if r[0] ^ b[0] < r[0]:  # r's key has b's leading bit
+                r = _row_product(r, b)
+        lead = 1 << r[0].bit_length() - 1
+        rows = [_row_product(b, r) if b[0] & lead else b for b in rows]
+        rows.append(r)
+    rows.sort()
+    r = _row(rep)
+    for b in rows:
+        if r[0] ^ b[0] < r[0]:
+            r = _row_product(r, b)
+    n = rep.n
+    return [PauliOperator(n, *b[1:]) for b in rows], PauliOperator(n, *r[1:])
 
 
 class RestrictionSolve:
@@ -300,13 +323,19 @@ class RestrictionSolve:
 
 
 class CosetTable:
-    """The signed coset {rep * s : s in group} as numpy arrays, sorted by letters.
+    """The signed coset {rep * s : s in group}, in letters order, scanned in blocks.
 
-    Built by doubling: multiplying the first 2^i entries by generator i
-    gives the next 2^i, with x and z XORed and the phase advanced by
-    g.phase + 2 * popcount(z & g.x).  The generators are re-based first
-    (``_sorted_basis``), so the entries come out in letters order
-    without a sort.
+    ``_sorted_basis`` re-bases the generators so that doubling (the
+    first 2^i rows times basis[i] give the next 2^i) emits the coset
+    sorted by letters.  Row j is rep times the basis elements at the set
+    bits of j.  The table holds that order as two unsigned factors of
+    bit-packed uint64 x/z rows, each built by XOR doubling: the low
+    factor rep * span(basis[:a]) and the high factor span(basis[a:]),
+    with a = ceil(rank / 2).  Row hi << a | lo is high row hi XOR low
+    row lo, so a scan in blocks of about ``_BLOCK_ROWS`` rows holds
+    O(2^(rank/2) + block) words, never the whole coset.  Only the rows
+    that are asked for get a sign, by one product of at most rank
+    factors.
     """
 
     def __init__(self, group: StabilizerGroup, rep: PauliOperator, cap: int = MAX_ENUM_RANK):
@@ -316,34 +345,54 @@ class CosetTable:
             raise EnumerationCapError(f"rank {group.rank} exceeds enumeration cap {cap}")
         if group.n > MAX_ROW_N:
             raise EnumerationCapError(f"n {group.n} exceeds bit-packed row cap {MAX_ROW_N}")
-        self.n = group.n
-        basis, rep = _sorted_basis(group.generators, rep)
-        size = 1 << group.rank
-        x = np.empty(size, dtype=np.uint64)
-        z = np.empty(size, dtype=np.uint64)
-        phase = np.empty(size, dtype=np.uint8)
-        x[0], z[0], phase[0] = rep.x_bits, rep.z_bits, rep.phase_exp
-        for i, g in enumerate(basis):
-            h = 1 << i
-            gx = np.uint64(g.x_bits)
-            flips = np.bitwise_count(z[:h] & gx)
-            np.bitwise_and(phase[:h] + np.uint8(g.phase_exp) + 2 * flips, 3, out=phase[h:2 * h])
-            np.bitwise_xor(x[:h], gx, out=x[h:2 * h])
-            np.bitwise_xor(z[:h], np.uint64(g.z_bits), out=z[h:2 * h])
-        self.x, self.z, self.phase = x, z, phase
+        self.n, self.rank = group.n, group.rank
+        self.basis, self.rep = _sorted_basis(group.generators, rep)
+        a = (self.rank + 1) // 2
+        self._low = _span(self.basis[:a], self.rep.x_bits, self.rep.z_bits)
+        self._high = _span(self.basis[a:], 0, 0)
+        self._min: tuple[int, PauliOperator] | None = None
 
     def __len__(self) -> int:
-        return len(self.x)
+        return 1 << self.rank
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(offset, x, z) for consecutive runs of rows, in index order."""
+        (lx, lz), (hx, hz) = self._low, self._high
+        step = max(1, _BLOCK_ROWS // len(lx))
+        for s in range(0, len(hx), step):
+            yield (
+                s * len(lx),
+                (hx[s : s + step, None] ^ lx).ravel(),
+                (hz[s : s + step, None] ^ lz).ravel(),
+            )
 
     def element(self, pos: int) -> PauliOperator:
-        """The entry at a sorted position."""
-        return PauliOperator(self.n, int(self.x[pos]), int(self.z[pos]), int(self.phase[pos]))
+        """The entry at a sorted position, sign included."""
+        return _combo_product(self.rep, self.basis, pos)
 
     def min_weight(self) -> tuple[int, PauliOperator]:
         """Minimum weight and the least-letters entry of that weight."""
-        weight = np.bitwise_count(self.x | self.z)
-        w_min = weight.min()
-        return int(w_min), self.element(int(np.argmax(weight == w_min)))
+        if self._min is None:
+            best, at = self.n + 1, 0
+            for offset, x, z in self.blocks():
+                weight = np.bitwise_count(x | z)
+                w = int(weight.min())
+                if w < best:
+                    best, at = w, offset + int(np.argmax(weight == w))
+            self._min = best, self.element(at)
+        return self._min
+
+
+def _span(basis: Sequence[PauliOperator], x: int, z: int) -> tuple[np.ndarray, np.ndarray]:
+    """x/z rows of (x, z) times every product of the basis, by XOR doubling."""
+    xs = np.empty(1 << len(basis), dtype=np.uint64)
+    zs = np.empty_like(xs)
+    xs[0], zs[0] = x, z
+    for i, g in enumerate(basis):
+        h = 1 << i
+        np.bitwise_xor(xs[:h], np.uint64(g.x_bits), out=xs[h : 2 * h])
+        np.bitwise_xor(zs[:h], np.uint64(g.z_bits), out=zs[h : 2 * h])
+    return xs, zs
 
 
 def coset_min_weight(
@@ -351,8 +400,9 @@ def coset_min_weight(
 ) -> tuple[int, PauliOperator]:
     """Minimum Pauli weight over {rep * s}, with a deterministic witness.
 
-    Ties break by the witness's string form, so results are stable
-    across runs and generator orderings that span the same group.
+    Ties break by the witness's letters (the string without its sign),
+    so results are stable across runs and generator orderings that span
+    the same group.  The witness carries its sign.
     """
     return CosetTable(group, rep, cap).min_weight()
 
@@ -390,12 +440,13 @@ def logical_x_set(group: StabilizerGroup, z_bar: PauliOperator) -> list[PauliOpe
 
     Counting is per distinct unsigned Pauli, not per coset modulo the
     group: one operator per (x, z) pair, sign stripped.  For a rank
-    n - 1 group this yields 2^n operators.  Sorted by (weight, string).
+    n - 1 group this yields 2^n operators.  Sorted by (weight, letters).
     """
     members = [
         PauliOperator(group.n, x, z).unsigned()
         for table in logical_classes(group, z_bar)
-        for x, z in zip(table.x.tolist(), table.z.tolist())
+        for _, xs, zs in table.blocks()
+        for x, z in zip(xs.tolist(), zs.tolist())
     ]
     return sorted(members, key=lambda p: (p.weight, p.letters))
 
@@ -404,7 +455,8 @@ def logical_x_weights(group: StabilizerGroup, z_bar: PauliOperator) -> tuple[int
     """counts[w] = number of logical X set members of weight w, w = 0..n."""
     counts = np.zeros(group.n + 1, dtype=np.int64)
     for table in logical_classes(group, z_bar):
-        counts += np.bincount(np.bitwise_count(table.x | table.z), minlength=group.n + 1)
+        for _, x, z in table.blocks():
+            counts += np.bincount(np.bitwise_count(x | z), minlength=group.n + 1)
     return tuple(counts.tolist())
 
 

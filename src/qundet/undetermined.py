@@ -16,8 +16,8 @@ entirely inside the kept set.  Consequences used throughout:
   * the k=2 equal mixtures obey the same rule with the coset
     (Z-bar_1 Z-bar_2) * S.
 
-Each spec's difference coset is enumerated once into a
-``stabilizer.CosetTable`` for w_min.  Kept-set queries need no
+Each spec's difference coset has one ``stabilizer.CosetTable``, which
+finds w_min by one blockwise scan.  Kept-set queries need no
 enumeration: some coset element avoids the traced set T iff Z-bar
 restricted to T lies in the span of the generators restricted to T,
 which ``stabilizer.RestrictionSolve`` decides for a batch of traced
@@ -78,8 +78,9 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
     raise ValueError(f"unsupported k={spec.k}")
 
 
-# a table at the rank cap holds about 17 MB of coset rows, so keep only
-# the specs in current use
+# a table holds its re-based basis, two half-rank factors (2 * 2^10 rows
+# of x and z words at the rank cap, 32 KB) and its minimum weight once
+# read; the coset itself is scanned in blocks and never held
 @lru_cache(maxsize=4)
 def _table_of(spec: CodeSpec) -> CosetTable:
     return CosetTable(_group_of(spec), _difference_rep(spec))
@@ -254,8 +255,9 @@ def _x_members_of_weight(spec: CodeSpec, d: int) -> list[PauliOperator]:
     before any PauliOperator is built (the set has 2^(2n - rank - 1))."""
     pairs: list[tuple[int, int]] = []
     for table in logical_classes(_group_of(spec), _difference_rep(spec)):
-        at = np.bitwise_count(table.x | table.z) == d
-        pairs += zip(table.x[at].tolist(), table.z[at].tolist())
+        for _, x, z in table.blocks():
+            at = np.bitwise_count(x | z) == d
+            pairs += zip(x[at].tolist(), z[at].tolist())
     members = [PauliOperator(spec.n, x, z).unsigned() for x, z in pairs]
     return sorted(members, key=lambda p: p.letters)
 

@@ -4,7 +4,9 @@ The dense helpers are built from literal 2x2 matrices and Kronecker
 products, on purpose: the package's own dense module shares bit
 conventions with the symbolic code, so these helpers are the
 conventions' outside check.  ``walk_distance`` walks the whole
-centralizer pair by pair, the reference for the logical-class tables.
+centralizer pair by pair, the reference for the logical-class tables;
+``doubling`` and ``sorted_coset`` enumerate a whole coset with signs
+in plain numpy, the reference for the factored coset table.
 """
 
 import numpy as np
@@ -56,6 +58,38 @@ def walk_distance(group):
         for x, z in group.normalizer_masks()
         if not group.contains_unsigned(PauliOperator(group.n, x, z))
     )
+
+
+def _letter_key(p):
+    return int(p.letters.translate(str.maketrans("IXYZ", "0123")), 4)
+
+
+def doubling(ops, start):
+    """x, z, phase and letter key of start times every product of ops.
+
+    One doubling per operator, in the given order: the first 2^i rows
+    times ops[i] give the next 2^i, with the phase advanced by the
+    Pauli product rule, g.phase + 2 * popcount(z & g.x) (mod 4).
+    """
+    size = 1 << len(ops)
+    x, z, key = (np.zeros(size, dtype=np.uint64) for _ in range(3))
+    phase = np.zeros(size, dtype=np.int64)
+    x[0], z[0], phase[0], key[0] = start.x_bits, start.z_bits, start.phase_exp, _letter_key(start)
+    for i, g in enumerate(ops):
+        h = 1 << i
+        gx, gz = np.uint64(g.x_bits), np.uint64(g.z_bits)
+        phase[h : 2 * h] = (phase[:h] + g.phase_exp + 2 * np.bitwise_count(z[:h] & gx)) % 4
+        x[h : 2 * h] = x[:h] ^ gx
+        z[h : 2 * h] = z[:h] ^ gz
+        key[h : 2 * h] = key[:h] ^ np.uint64(_letter_key(g))
+    return x, z, phase, key
+
+
+def sorted_coset(group, rep):
+    """x, z and phase of the signed coset rep * S, sorted by letters."""
+    x, z, phase, key = doubling(group.generators, rep)
+    order = np.argsort(key)
+    return x[order], z[order], phase[order]
 
 
 def zz_chain_doc(n=17):

@@ -3,25 +3,30 @@
 The loop over group.coset(rep) is the per-element algorithm both
 replaced, kept here as the reference: every verdict, witness (sign
 included) and minimum weight must match it on random presentations of
-the small catalog codes.
+the small catalog codes.  Codes of rank 16 and more, whose tables span
+several blocks, are checked against a whole-coset numpy doubling.
 """
 
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from qundet import codes
 from qundet import undetermined as und
 from qundet.codes import CodeSpec
-from qundet.pauli import parse_pauli
+from qundet.pauli import PauliOperator, parse_pauli
 from qundet.stabilizer import (
     MAX_ENUM_RANK,
     MAX_ROW_N,
     CosetTable,
     EnumerationCapError,
     coset_min_weight,
+    logical_x_weights,
 )
 
 SMALL = [
@@ -78,8 +83,8 @@ def test_table_matches_brute_force(spec):
     assert und.unconditional_D(spec, cross_check=False)[1:] == (best.weight, best)
 
     table = CosetTable(group, rep)
-    letters = [table.element(i).letters for i in range(len(table))]
-    assert letters == sorted({p.letters for p in coset})
+    signed = [str(table.element(i)) for i in range(len(table))]
+    assert signed == [str(p) for p in sorted(coset, key=lambda p: p.letters)]
 
     first_undetermined = None
     for size in range(1, spec.n):
@@ -102,6 +107,61 @@ def test_table_matches_brute_force(spec):
     assert und.minimal_conditional_D(spec) == first_undetermined
 
 
+@pytest.mark.parametrize("name, n", [("ghz", 5), ("code_513", None), ("steane_713", None)])
+def test_signs_with_anticommuting_reps(name, n):
+    # rep * s differs in sign from s * rep when rep anticommutes with s
+    group = codes.catalog(name, n=n).group()
+    for q, letter in itertools.product(range(1, group.n + 1), "XYZ"):
+        rep = PauliOperator.single(group.n, q, letter)
+        table = CosetTable(group, rep)
+        want = sorted(group.coset(rep), key=lambda p: p.letters)
+        assert [str(table.element(i)) for i in range(len(table))] == [str(p) for p in want]
+        best = min(want, key=lambda p: p.weight)
+        assert table.min_weight() == (best.weight, best)
+
+
+@pytest.mark.parametrize("name", ["ghz", "cyclic"])
+def test_blocks_match_whole_coset_doubling(name):
+    spec = codes.catalog(name, n=17)
+    group, rep = spec.group(), spec.logical_z_ops()[0]
+    assert group.rank == 16
+    table = CosetTable(group, rep)
+    offsets, xs, zs = zip(*table.blocks())
+    x, z, phase = helpers.sorted_coset(group, rep)
+    assert len(offsets) > 1
+    assert offsets == tuple(range(0, len(x), len(xs[0])))
+    assert np.array_equal(np.concatenate(xs), x)
+    assert np.array_equal(np.concatenate(zs), z)
+
+    weight = np.bitwise_count(x | z)
+    at = int(np.argmax(weight == weight.min()))
+    witness = PauliOperator(spec.n, int(x[at]), int(z[at]), int(phase[at]))
+    assert table.min_weight() == (int(weight.min()), witness)
+
+    # the logical X set: centralizer members anticommuting with Z-bar
+    identity = PauliOperator.identity(spec.n)
+    cx, cz, _, _ = helpers.doubling(group.centralizer_basis(), identity)
+    anti = np.bitwise_count((cx & np.uint64(rep.z_bits)) ^ (cz & np.uint64(rep.x_bits))) & 1 == 1
+    counts = np.bincount(np.bitwise_count(cx | cz)[anti], minlength=spec.n + 1)
+    assert logical_x_weights(group, rep) == tuple(counts.tolist())
+
+
+def test_scans_at_the_rank_cap_stay_small():
+    # the whole coset at rank 20 is 2^20 rows of x and z words, 16 MB
+    def peak(call, spec):
+        group, rep = spec.group(), spec.logical_z_ops()[0]
+        tracemalloc.start()
+        call(group, rep)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    ghz, cyclic = codes.catalog("ghz", n=21), codes.catalog("cyclic", n=21)
+    assert ghz.group().rank == cyclic.group().rank == MAX_ENUM_RANK
+    assert peak(coset_min_weight, ghz) < 4 * 2**20
+    assert peak(logical_x_weights, cyclic) < 4 * 2**20
+
+
 def test_enumeration_cap_still_fires():
     spec = codes.catalog("steane_713")
     with pytest.raises(EnumerationCapError):
@@ -121,5 +181,6 @@ def test_queries_run_to_the_row_cap():
 
 
 def test_table_cache_stays_small():
-    # a table at the rank cap holds tens of MB; the cache must not hoard them
+    # a cached table holds its two factors, 2 * 2^10 rows of x and z
+    # words at the rank cap, its basis and its memoized minimum weight
     assert und._table_of.cache_info().maxsize <= 8
