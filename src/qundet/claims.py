@@ -145,9 +145,8 @@ def claim_5() -> ClaimResult:
         eq, witness = und.reduced_equal_on(spec, [2, 3, 4])
         if eq or witness is None:
             return False, "tracing {2,3,4} did not distinguish the codewords"
-        dist = dense.frobenius_distance(
-            dense.reduced_state(dense.codeword_states(spec, 0), [2, 3, 4]),
-            dense.reduced_state(dense.codeword_states(spec, 1), [2, 3, 4]),
+        dist = dense.reduced_distance(
+            dense.codeword_states(spec, 0), dense.codeword_states(spec, 1), [2, 3, 4]
         )
         if dist <= 1e-6:
             return False, f"oracle distance {dist} too small"
@@ -201,7 +200,7 @@ def claim_6() -> ClaimResult:
 def claim_7() -> ClaimResult:
     def run():
         spec = codes.catalog("steane_713")
-        td = und.mixed_tracedown_check(spec, 2, atol=1e-9)
+        td = und.mixed_tracedown_check(spec, 2)
         if not td.verdict or td.d_double != 3:
             return False, f"verdict={td.verdict}, d_double={td.d_double}, dev={td.max_deviation:.2e}"
         return True, (

@@ -22,9 +22,12 @@ vectors.  The reduced state on the kept qubits K is
 sum_i M_i M_i^dagger / m, where M_i is vector i reshaped to
 2^|K| x 2^|T| (T the traced qubits).
 
-Sizes are capped (default n <= 10).  Memory is O(2^n); the cap bounds
-time, since a sweep over every traced subset costs
-sum_K 2^(n+|K|) = O(6^n).
+Two reduced states are equal when their Frobenius distance is below
+``ATOL``: an equal pair's distance is exactly 0 and a determined pair's
+is at least 2^((3-n)/2), so one constant separates them up to the cap
+(docs/method.md).  Sizes are capped at n <= ``ORACLE_MAX_N``.  Memory
+is O(2^n); the cap bounds time, since a sweep over every traced subset
+costs sum_K 2^(n+|K|) = O(6^n).
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from qundet.pauli import PauliOperator
 from qundet.stabilizer import StabilizerGroup
 
 ORACLE_MAX_N = 10
+# reduced-state distances below this are equal (see the module docstring)
+ATOL = 1e-9
 
 # seed of the start vector every codeword is projected from; any vector
 # with a nonzero overlap works, and a fixed one keeps reruns identical
@@ -51,9 +56,9 @@ class OracleCapError(ValueError):
     """Raised when a dense computation would exceed the size cap."""
 
 
-def _check_cap(n: int, cap: int = ORACLE_MAX_N) -> None:
-    if n > cap:
-        raise OracleCapError(f"dense oracle capped at n={cap}, got n={n}")
+def _check_cap(n: int) -> None:
+    if n > ORACLE_MAX_N:
+        raise OracleCapError(f"dense oracle capped at n={ORACLE_MAX_N}, got n={n}")
 
 
 def _index_masks(p: PauliOperator) -> tuple[int, int]:
@@ -67,14 +72,8 @@ def _index_masks(p: PauliOperator) -> tuple[int, int]:
 def pauli_matrix(p: PauliOperator) -> np.ndarray:
     """Dense 2^n x 2^n realization of a signed Pauli operator."""
     _check_cap(p.n)
-    dim = 1 << p.n
-    x, z = _index_masks(p)
-    cols = np.arange(dim)
-    rows = cols ^ x
-    signs = np.where(np.bitwise_count(cols & z) & 1, -1, 1)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[rows, cols] = (1j ** p.phase_exp) * signs
-    return m
+    # row b of the identity, e_b, becomes P e_b: column b of P
+    return apply_pauli(p, np.eye(1 << p.n, dtype=complex)).T
 
 
 def apply_pauli(p: PauliOperator, v: np.ndarray) -> np.ndarray:
@@ -210,106 +209,76 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def reduced_distance(states0: np.ndarray, states1: np.ndarray, traced_out: Iterable[int]) -> float:
+    """Frobenius distance of two stacks' reduced states, as in :func:`reduced_state`."""
+    traced = tuple(traced_out)
+    return frobenius_distance(reduced_state(states0, traced), reduced_state(states1, traced))
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of a - b (for Hermitian a, b)."""
     eigs = np.linalg.eigvalsh(a - b)
     return float(np.sum(np.abs(eigs)) / 2)
 
 
-def apply_on_subset(u: np.ndarray, vec: np.ndarray, subset: Sequence[int], n: int) -> np.ndarray:
-    """Apply a 2^|subset| unitary to the given qubits of an n-qubit vector."""
-    subset = list(subset)
-    d = len(subset)
+def _split(vec: np.ndarray, subset: list[int], n: int) -> tuple[np.ndarray, list[int]]:
+    """``vec`` as a 2^|subset| x 2^(n-|subset|) matrix, and the axis order it took."""
     rest = [q for q in range(1, n + 1) if q not in subset]
     perm = [q - 1 for q in subset + rest]
-    t = vec.reshape((2,) * n).transpose(perm).reshape(1 << d, 1 << (n - d))
-    t = u @ t
-    inv = np.argsort(perm)
-    return t.reshape((2,) * n).transpose(inv).reshape(-1)
+    return vec.reshape((2,) * n).transpose(perm).reshape(1 << len(subset), -1), perm
+
+
+def apply_on_subset(u: np.ndarray, vec: np.ndarray, subset: Sequence[int], n: int) -> np.ndarray:
+    """Apply a 2^|subset| unitary to the given qubits of an n-qubit vector."""
+    t, perm = _split(vec, list(subset), n)
+    return (u @ t).reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
 
 
 def relating_unitary(spec: CodeSpec, subset: Sequence[int]) -> np.ndarray:
     """Unitary on ``subset`` mapping codeword 0 to codeword 1.
 
-    Exists whenever the two codewords agree on the complement of
-    ``subset``; built by matching the two Schmidt decompositions that
-    share the complement-side eigenvectors.  The Schmidt spectrum here
-    is flat, so the pairing is not unique; any valid pairing satisfies
-    the contract, which is checked by the caller via the returned
-    matrix's action.
+    With M_b codeword b reshaped to subset x rest, some unitary U has
+    U M0 = M1 exactly when M0 and M1 leave equal reduced states on the
+    rest.  Then M1 M0^dagger = U (M0 M0^dagger) is a polar decomposition,
+    so its polar factor W V^dagger (from the SVD W S V^dagger) agrees
+    with U on the range of M0 and maps M0 to M1.  Raises ValueError
+    when it does not, i.e. when the rest distinguishes the codewords.
     """
     subset = sorted(set(subset))
     n = spec.n
-    _check_cap(n)
     if not subset or not (1 <= subset[0] and subset[-1] <= n) or len(subset) >= n:
         raise ValueError("subset must be a proper nonempty set of qubit indices")
-    psi0 = codeword_vector(spec, 0)
-    psi1 = codeword_vector(spec, 1)
-    d = len(subset)
-    rest = [q for q in range(1, n + 1) if q not in subset]
-    perm = [q - 1 for q in subset + rest]
-    a = psi0.reshape((2,) * n).transpose(perm).reshape(1 << d, 1 << (n - d))
-    b = psi1.reshape((2,) * n).transpose(perm).reshape(1 << d, 1 << (n - d))
-    u0, s0, v0h = np.linalg.svd(a, full_matrices=True)
-    kept = s0 > 1e-12
-    # coefficients of psi1 against psi0's complement-side vectors
-    b_cols = b @ v0h.conj().T
-    r = len(s0)
-    hat = b_cols[:, :r][:, kept] / s0[kept]
-    residual = np.hstack([b_cols[:, :r][:, ~kept], b_cols[:, r:]])
-    if np.linalg.norm(residual) > 1e-8:
+    m0 = _split(codeword_vector(spec, 0), subset, n)[0]
+    m1 = _split(codeword_vector(spec, 1), subset, n)[0]
+    w, _, vh = np.linalg.svd(m1 @ m0.conj().T)
+    u = w @ vh
+    if not np.linalg.norm(u @ m0 - m1) < ATOL:
         raise ValueError(f"subset {subset} does not relate the codewords")
-    gram = hat.conj().T @ hat
-    if np.linalg.norm(gram - np.eye(hat.shape[1])) > 1e-8:
-        raise ValueError(f"subset {subset} does not relate the codewords")
-    hat_full = _complete_basis(hat)
-    return hat_full @ u0.conj().T
+    return u
 
 
-def _complete_basis(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary, deterministically."""
-    dim, have = cols.shape
-    if have == dim:
-        return cols
-    full = [cols[:, i] for i in range(have)]
-    for seed in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[seed] = 1.0
-        for w in full:
-            v -= w * (w.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            full.append(v / norm)
-            if len(full) == dim:
-                break
-    return np.column_stack(full)
-
-
-def relates_codewords(spec: CodeSpec, subset: Sequence[int], u: np.ndarray, atol: float = 1e-8) -> bool:
+def relates_codewords(spec: CodeSpec, subset: Sequence[int], u: np.ndarray) -> bool:
     """Check |(U on subset) psi0> equals |psi1> up to a global phase."""
     psi0 = codeword_vector(spec, 0)
     psi1 = codeword_vector(spec, 1)
     moved = apply_on_subset(u, psi0, sorted(set(subset)), spec.n)
     overlap = psi1.conj() @ moved
-    return bool(abs(abs(overlap) - 1.0) < atol and np.linalg.norm(moved * np.conj(overlap) / max(abs(overlap), 1e-30) - psi1) < atol)
+    return bool(abs(abs(overlap) - 1.0) < ATOL and np.linalg.norm(moved * np.conj(overlap) / max(abs(overlap), 1e-30) - psi1) < ATOL)
 
 
-def reduced_equal_dense(spec: CodeSpec, traced_out: Iterable[int], atol: float = 1e-9) -> bool:
+def reduced_equal_dense(spec: CodeSpec, traced_out: Iterable[int]) -> bool:
     """Compare the codewords' reduced matrices from their state vectors."""
-    return frobenius_distance(
-        reduced_state(codeword_states(spec, 0), traced_out),
-        reduced_state(codeword_states(spec, 1), traced_out),
-    ) < atol
+    return reduced_distance(codeword_states(spec, 0), codeword_states(spec, 1), traced_out) < ATOL
 
 
-def phase_family_check(n: int, alpha: complex, beta: complex, theta: float, atol: float = 1e-9) -> bool:
+def phase_family_check(n: int, alpha: complex, beta: complex, theta: float) -> bool:
     """Equal single-qubit-traced reductions for the two-amplitude family.
 
     The pair is (alpha|0..0> + beta|1..1>, alpha|0..0> + beta e^{i theta}|1..1>);
     returns True iff tracing out any one qubit leaves equal matrices.
     """
     _check_cap(n)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > ATOL:
         raise ValueError("amplitudes must be normalized")
     dim = 1 << n
     v0 = np.zeros(dim, dtype=complex)
@@ -317,7 +286,4 @@ def phase_family_check(n: int, alpha: complex, beta: complex, theta: float, atol
     v0[0] = v1[0] = alpha
     v0[dim - 1] = beta
     v1[dim - 1] = beta * np.exp(1j * theta)
-    return all(
-        frobenius_distance(reduced_state(v0[None], [q]), reduced_state(v1[None], [q])) < atol
-        for q in range(1, n + 1)
-    )
+    return all(reduced_distance(v0[None], v1[None], [q]) < ATOL for q in range(1, n + 1))

@@ -310,15 +310,10 @@ def bc_demo(samples: int, seed: int = 0) -> BcDemoResult:
     for bit, state in opened.items():
         shared_basis = rng.integers(0, 2, size=samples)  # 0 = Z, 1 = X
         draws = rng.random(samples)
-        ok = 0
-        probs = {}
-        for b in (0, 1):
-            rotated = state if b == 0 else np.kron(hadamard, hadamard) @ state
-            probs[b] = np.abs(rotated) ** 2
-        for b, d in zip(shared_basis, draws):
-            outcome = int(np.searchsorted(np.cumsum(probs[int(b)]), d))
-            bits = (outcome >> 1 & 1), (outcome & 1)
-            correlated = bits[0] == bits[1]
-            ok += correlated == (bit == 1)
-        success[bit] = ok / samples
+        outcome = np.empty(samples, dtype=np.int64)
+        for b, rotated in enumerate((state, np.kron(hadamard, hadamard) @ state)):
+            at = shared_basis == b
+            outcome[at] = np.searchsorted(np.cumsum(np.abs(rotated) ** 2), draws[at])
+        correlated = (outcome >> 1 & 1) == (outcome & 1)
+        success[bit] = int(np.count_nonzero(correlated == (bit == 1))) / samples
     return BcDemoResult(samples, worst, success)

@@ -156,10 +156,10 @@ class StabilizerGroup:
 
     # -- enumeration ---------------------------------------------------
 
-    def elements(self, cap: int = MAX_ENUM_RANK) -> list[PauliOperator]:
+    def elements(self) -> list[PauliOperator]:
         """All 2^rank signed elements, Gray-code order starting from +I."""
-        if self.rank > cap:
-            raise EnumerationCapError(f"rank {self.rank} exceeds enumeration cap {cap}")
+        if self.rank > MAX_ENUM_RANK:
+            raise EnumerationCapError(f"rank {self.rank} exceeds enumeration cap {MAX_ENUM_RANK}")
         out = [PauliOperator.identity(self.n)]
         cur = out[0]
         for m in range(1, 1 << self.rank):
@@ -167,11 +167,11 @@ class StabilizerGroup:
             out.append(cur)
         return out
 
-    def coset(self, rep: PauliOperator, cap: int = MAX_ENUM_RANK) -> list[PauliOperator]:
+    def coset(self, rep: PauliOperator) -> list[PauliOperator]:
         """The signed elements {rep * s} in group enumeration order."""
         if rep.n != self.n:
             raise ValueError("qubit count mismatch")
-        return [rep * s for s in self.elements(cap)]
+        return [rep * s for s in self.elements()]
 
     def centralizer_basis(self) -> list[PauliOperator]:
         """2n - rank unsigned Paulis spanning the commutant of the group."""
@@ -338,11 +338,11 @@ class CosetTable:
     factors.
     """
 
-    def __init__(self, group: StabilizerGroup, rep: PauliOperator, cap: int = MAX_ENUM_RANK):
+    def __init__(self, group: StabilizerGroup, rep: PauliOperator):
         if rep.n != group.n:
             raise ValueError("qubit count mismatch")
-        if group.rank > cap:
-            raise EnumerationCapError(f"rank {group.rank} exceeds enumeration cap {cap}")
+        if group.rank > MAX_ENUM_RANK:
+            raise EnumerationCapError(f"rank {group.rank} exceeds enumeration cap {MAX_ENUM_RANK}")
         if group.n > MAX_ROW_N:
             raise EnumerationCapError(f"n {group.n} exceeds bit-packed row cap {MAX_ROW_N}")
         self.n, self.rank = group.n, group.rank
@@ -395,16 +395,14 @@ def _span(basis: Sequence[PauliOperator], x: int, z: int) -> tuple[np.ndarray, n
     return xs, zs
 
 
-def coset_min_weight(
-    group: StabilizerGroup, rep: PauliOperator, cap: int = MAX_ENUM_RANK
-) -> tuple[int, PauliOperator]:
+def coset_min_weight(group: StabilizerGroup, rep: PauliOperator) -> tuple[int, PauliOperator]:
     """Minimum Pauli weight over {rep * s}, with a deterministic witness.
 
     Ties break by the witness's letters (the string without its sign),
     so results are stable across runs and generator orderings that span
     the same group.  The witness carries its sign.
     """
-    return CosetTable(group, rep, cap).min_weight()
+    return CosetTable(group, rep).min_weight()
 
 
 def logical_classes(

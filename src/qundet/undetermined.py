@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from qundet import codes
+from qundet import codes, dense
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
 from qundet.stabilizer import (
@@ -84,12 +84,6 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
 @lru_cache(maxsize=4)
 def _table_of(spec: CodeSpec) -> CosetTable:
     return CosetTable(_group_of(spec), _difference_rep(spec))
-
-
-def _threshold_D(n: int, w_min: int) -> int | None:
-    """n - w_min + 1, or None when no feasible trace (at most n - 1 qubits) reaches it."""
-    d = n - w_min + 1
-    return d if d <= n - 1 else None
 
 
 def _subset_mask(subset: Iterable[int], n: int) -> int:
@@ -143,7 +137,7 @@ def unconditional_D(spec: CodeSpec, cross_check: bool | None = None) -> Uncondit
     """
     group = _group_of(spec)
     w_min, witness = _table_of(spec).min_weight()
-    d_min = _threshold_D(spec.n, w_min)
+    d_min = spec.n - w_min + 1 if w_min > 1 else None
     if cross_check is None:
         cost = group.rank * sum(
             math.comb(spec.n, d) for d in ((d_min, d_min - 1) if d_min else (spec.n - 1,))
@@ -339,7 +333,6 @@ def mixed_tracedown_check(
     spec: CodeSpec,
     d_prime: int,
     traced_subset: Sequence[int] | None = None,
-    atol: float = 1e-9,
 ) -> TracedownResult:
     """Trace d_prime qubits off both codewords, then test D'' = D - d_prime.
 
@@ -349,8 +342,6 @@ def mixed_tracedown_check(
     leaves equal matrices.  The remaining qubits renumber to 1..n-d_prime
     in ascending original order.
     """
-    from qundet import dense
-
     if spec.k != 1:
         raise ValueError("mixed_tracedown_check needs a k=1 code")
     d_pure = unconditional_D(spec, cross_check=False).d_min
@@ -372,14 +363,10 @@ def mixed_tracedown_check(
     checked = 0
     # rest is ascending, so this is the lexicographic order over 1..n-d_prime
     for further in itertools.combinations(rest, d_double):
-        traced = traced_subset + further
-        dev = dense.frobenius_distance(
-            dense.reduced_state(states0, traced), dense.reduced_state(states1, traced)
-        )
-        worst = max(worst, dev)
+        worst = max(worst, dense.reduced_distance(states0, states1, traced_subset + further))
         checked += 1
     return TracedownResult(
-        d_pure, d_prime, d_double, traced_subset, worst < atol, checked, worst
+        d_pure, d_prime, d_double, traced_subset, worst < dense.ATOL, checked, worst
     )
 
 
@@ -415,8 +402,7 @@ def mixed_pair_n2(spec: CodeSpec) -> MixedPairResult:
     """
     if spec.k != 2:
         raise ValueError("mixed_pair_n2 needs a k=2 code")
-    w_min, witness = _table_of(spec).min_weight()
-    d_mixed = _threshold_D(spec.n, w_min)
+    d_mixed, w_min, witness = unconditional_D(spec, cross_check=False)
     weight_d = () if d_mixed is None else tuple(_x_members_of_weight(spec, d_mixed))
     return MixedPairResult(d_mixed, w_min, witness, logical_x_count(_group_of(spec)), weight_d)
 
@@ -467,7 +453,6 @@ def analyze_code(
     conditional: Sequence[int] = (),
     max_trace: int | None = None,
     oracle: bool = False,
-    oracle_atol: float = 1e-9,
 ) -> UndeterminedReport:
     """Run the full symbolic analysis, optionally oracle cross-checked.
 
@@ -483,14 +468,14 @@ def analyze_code(
     group = _group_of(spec)
     notes = [X_SET_COUNTING_NOTE]
     w_min: int | None
+    d_min: int | None
     try:
-        w_min, _ = _table_of(spec).min_weight()
+        d_min, w_min, _ = unconditional_D(spec, cross_check=False)
     except EnumerationCapError as exc:
-        w_min = None
+        w_min = d_min = None
         notes.append(f"w_min and minimal_unconditional_d not computed: {exc}")
         if spec.k == 2:
             notes.append(f"mixed not computed: {exc}")
-    d_min = None if w_min is None else _threshold_D(spec.n, w_min)
     try:
         distance: int | None = code_distance(group)
     except EnumerationCapError as exc:
@@ -512,7 +497,7 @@ def analyze_code(
     mixed = mixed_pair_n2(spec) if spec.k == 2 and w_min is not None else None
     methods = ["symbolic"]
     if oracle:
-        oracle_sweep(spec, atol=oracle_atol)
+        oracle_sweep(spec)
         methods.append("oracle")
     return UndeterminedReport(
         name=spec.name,
@@ -532,7 +517,7 @@ def analyze_code(
     )
 
 
-def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None, atol: float = 1e-9) -> int:
+def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
     """Dense cross-check of the symbolic verdicts; returns the subsets compared.
 
     Builds the codeword state vectors once (two per codeword for the
@@ -542,8 +527,6 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None, atol: float
     ``reduced_equal_on``) with the Frobenius distance of the dense
     reduced states.  Any disagreement raises RuntimeError.
     """
-    from qundet import dense
-
     states0 = dense.codeword_states(spec, 0)
     states1 = dense.codeword_states(spec, 1)
     if sizes is None:
@@ -552,10 +535,8 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None, atol: float
     for size in sizes:
         for batch, solve in _solves(spec, size):
             for subset, symbolic in zip(batch, solve.equal.tolist()):
-                dev = dense.frobenius_distance(
-                    dense.reduced_state(states0, subset), dense.reduced_state(states1, subset)
-                )
-                numeric = dev < atol
+                dev = dense.reduced_distance(states0, states1, subset)
+                numeric = dev < dense.ATOL
                 if symbolic != numeric:
                     raise RuntimeError(
                         f"symbolic/oracle disagreement on {spec.name} traced {subset}: "

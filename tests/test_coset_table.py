@@ -163,10 +163,10 @@ def test_scans_at_the_rank_cap_stay_small():
 
 
 def test_enumeration_cap_still_fires():
-    spec = codes.catalog("steane_713")
-    with pytest.raises(EnumerationCapError):
-        coset_min_weight(spec.group(), spec.logical_z_ops()[0], cap=5)
     past_cap = codes.catalog("ghz", n=MAX_ENUM_RANK + 2)
+    assert past_cap.group().rank == MAX_ENUM_RANK + 1
+    with pytest.raises(EnumerationCapError):
+        coset_min_weight(past_cap.group(), past_cap.logical_z_ops()[0])
     with pytest.raises(EnumerationCapError):
         und.unconditional_D(past_cap, cross_check=False)
     # kept-set queries enumerate nothing, so the rank cap does not bind them

@@ -99,11 +99,13 @@ def test_codeword_densities_span_the_codespace():
     st.integers(0, 2 ** 32 - 1),
 )))
 def test_apply_pauli_matches_matrix(args):
+    # pauli_matrix is built from apply_pauli, so the kernel is checked
+    # against the independent Kronecker-product helper
     n, x, z, p, seed = args
     op = PauliOperator(n, x, z, p)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
-    expect = (pauli_matrix(op) @ v.T).T
+    expect = (matrix_of(op) @ v.T).T
     np.testing.assert_allclose(apply_pauli(op, v), expect, atol=1e-12)
     np.testing.assert_allclose(apply_pauli(op, v[0]), expect[0], atol=1e-12)
 
@@ -117,7 +119,7 @@ def test_codeword_states_fixed_by_generators(name, n):
         for vec, ops in zip(states, sets):
             assert abs(np.linalg.norm(vec) - 1) < 1e-12
             for op in ops:
-                np.testing.assert_allclose(pauli_matrix(op) @ vec, vec, atol=1e-12)
+                np.testing.assert_allclose(matrix_of(op) @ vec, vec, atol=1e-12)
 
 
 @pytest.mark.parametrize("name,n", SMALL_CODES)
@@ -327,6 +329,24 @@ def test_relating_unitary_rejects_distinguishing_subset():
     assert not reduced_equal_dense(spec, (2, 3, 4))
     with pytest.raises(ValueError):
         relating_unitary(spec, (2, 3, 4))
+
+
+@pytest.mark.parametrize("name,n", [("ghz", n) for n in range(3, 6)] + [
+    ("code_412", None), ("code_513", None), ("steane_713", None),
+])
+def test_relating_unitary_exists_iff_reductions_agree(name, n):
+    # a unitary on the traced qubits maps codeword 0 to codeword 1
+    # exactly when the kept qubits leave equal reduced states
+    spec = catalog(name, n=n)
+    for size in range(1, spec.n):
+        for traced in itertools.combinations(range(1, spec.n + 1), size):
+            if not reduced_equal_dense(spec, traced):
+                with pytest.raises(ValueError, match="does not relate"):
+                    relating_unitary(spec, traced)
+                continue
+            u = relating_unitary(spec, traced)
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(1 << size), atol=1e-12)
+            assert relates_codewords(spec, traced, u), traced
 
 
 def test_relating_unitary_rejects_bad_subset():

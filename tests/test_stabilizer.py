@@ -9,6 +9,7 @@ from qundet.pauli import PauliOperator, parse_pauli
 from qundet.stabilizer import (
     DependentGeneratorsError,
     EnumerationCapError,
+    MAX_ENUM_RANK,
     MinusIdentityError,
     NonCommutingGeneratorsError,
     StabilizerGroup,
@@ -92,9 +93,10 @@ def test_code_422_group_contains_plus_xxxx():
 
 
 def test_enumeration_cap():
-    spec = codes.catalog("steane_713")
+    past_cap = codes.catalog("ghz", n=MAX_ENUM_RANK + 2)
+    assert past_cap.group().rank == MAX_ENUM_RANK + 1
     with pytest.raises(EnumerationCapError):
-        spec.group().elements(cap=3)
+        past_cap.group().elements()
 
 
 def test_elements_are_hermitian_and_distinct():
