@@ -22,17 +22,23 @@ vectors.  The reduced state on the kept qubits K is
 sum_i M_i M_i^dagger / m, where M_i is vector i reshaped to
 2^|K| x 2^|T| (T the traced qubits).
 
-Two reduced states are equal when their Frobenius distance is below
-``ATOL``: an equal pair's distance is exactly 0 and a determined pair's
-is at least 2^((3-n)/2), so one constant separates them up to the cap
-(docs/method.md).  Sizes are capped at n <= ``ORACLE_MAX_N``.  Memory
-is O(2^n); the cap bounds time, since a sweep over every traced subset
-costs sum_K 2^(n+|K|) = O(6^n).
+Two reduced states are compared on the smaller side of the cut.  With
+A and B the two stacks as 2^|K| x m 2^|T| matrices, the reduced states
+themselves are formed when 2^|K| <= 2m 2^|T|; otherwise the R factor
+of [A | B] = Q R stands in for it, since the isometry Q leaves the
+Frobenius distance unchanged.  A subset then costs
+O(2^n min(2^|K|, 2m 2^|T|)), not 2^(n+|K|).  The two states are
+equal when that distance is below ``ATOL``: an equal pair's distance
+is exactly 0 on the direct side and about 1e-16 on the QR side, and a
+determined pair's is at least 2^((3-n)/2), so one constant separates
+them up to the cap (docs/method.md).  Sizes are capped at n <= ``ORACLE_MAX_N``,
+which bounds ``pauli_matrix``'s 4^n entries; the state vectors take
+O(2^n) memory.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +49,8 @@ from qundet.stabilizer import StabilizerGroup
 ORACLE_MAX_N = 10
 # reduced-state distances below this are equal (see the module docstring)
 ATOL = 1e-9
+# gathered amplitudes per stack in one chunk of traced subsets
+_CHUNK = 1 << 14
 
 # seed of the start vector every codeword is projected from; any vector
 # with a nonzero overlap works, and a fixed one keeps reruns identical
@@ -140,6 +148,53 @@ def codeword_states(spec: CodeSpec, which: int) -> np.ndarray:
     ])
 
 
+def _traced_sets(subsets: Iterable[Iterable[int]], n: int) -> list[tuple[int, ...]]:
+    """The 1-based traced subsets, each sorted; they must share one size."""
+    traced = [tuple(sorted(set(s))) for s in subsets]
+    if len({len(t) for t in traced}) > 1:
+        raise ValueError("traced subsets must all have the same size")
+    if any(t and not (1 <= t[0] and t[-1] <= n) for t in traced):
+        raise ValueError(f"traced qubits out of range 1..{n}")
+    return traced
+
+
+def _bits(width: int) -> np.ndarray:
+    """Row i holds the ``width`` bits of i, most significant first."""
+    return np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1) & 1
+
+
+def _cut(states: np.ndarray, traced: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """The stack ``states`` cut kept x traced for each traced set, by one gather.
+
+    Returns shape (len(traced), 2^|K|, m 2^|T|): row bits are the kept
+    qubits and column bits the stack index then the traced qubits, each
+    most significant first in ascending qubit order, as in
+    :func:`partial_trace`.
+    """
+    t = len(traced[0])
+    member = np.zeros((len(traced), n), dtype=bool)
+    np.put_along_axis(member, np.array(traced, dtype=np.intp) - 1, True, axis=1)
+    # per set, the kept qubits then the traced ones, each ascending, as
+    # their basis-index weights (qubit q weighs 2^(n-q))
+    weights = 1 << (n - 1 - np.argsort(member, axis=1, kind="stable"))
+    rows = weights[:, :n - t] @ _bits(n - t).T
+    cols = weights[:, n - t:] @ _bits(t).T
+    stack = np.arange(len(states)) << n
+    index = rows[:, :, None, None] + stack[:, None] + cols[:, None, None, :]
+    return states.ravel()[index].reshape(len(traced), len(rows[0]), -1)
+
+
+def _scaled(states: np.ndarray) -> tuple[np.ndarray, float]:
+    """``states`` scaled to amplitudes of modulus at most 1, and its squared norm.
+
+    The trace of M M^dagger is m for unit rows; with this scaling and the
+    trace divided out of the small factor, a stabilizer state's reduced
+    state is exact: Gaussian integers over a power of 2.
+    """
+    scaled = states / np.abs(states).max()
+    return scaled, np.vdot(scaled, scaled).real
+
+
 def reduced_state(states: np.ndarray, traced_out: Iterable[int]) -> np.ndarray:
     """Reduced matrix of the equal mixture of ``states`` on the kept qubits.
 
@@ -147,22 +202,11 @@ def reduced_state(states: np.ndarray, traced_out: Iterable[int]) -> np.ndarray:
     qubits are traced out and the kept ones stay in ascending order, as
     in :func:`partial_trace`.
     """
-    m, dim = states.shape
-    n = dim.bit_length() - 1
-    traced = sorted(set(traced_out))
-    if traced and not (1 <= traced[0] and traced[-1] <= n):
-        raise ValueError(f"traced qubits out of range 1..{n}")
-    kept = [q for q in range(1, n + 1) if q not in traced]
-    # axis 0 indexes the stack and axis q holds qubit q; the stack axis
-    # joins the traced side, so one product sums over both
-    t = states.reshape((m,) + (2,) * n).transpose(kept + [0] + traced)
-    mat = t.reshape(1 << len(kept), m << len(traced))
-    # the trace of mat mat^dagger is m for unit rows; with the amplitudes
-    # scaled to modulus at most 1 and the trace divided out of the small
-    # factor, a stabilizer state's reduced state is exact: Gaussian
-    # integers over a power of 2
-    mat = mat / np.abs(mat).max()
-    return mat @ (mat.conj().T / np.vdot(mat, mat).real)
+    n = states.shape[1].bit_length() - 1
+    scaled, norm = _scaled(states)
+    # the stack axis joins the traced side, so one product sums over both
+    mat = _cut(scaled, _traced_sets([traced_out], n), n)[0]
+    return mat @ (mat.conj().T / norm)
 
 
 def codeword_vector(spec: CodeSpec, logical_bit: int) -> np.ndarray:
@@ -209,10 +253,50 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def reduced_distances(
+    states0: np.ndarray, states1: np.ndarray, subsets: Iterable[Iterable[int]]
+) -> Iterator[float]:
+    """Frobenius distance of two stacks' reduced states, one per traced subset.
+
+    The subsets must share one size; each distance is one
+    :func:`frobenius_distance` call, in the order of ``subsets``.  With
+    A and B the stacks cut kept x traced (see :func:`reduced_state`),
+    the distance is ||A A^dagger - B B^dagger||.  When the kept side is
+    the larger, the R factor of C = [A | B] = Q R replaces C: Q is an
+    isometry, so the distance is ||R_a R_a^dagger - R_b R_b^dagger||
+    and no 2^|K| x 2^|K| matrix is formed.
+    """
+    n = states0.shape[1].bit_length() - 1
+    return _distances(states0, states1, _traced_sets(subsets, n), n)
+
+
+def _distances(
+    states0: np.ndarray, states1: np.ndarray, traced: list[tuple[int, ...]], n: int
+) -> Iterator[float]:
+    if not traced:
+        return
+    (scaled0, norm0), (scaled1, norm1) = _scaled(states0), _scaled(states1)
+    both = np.concatenate([scaled0, scaled1])
+    t = len(traced[0])
+    split = len(states0) << t
+    # the kept side is the smaller one: the reduced states themselves,
+    # exact as in reduced_state, so an equal pair reads exactly 0
+    direct = 1 << (n - t) <= len(both) << t
+    step = max(1, _CHUNK // max(states0.size, states1.size))
+    for at in range(0, len(traced), step):
+        cut = _cut(both, traced[at:at + step], n)
+        if not direct:
+            cut = np.linalg.qr(cut, mode="r")
+        a, b = cut[..., :split], cut[..., split:]
+        rho0 = a @ (a.conj().swapaxes(1, 2) / norm0)
+        rho1 = b @ (b.conj().swapaxes(1, 2) / norm1)
+        for r0, r1 in zip(rho0, rho1):
+            yield frobenius_distance(r0, r1)
+
+
 def reduced_distance(states0: np.ndarray, states1: np.ndarray, traced_out: Iterable[int]) -> float:
-    """Frobenius distance of two stacks' reduced states, as in :func:`reduced_state`."""
-    traced = tuple(traced_out)
-    return frobenius_distance(reduced_state(states0, traced), reduced_state(states1, traced))
+    """The one-subset case of :func:`reduced_distances`."""
+    return next(reduced_distances(states0, states1, [traced_out]))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -359,14 +359,11 @@ def mixed_tracedown_check(
     states0 = dense.codeword_states(spec, 0)
     states1 = dense.codeword_states(spec, 1)
     rest = [q for q in range(1, spec.n + 1) if q not in traced_subset]
-    worst = 0.0
-    checked = 0
     # rest is ascending, so this is the lexicographic order over 1..n-d_prime
-    for further in itertools.combinations(rest, d_double):
-        worst = max(worst, dense.reduced_distance(states0, states1, traced_subset + further))
-        checked += 1
+    subsets = [traced_subset + further for further in itertools.combinations(rest, d_double)]
+    worst = max(dense.reduced_distances(states0, states1, subsets))
     return TracedownResult(
-        d_pure, d_prime, d_double, traced_subset, worst < dense.ATOL, checked, worst
+        d_pure, d_prime, d_double, traced_subset, worst < dense.ATOL, len(subsets), worst
     )
 
 
@@ -534,8 +531,8 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
     checked = 0
     for size in sizes:
         for batch, solve in _solves(spec, size):
-            for subset, symbolic in zip(batch, solve.equal.tolist()):
-                dev = dense.reduced_distance(states0, states1, subset)
+            devs = dense.reduced_distances(states0, states1, batch)
+            for subset, symbolic, dev in zip(batch, solve.equal.tolist(), devs):
                 numeric = dev < dense.ATOL
                 if symbolic != numeric:
                     raise RuntimeError(
@@ -550,7 +547,9 @@ def scan_cyclic(lo: int, hi: int) -> list[dict]:
     """Validity and (n-2)-undeterminedness of the cyclic code, per n in lo..hi.
 
     A valid n gives its rank, w_min, d_min and whether d_min <= n - 2;
-    an invalid n gives the validation failures.
+    an invalid n gives the validation failures.  Past the rank cap
+    (``MAX_ENUM_RANK``) the last three are None, and ``note`` gives the
+    reason.
     """
     if lo < 5 or hi < lo:
         raise ValueError("need 5 <= from <= to")
@@ -561,13 +560,13 @@ def scan_cyclic(lo: int, hi: int) -> list[dict]:
         except codes.CodeValidationError as exc:
             rows.append({"n": n, "valid": False, "failures": list(exc.report.failures)})
             continue
-        r = unconditional_D(spec, cross_check=False)
-        rows.append({
-            "n": n,
-            "valid": True,
-            "rank": spec.n - 1,
-            "w_min": r.w_min,
-            "d_min": r.d_min,
-            "n_minus_2_undetermined": r.d_min is not None and r.d_min <= n - 2,
-        })
+        row = {"n": n, "valid": True, "rank": spec.n - 1}
+        try:
+            r = unconditional_D(spec, cross_check=False)
+        except EnumerationCapError as exc:
+            row.update(w_min=None, d_min=None, n_minus_2_undetermined=None, note=str(exc))
+        else:
+            row.update(w_min=r.w_min, d_min=r.d_min,
+                       n_minus_2_undetermined=r.d_min is not None and r.d_min <= n - 2)
+        rows.append(row)
     return rows

@@ -131,6 +131,26 @@ def test_scan_cyclic_human(capsys):
     assert "n= 8: construction invalid" in out
 
 
+def test_scan_cyclic_past_the_cap(capsys):
+    # rank n - 1 passes the enumeration cap (20) after n = 21; those rows
+    # are nulls with the reason, and the scan still succeeds
+    assert run(["scan-cyclic", "--from", "21", "--to", "23", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows = {row["n"]: row for row in doc["result"]["rows"]}
+    assert rows[21]["n_minus_2_undetermined"] is True
+    assert (rows[21]["w_min"], rows[21]["d_min"]) == (7, 15)
+    assert "note" not in rows[21]
+    for n in (22, 23):
+        assert rows[n]["valid"]
+        assert rows[n]["w_min"] is rows[n]["d_min"] is rows[n]["n_minus_2_undetermined"] is None
+        assert rows[n]["note"] == f"rank {n - 1} exceeds enumeration cap 20"
+    assert doc["result"]["claim_ok"] is True
+    assert run(["scan-cyclic", "--from", "21", "--to", "23"]) == 0
+    out = capsys.readouterr().out
+    assert "n=21: valid, w_min=7, D_min=15" in out
+    assert "n=22: valid, w_min and D_min not computed (rank 21 exceeds" in out
+
+
 def test_qss_json(capsys):
     rc = run(["qss", "--rounds", "2000", "--seed", "5", "--json"])
     assert rc == 0

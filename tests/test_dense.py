@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import matrix_of
+import qundet.undetermined as und
 from qundet import dense
 from qundet.codes import CodeSpec, catalog
 from qundet.dense import (
@@ -22,6 +23,7 @@ from qundet.dense import (
     partial_trace,
     pauli_matrix,
     phase_family_check,
+    reduced_distances,
     reduced_equal_dense,
     reduced_state,
     relates_codewords,
@@ -133,6 +135,92 @@ def test_reduced_state_matches_partial_trace(name, n):
                 np.testing.assert_allclose(
                     reduced_state(states, traced), partial_trace(rho, traced, spec.n),
                     atol=1e-12, err_msg=f"{spec.name} codeword {which} traced {traced}")
+
+
+# every catalog code with n <= 7, for the exhaustive reduced_distances checks
+CATALOG_UP_TO_7 = [("ghz", n) for n in range(2, 8)] + [("cyclic", n) for n in (5, 6, 7)] + [
+    ("code_412", None), ("code_513", None), ("steane_713", None), ("code_422", None),
+]
+
+# the specs the benchmark's oracle sweep runs, unpermuted
+SWEEP_CODES = [
+    ("code_412", None), ("code_513", None), ("code_422", None), ("steane_713", None),
+    ("cyclic", 7), ("cyclic", 9), ("ghz", 8), ("ghz", 9), ("ghz", 10),
+]
+
+
+def _qr_side(n, size, m):
+    """Does reduced_distances take the R factor for traced sets of this size?"""
+    return 1 << (n - size) > 2 * m << size
+
+
+def _subsets(n, size):
+    return list(itertools.combinations(range(1, n + 1), size))
+
+
+@pytest.mark.parametrize("name,n", CATALOG_UP_TO_7)
+def test_reduced_distances_match_partial_trace(name, n):
+    spec = catalog(name, n=n)
+    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    if spec.k == 1:
+        rho0, rho1 = build_density(spec, 0), build_density(spec, 1)
+    else:
+        rho0, rho1 = build_mixed_density(spec, 0), build_mixed_density(spec, 1)
+    sides = set()
+    for size in range(spec.n + 1):
+        sides.add(_qr_side(spec.n, size, spec.k))
+        subsets = _subsets(spec.n, size)
+        got = list(reduced_distances(s0, s1, subsets))
+        assert len(got) == len(subsets)
+        for traced, dist in zip(subsets, got):
+            want = frobenius_distance(
+                partial_trace(rho0, traced, spec.n), partial_trace(rho1, traced, spec.n))
+            assert abs(dist - want) < 1e-12, f"{spec.name} traced {traced}"
+    # with the untraced size 0, every code here has sizes on both sides of the cut
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("name,n", SWEEP_CODES)
+def test_reduced_distances_separate_the_verdicts(name, n):
+    spec = catalog(name, n=n)
+    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    floor = 2 ** ((3 - spec.n) / 2)
+    for size in range(1, spec.n):
+        for batch, solve in und._solves(spec, size):
+            dists = list(reduced_distances(s0, s1, batch))
+            for traced, equal, dist in zip(batch, solve.equal.tolist(), dists):
+                if not equal:
+                    assert dist >= floor * (1 - 1e-12), f"{spec.name} traced {traced}"
+                elif _qr_side(spec.n, size, spec.k):
+                    assert dist < 1e-12, f"{spec.name} traced {traced}"
+                else:
+                    # the direct side forms the exact reduced states
+                    assert dist == 0, f"{spec.name} traced {traced}"
+
+
+@pytest.mark.parametrize("name,n", [("ghz", 9), ("cyclic", 7), ("code_422", None)])
+def test_reduced_distances_do_not_depend_on_the_chunk(monkeypatch, name, n):
+    spec = catalog(name, n=n)
+    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    per_size = [_subsets(spec.n, size) for size in range(1, spec.n)]
+    default = [list(reduced_distances(s0, s1, subsets)) for subsets in per_size]
+    monkeypatch.setattr(dense, "_CHUNK", 1)
+    single = [list(reduced_distances(s0, s1, subsets)) for subsets in per_size]
+    for a, b in zip(default, single):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+        assert [d < dense.ATOL for d in a] == [d < dense.ATOL for d in b]
+
+
+def test_reduced_distances_reject_mixed_sizes():
+    spec = catalog("steane_713")
+    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    with pytest.raises(ValueError, match="same size"):
+        reduced_distances(s0, s1, [(1,), (1, 2)])
+    with pytest.raises(ValueError, match="out of range"):
+        reduced_distances(s0, s1, [(0, 1)])
+    assert list(reduced_distances(s0, s1, [])) == []
+    # a repeated qubit counts once, as in reduced_state
+    assert list(reduced_distances(s0, s1, [(2, 3, 4), (4, 3, 2, 2)])) == [0.5, 0.5]
 
 
 def test_codeword_states_do_not_depend_on_the_start_vector(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qundet.undetermined as und
+from qundet import dense
 from qundet.codes import CodeSpec, catalog, validate
 from qundet.stabilizer import code_distance
 from qundet.undetermined import (
@@ -332,6 +333,22 @@ def test_oracle_sweep_catches_disagreement(monkeypatch):
     monkeypatch.setattr(und, "_solves", lying)
     with pytest.raises(RuntimeError, match="disagreement"):
         analyze_code(spec, oracle=True)
+
+
+@pytest.mark.parametrize("name,n", [("ghz", 8), ("code_422", None)])
+def test_oracle_sweep_compares_each_subset_once(monkeypatch, name, n):
+    # the benchmark counts comparisons through the module global, and
+    # checks for one per traced subset
+    calls = []
+    real = dense.frobenius_distance
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(dense, "frobenius_distance", counted)
+    spec = catalog(name, n=n)
+    assert oracle_sweep(spec) == len(calls) == 2 ** spec.n - 2
 
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
