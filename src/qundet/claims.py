@@ -145,8 +145,8 @@ def claim_5() -> ClaimResult:
         eq, witness = und.reduced_equal_on(spec, [2, 3, 4])
         if eq or witness is None:
             return False, "tracing {2,3,4} did not distinguish the codewords"
-        dist = dense.reduced_distance(
-            dense.codeword_states(spec, 0), dense.codeword_states(spec, 1), [2, 3, 4]
+        (dist,) = dense.reduced_distances(
+            dense.codeword_states(spec, 0), dense.codeword_states(spec, 1), [(2, 3, 4)]
         )
         if dist <= 1e-6:
             return False, f"oracle distance {dist} too small"

@@ -1,4 +1,4 @@
-"""Dense numeric oracle: state vectors, reduced states, partial traces.
+"""Dense numeric oracle: codeword state vectors and reduced-state distances.
 
 Everything here is an independent check on the symbolic engine.  A
 Pauli's dense realization is a generalized permutation matrix,
@@ -38,7 +38,7 @@ O(2^n) memory.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -195,30 +195,11 @@ def _scaled(states: np.ndarray) -> tuple[np.ndarray, float]:
     return scaled, np.vdot(scaled, scaled).real
 
 
-def reduced_state(states: np.ndarray, traced_out: Iterable[int]) -> np.ndarray:
-    """Reduced matrix of the equal mixture of ``states`` on the kept qubits.
-
-    ``states`` is a stack of 2^n vectors; the 1-based ``traced_out``
-    qubits are traced out and the kept ones stay in ascending order, as
-    in :func:`partial_trace`.
-    """
-    n = states.shape[1].bit_length() - 1
-    scaled, norm = _scaled(states)
-    # the stack axis joins the traced side, so one product sums over both
-    mat = _cut(scaled, _traced_sets([traced_out], n), n)[0]
-    return mat @ (mat.conj().T / norm)
-
-
-def codeword_vector(spec: CodeSpec, logical_bit: int) -> np.ndarray:
-    """State vector of codeword ``logical_bit`` of a k=1 code."""
-    if spec.k != 1:
-        raise ValueError("codeword_vector needs a k=1 code")
-    return codeword_states(spec, logical_bit)[0]
-
-
 def build_density(spec: CodeSpec, logical_bit: int) -> np.ndarray:
     """Density matrix of codeword ``logical_bit`` of a k=1 code."""
-    v = codeword_vector(spec, logical_bit)
+    if spec.k != 1:
+        raise ValueError("build_density needs a k=1 code")
+    (v,) = codeword_states(spec, logical_bit)
     return np.outer(v, v.conj())
 
 
@@ -260,7 +241,7 @@ def reduced_distances(
 
     The subsets must share one size; each distance is one
     :func:`frobenius_distance` call, in the order of ``subsets``.  With
-    A and B the stacks cut kept x traced (see :func:`reduced_state`),
+    A and B the stacks cut kept x (stack, traced) (see :func:`_cut`),
     the distance is ||A A^dagger - B B^dagger||.  When the kept side is
     the larger, the R factor of C = [A | B] = Q R replaces C: Q is an
     isometry, so the distance is ||R_a R_a^dagger - R_b R_b^dagger||
@@ -280,7 +261,7 @@ def _distances(
     t = len(traced[0])
     split = len(states0) << t
     # the kept side is the smaller one: the reduced states themselves,
-    # exact as in reduced_state, so an equal pair reads exactly 0
+    # exact (see _scaled), so an equal pair reads exactly 0
     direct = 1 << (n - t) <= len(both) << t
     step = max(1, _CHUNK // max(states0.size, states1.size))
     for at in range(0, len(traced), step):
@@ -292,82 +273,3 @@ def _distances(
         rho1 = b @ (b.conj().swapaxes(1, 2) / norm1)
         for r0, r1 in zip(rho0, rho1):
             yield frobenius_distance(r0, r1)
-
-
-def reduced_distance(states0: np.ndarray, states1: np.ndarray, traced_out: Iterable[int]) -> float:
-    """The one-subset case of :func:`reduced_distances`."""
-    return next(reduced_distances(states0, states1, [traced_out]))
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of a - b (for Hermitian a, b)."""
-    eigs = np.linalg.eigvalsh(a - b)
-    return float(np.sum(np.abs(eigs)) / 2)
-
-
-def _split(vec: np.ndarray, subset: list[int], n: int) -> tuple[np.ndarray, list[int]]:
-    """``vec`` as a 2^|subset| x 2^(n-|subset|) matrix, and the axis order it took."""
-    rest = [q for q in range(1, n + 1) if q not in subset]
-    perm = [q - 1 for q in subset + rest]
-    return vec.reshape((2,) * n).transpose(perm).reshape(1 << len(subset), -1), perm
-
-
-def apply_on_subset(u: np.ndarray, vec: np.ndarray, subset: Sequence[int], n: int) -> np.ndarray:
-    """Apply a 2^|subset| unitary to the given qubits of an n-qubit vector."""
-    t, perm = _split(vec, list(subset), n)
-    return (u @ t).reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
-
-
-def relating_unitary(spec: CodeSpec, subset: Sequence[int]) -> np.ndarray:
-    """Unitary on ``subset`` mapping codeword 0 to codeword 1.
-
-    With M_b codeword b reshaped to subset x rest, some unitary U has
-    U M0 = M1 exactly when M0 and M1 leave equal reduced states on the
-    rest.  Then M1 M0^dagger = U (M0 M0^dagger) is a polar decomposition,
-    so its polar factor W V^dagger (from the SVD W S V^dagger) agrees
-    with U on the range of M0 and maps M0 to M1.  Raises ValueError
-    when it does not, i.e. when the rest distinguishes the codewords.
-    """
-    subset = sorted(set(subset))
-    n = spec.n
-    if not subset or not (1 <= subset[0] and subset[-1] <= n) or len(subset) >= n:
-        raise ValueError("subset must be a proper nonempty set of qubit indices")
-    m0 = _split(codeword_vector(spec, 0), subset, n)[0]
-    m1 = _split(codeword_vector(spec, 1), subset, n)[0]
-    w, _, vh = np.linalg.svd(m1 @ m0.conj().T)
-    u = w @ vh
-    if not np.linalg.norm(u @ m0 - m1) < ATOL:
-        raise ValueError(f"subset {subset} does not relate the codewords")
-    return u
-
-
-def relates_codewords(spec: CodeSpec, subset: Sequence[int], u: np.ndarray) -> bool:
-    """Check |(U on subset) psi0> equals |psi1> up to a global phase."""
-    psi0 = codeword_vector(spec, 0)
-    psi1 = codeword_vector(spec, 1)
-    moved = apply_on_subset(u, psi0, sorted(set(subset)), spec.n)
-    overlap = psi1.conj() @ moved
-    return bool(abs(abs(overlap) - 1.0) < ATOL and np.linalg.norm(moved * np.conj(overlap) / max(abs(overlap), 1e-30) - psi1) < ATOL)
-
-
-def reduced_equal_dense(spec: CodeSpec, traced_out: Iterable[int]) -> bool:
-    """Compare the codewords' reduced matrices from their state vectors."""
-    return reduced_distance(codeword_states(spec, 0), codeword_states(spec, 1), traced_out) < ATOL
-
-
-def phase_family_check(n: int, alpha: complex, beta: complex, theta: float) -> bool:
-    """Equal single-qubit-traced reductions for the two-amplitude family.
-
-    The pair is (alpha|0..0> + beta|1..1>, alpha|0..0> + beta e^{i theta}|1..1>);
-    returns True iff tracing out any one qubit leaves equal matrices.
-    """
-    _check_cap(n)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > ATOL:
-        raise ValueError("amplitudes must be normalized")
-    dim = 1 << n
-    v0 = np.zeros(dim, dtype=complex)
-    v1 = np.zeros(dim, dtype=complex)
-    v0[0] = v1[0] = alpha
-    v0[dim - 1] = beta
-    v1[dim - 1] = beta * np.exp(1j * theta)
-    return all(reduced_distance(v0[None], v1[None], [q]) < ATOL for q in range(1, n + 1))

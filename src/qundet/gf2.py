@@ -37,10 +37,6 @@ def reduce_row(row: int, ech: list[int], pivots: list[int]) -> int:
     return row
 
 
-def rank(rows: list[int]) -> int:
-    return len(echelon(rows)[0])
-
-
 def nullspace(rows: list[int], width: int) -> list[int]:
     """Basis of {v : row . v = 0 mod 2 for every row}, len = width - rank."""
     ech, pivots = echelon(rows)

@@ -135,10 +135,6 @@ class PauliOperator:
         return frozenset(i + 1 for i in range(self.n) if occ >> i & 1)
 
     @property
-    def support_mask(self) -> int:
-        return self.x_bits | self.z_bits
-
-    @property
     def y_count(self) -> int:
         return (self.x_bits & self.z_bits).bit_count()
 
@@ -150,13 +146,6 @@ class PauliOperator:
     @property
     def is_hermitian(self) -> bool:
         return self.sign_exp % 2 == 0
-
-    @property
-    def sign(self) -> int:
-        """+1 or -1 for Hermitian operators."""
-        if not self.is_hermitian:
-            raise ValueError(f"{self} has imaginary sign")
-        return 1 if self.sign_exp == 0 else -1
 
     @property
     def letters(self) -> str:

@@ -167,12 +167,6 @@ class StabilizerGroup:
             out.append(cur)
         return out
 
-    def coset(self, rep: PauliOperator) -> list[PauliOperator]:
-        """The signed elements {rep * s} in group enumeration order."""
-        if rep.n != self.n:
-            raise ValueError("qubit count mismatch")
-        return [rep * s for s in self.elements()]
-
     def centralizer_basis(self) -> list[PauliOperator]:
         """2n - rank unsigned Paulis spanning the commutant of the group."""
         swapped = [g.z_bits | (g.x_bits << self.n) for g in self.generators]

@@ -174,14 +174,6 @@ class ConditionalScan:
     undetermined: tuple[tuple[int, ...], ...]
     determined: tuple[tuple[tuple[int, ...], PauliOperator], ...]
 
-    @property
-    def all_undetermined(self) -> bool:
-        return not self.determined
-
-    @property
-    def any_undetermined(self) -> bool:
-        return bool(self.undetermined)
-
     def as_dict(self) -> dict:
         return {
             "d_prime": self.d_prime,
@@ -462,6 +454,8 @@ def analyze_code(
     None and the E_D table empty, each with a reason in ``notes``; the
     other fields still compute.
     """
+    if max_trace is not None and max_trace < 1:
+        raise ValueError(f"max_trace must be at least 1, got {max_trace}")
     group = _group_of(spec)
     notes = [X_SET_COUNTING_NOTE]
     w_min: int | None
@@ -504,7 +498,8 @@ def analyze_code(
         distance=distance,
         w_min=w_min,
         d_min=d_min,
-        threshold_shares=(spec.n - d_min + 1) if d_min is not None else None,
+        # n - D_min + 1 is w_min itself whenever D_min exists
+        threshold_shares=w_min if d_min is not None else None,
         x_set_size=logical_x_count(group),
         e_d_table=e_d_table,
         conditional=scans,

@@ -6,7 +6,12 @@ conventions with the symbolic code, so these helpers are the
 conventions' outside check.  ``walk_distance`` walks the whole
 centralizer pair by pair, the reference for the logical-class tables;
 ``doubling`` and ``sorted_coset`` enumerate a whole coset with signs
-in plain numpy, the reference for the factored coset table.
+in plain numpy, the reference for the factored coset table, and
+``signed_coset`` multiplies rep into every group element, the
+per-element reference.  ``relating_unitary`` and its checks work on
+plain state vectors, the reference for the fact behind the oracle's
+verdicts: a unitary on the traced qubits maps one codeword to the other
+exactly when the kept qubits' reduced states agree.
 """
 
 import numpy as np
@@ -90,6 +95,61 @@ def sorted_coset(group, rep):
     x, z, phase, key = doubling(group.generators, rep)
     order = np.argsort(key)
     return x[order], z[order], phase[order]
+
+
+def signed_coset(group, rep):
+    """The signed elements {rep * s} in group enumeration order."""
+    return [rep * s for s in group.elements()]
+
+
+# residual below which a unitary relates two unit vectors
+ATOL = 1e-9
+
+
+def _split(vec, subset, n):
+    """``vec`` as a 2^|subset| x 2^(n-|subset|) matrix, and the axis order it took."""
+    rest = [q for q in range(1, n + 1) if q not in subset]
+    perm = [q - 1 for q in subset + rest]
+    return vec.reshape((2,) * n).transpose(perm).reshape(1 << len(subset), -1), perm
+
+
+def apply_on_subset(u, vec, subset, n):
+    """Apply a 2^|subset| unitary to the given qubits of an n-qubit vector."""
+    t, perm = _split(vec, list(subset), n)
+    return (u @ t).reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
+
+
+def relating_unitary(psi0, psi1, subset):
+    """Unitary on ``subset`` mapping state vector psi0 to psi1.
+
+    With M_b vector b reshaped to subset x rest, some unitary U has
+    U M0 = M1 exactly when M0 and M1 leave equal reduced states on the
+    rest.  Then M1 M0^dagger = U (M0 M0^dagger) is a polar decomposition,
+    so its polar factor W V^dagger (from the SVD W S V^dagger) agrees
+    with U on the range of M0 and maps M0 to M1.  Raises ValueError
+    when it does not, i.e. when the rest tells the vectors apart.
+    """
+    n = len(psi0).bit_length() - 1
+    subset = sorted(set(subset))
+    if not subset or not (1 <= subset[0] and subset[-1] <= n) or len(subset) >= n:
+        raise ValueError("subset must be a proper nonempty set of qubit indices")
+    m0 = _split(psi0, subset, n)[0]
+    m1 = _split(psi1, subset, n)[0]
+    w, _, vh = np.linalg.svd(m1 @ m0.conj().T)
+    u = w @ vh
+    if not np.linalg.norm(u @ m0 - m1) < ATOL:
+        raise ValueError(f"subset {subset} does not relate the vectors")
+    return u
+
+
+def relates_codewords(psi0, psi1, subset, u):
+    """Check |(U on subset) psi0> equals |psi1> up to a global phase."""
+    n = len(psi0).bit_length() - 1
+    moved = apply_on_subset(u, psi0, sorted(set(subset)), n)
+    overlap = psi1.conj() @ moved
+    if not abs(abs(overlap) - 1.0) < ATOL:
+        return False
+    return bool(np.linalg.norm(moved * np.conj(overlap) / abs(overlap) - psi1) < ATOL)
 
 
 def zz_chain_doc(n=17):

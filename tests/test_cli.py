@@ -82,6 +82,9 @@ def test_analyze_with_oracle_flag(capsys):
     ["scan-cyclic", "--from", "4"],
     ["qss", "--check-fraction", "1.5"],
     ["bc-demo", "--samples", "0"],
+    # a --max-trace below 1 leaves no E_D row to tabulate
+    ["analyze", "--catalog", "steane_713", "--max-trace", "0"],
+    ["analyze", "--catalog", "steane_713", "--max-trace", "-2"],
 ])
 def test_input_errors_exit_1(argv, capsys):
     assert run(argv) == 1

@@ -1,4 +1,4 @@
-"""Dense oracle: Pauli matrices, codeword state vectors, reduced states."""
+"""Dense oracle: Pauli matrices, codeword state vectors, reduced-state distances."""
 
 import itertools
 
@@ -7,33 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_of
+from helpers import apply_on_subset, matrix_of, relates_codewords, relating_unitary
 import qundet.undetermined as und
 from qundet import dense
 from qundet.codes import CodeSpec, catalog
 from qundet.dense import (
+    ATOL,
     OracleCapError,
-    apply_on_subset,
     apply_pauli,
     build_density,
     build_mixed_density,
     codeword_states,
-    codeword_vector,
     frobenius_distance,
     partial_trace,
     pauli_matrix,
-    phase_family_check,
     reduced_distances,
-    reduced_equal_dense,
-    reduced_state,
-    relates_codewords,
-    relating_unitary,
-    trace_distance,
 )
 from qundet.pauli import PauliOperator, parse_pauli
 from qundet.stabilizer import NonCommutingGeneratorsError
 
-# every catalog code small enough for the exhaustive subset checks
+# small catalog codes, k = 1 and k = 2, for the per-generator checks
 SMALL_CODES = [("ghz", n) for n in range(3, 7)] + [
     ("code_412", None), ("code_513", None), ("steane_713", None), ("code_422", None),
 ]
@@ -50,6 +43,17 @@ def _extended_sets(spec):
         0: [gens + z_bars, gens + flip],
         1: [gens + [flip[0], z_bars[1]], gens + [z_bars[0], flip[1]]],
     }
+
+
+def _vectors(spec):
+    """The two codeword state vectors of a k=1 code."""
+    return codeword_states(spec, 0)[0], codeword_states(spec, 1)[0]
+
+
+def _equal_after(spec, traced):
+    """Does the oracle find equal reductions after tracing ``traced``?"""
+    (dist,) = reduced_distances(codeword_states(spec, 0), codeword_states(spec, 1), [traced])
+    return dist < ATOL
 
 
 def _reference_projector(ops, n):
@@ -122,19 +126,6 @@ def test_codeword_states_fixed_by_generators(name, n):
             assert abs(np.linalg.norm(vec) - 1) < 1e-12
             for op in ops:
                 np.testing.assert_allclose(matrix_of(op) @ vec, vec, atol=1e-12)
-
-
-@pytest.mark.parametrize("name,n", SMALL_CODES)
-def test_reduced_state_matches_partial_trace(name, n):
-    spec = catalog(name, n=n)
-    for which in (0, 1):
-        states = codeword_states(spec, which)
-        rho = np.einsum("ia,ib->ab", states, states.conj()) / len(states)
-        for size in range(spec.n + 1):
-            for traced in itertools.combinations(range(1, spec.n + 1), size):
-                np.testing.assert_allclose(
-                    reduced_state(states, traced), partial_trace(rho, traced, spec.n),
-                    atol=1e-12, err_msg=f"{spec.name} codeword {which} traced {traced}")
 
 
 # every catalog code with n <= 7, for the exhaustive reduced_distances checks
@@ -219,7 +210,7 @@ def test_reduced_distances_reject_mixed_sizes():
     with pytest.raises(ValueError, match="out of range"):
         reduced_distances(s0, s1, [(0, 1)])
     assert list(reduced_distances(s0, s1, [])) == []
-    # a repeated qubit counts once, as in reduced_state
+    # a repeated qubit counts once, as in partial_trace
     assert list(reduced_distances(s0, s1, [(2, 3, 4), (4, 3, 2, 2)])) == [0.5, 0.5]
 
 
@@ -259,8 +250,8 @@ def test_codeword_states_validate_the_extended_set():
 
 def test_codeword_states_without_stabilizers():
     one = CodeSpec("one", 1, 1, (), ("Z",))
-    np.testing.assert_allclose(codeword_vector(one, 0), [1, 0])
-    np.testing.assert_allclose(codeword_vector(one, 1), [0, 1])
+    np.testing.assert_allclose(codeword_states(one, 0), [[1, 0]])
+    np.testing.assert_allclose(codeword_states(one, 1), [[0, 1]])
     two = CodeSpec("two", 2, 2, (), ("ZI", "IZ"))
     np.testing.assert_allclose(codeword_states(two, 0), np.eye(4)[[0, 3]])
     np.testing.assert_allclose(codeword_states(two, 1), np.eye(4)[[2, 1]])
@@ -305,8 +296,7 @@ def test_build_density_matches_reference_projector(name):
 
 def test_codeword_vectors_orthogonal():
     spec = catalog("code_513")
-    v0 = codeword_vector(spec, 0)
-    v1 = codeword_vector(spec, 1)
+    v0, v1 = _vectors(spec)
     assert abs(np.vdot(v0, v1)) < 1e-12
 
 
@@ -394,29 +384,29 @@ def test_apply_on_subset():
 
 
 def test_relating_unitary_ghz_phase():
-    spec = catalog("ghz", n=3)
-    u = relating_unitary(spec, (1,))
+    psi0, psi1 = _vectors(catalog("ghz", n=3))
+    u = relating_unitary(psi0, psi1, (1,))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-9)
-    assert relates_codewords(spec, (1,), u)
-    assert not relates_codewords(spec, (1,), np.eye(2, dtype=complex))
+    assert relates_codewords(psi0, psi1, (1,), u)
+    assert not relates_codewords(psi0, psi1, (1,), np.eye(2, dtype=complex))
 
 
 def test_relating_unitary_steane():
-    spec = catalog("steane_713")
+    psi0, psi1 = _vectors(catalog("steane_713"))
     subset = (1, 2, 3, 4, 5)
-    u = relating_unitary(spec, subset)
+    u = relating_unitary(psi0, psi1, subset)
     dim = 1 << len(subset)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-8)
-    assert relates_codewords(spec, subset, u)
+    assert relates_codewords(psi0, psi1, subset, u)
 
 
 def test_relating_unitary_rejects_distinguishing_subset():
     # tracing {2,3,4} of this code leaves unequal reductions, so no
     # unitary on {2,3,4} can connect the codewords
     spec = catalog("steane_713")
-    assert not reduced_equal_dense(spec, (2, 3, 4))
+    assert not _equal_after(spec, (2, 3, 4))
     with pytest.raises(ValueError):
-        relating_unitary(spec, (2, 3, 4))
+        relating_unitary(*_vectors(spec), (2, 3, 4))
 
 
 @pytest.mark.parametrize("name,n", [("ghz", n) for n in range(3, 6)] + [
@@ -426,25 +416,28 @@ def test_relating_unitary_exists_iff_reductions_agree(name, n):
     # a unitary on the traced qubits maps codeword 0 to codeword 1
     # exactly when the kept qubits leave equal reduced states
     spec = catalog(name, n=n)
+    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    psi0, psi1 = s0[0], s1[0]
     for size in range(1, spec.n):
-        for traced in itertools.combinations(range(1, spec.n + 1), size):
-            if not reduced_equal_dense(spec, traced):
+        subsets = _subsets(spec.n, size)
+        for traced, dist in zip(subsets, reduced_distances(s0, s1, subsets)):
+            if not dist < ATOL:
                 with pytest.raises(ValueError, match="does not relate"):
-                    relating_unitary(spec, traced)
+                    relating_unitary(psi0, psi1, traced)
                 continue
-            u = relating_unitary(spec, traced)
+            u = relating_unitary(psi0, psi1, traced)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(1 << size), atol=1e-12)
-            assert relates_codewords(spec, traced, u), traced
+            assert relates_codewords(psi0, psi1, traced, u), traced
 
 
 def test_relating_unitary_rejects_bad_subset():
-    spec = catalog("ghz", n=3)
+    psi0, psi1 = _vectors(catalog("ghz", n=3))
     with pytest.raises(ValueError):
-        relating_unitary(spec, ())
+        relating_unitary(psi0, psi1, ())
     with pytest.raises(ValueError):
-        relating_unitary(spec, (1, 2, 3))
+        relating_unitary(psi0, psi1, (1, 2, 3))
     with pytest.raises(ValueError):
-        relating_unitary(spec, (0,))
+        relating_unitary(psi0, psi1, (0,))
 
 
 def test_reduced_equal_dense_steane():
@@ -452,22 +445,21 @@ def test_reduced_equal_dense_steane():
     # tracing only qubit 1 keeps {2..7}, which still holds a coset
     # support, so the reductions differ; the triple {5,6,7} removes a
     # point from every low-weight coset support and equalizes them
-    assert not reduced_equal_dense(spec, (1,))
-    assert reduced_equal_dense(spec, (5, 6, 7))
-    assert reduced_equal_dense(spec, (1, 2, 3, 4, 5))
-    assert not reduced_equal_dense(spec, (2, 3, 4))
+    assert not _equal_after(spec, (1,))
+    assert _equal_after(spec, (5, 6, 7))
+    assert _equal_after(spec, (1, 2, 3, 4, 5))
+    assert not _equal_after(spec, (2, 3, 4))
 
 
 def test_reduced_equal_dense_mixed_422():
     spec = catalog("code_422")
-    assert reduced_equal_dense(spec, (1, 2, 3))
-    assert not reduced_equal_dense(spec, (1, 3))
+    assert _equal_after(spec, (1, 2, 3))
+    assert not _equal_after(spec, (1, 3))
 
 
 def test_trace_and_frobenius_distance():
     r0 = np.diag([1.0, 0.0])
     r1 = np.diag([0.0, 1.0])
-    assert abs(trace_distance(r0, r1) - 1) < 1e-12
     assert abs(frobenius_distance(r0, r1) - np.sqrt(2)) < 1e-12
     assert frobenius_distance(r0, r0) < 1e-15
 
@@ -480,16 +472,22 @@ def test_steane_frozen_distance():
 
 
 def test_phase_family_check():
-    assert phase_family_check(3, 1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 3)
-    assert phase_family_check(4, 0.6, 0.8, 1.0)
-    with pytest.raises(ValueError):
-        phase_family_check(3, 1.0, 1.0, 0.1)
+    # alpha|0..0> + beta|1..1> against alpha|0..0> + beta e^{i theta}|1..1>:
+    # no stabilizer states, yet tracing any one qubit leaves equal
+    # reductions, while the whole states differ
+    for n, alpha, beta, theta in [(3, 1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 3), (4, 0.6, 0.8, 1.0)]:
+        v0 = np.zeros((1, 1 << n), dtype=complex)
+        v1 = np.zeros((1, 1 << n), dtype=complex)
+        v0[0, 0] = v1[0, 0] = alpha
+        v0[0, -1] = beta
+        v1[0, -1] = beta * np.exp(1j * theta)
+        assert all(d < ATOL for d in reduced_distances(v0, v1, _subsets(n, 1)))
+        (whole,) = reduced_distances(v0, v1, [()])
+        assert abs(whole - np.sqrt(2) * abs(alpha * beta * (1 - np.exp(1j * theta)))) < 1e-12
 
 
 def test_oracle_cap():
     with pytest.raises(OracleCapError):
         pauli_matrix(PauliOperator(dense.ORACLE_MAX_N + 1, 0, 0, 0))
-    with pytest.raises(OracleCapError):
-        phase_family_check(dense.ORACLE_MAX_N + 1, 1.0, 0.0, 0.1)
     with pytest.raises(OracleCapError):
         codeword_states(catalog("ghz", n=dense.ORACLE_MAX_N + 1), 0)

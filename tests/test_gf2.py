@@ -12,11 +12,15 @@ def test_echelon_known():
     assert pivots == sorted(pivots)
 
 
+def _rank(rows):
+    return len(gf2.echelon(rows)[0])
+
+
 def test_rank():
-    assert gf2.rank([]) == 0
-    assert gf2.rank([0]) == 0
-    assert gf2.rank([0b1, 0b10, 0b11]) == 2
-    assert gf2.rank([0b111]) == 1
+    assert _rank([]) == 0
+    assert _rank([0]) == 0
+    assert _rank([0b1, 0b10, 0b11]) == 2
+    assert _rank([0b111]) == 1
 
 
 def test_reduce_row_membership():
@@ -49,7 +53,7 @@ rows_strategy = st.lists(st.integers(0, (1 << 8) - 1), min_size=0, max_size=10)
 
 @given(rows_strategy)
 def test_rank_nullity(rows):
-    r = gf2.rank(rows)
+    r = _rank(rows)
     assert r + len(gf2.nullspace(rows, 8)) == 8
 
 
@@ -63,7 +67,7 @@ def test_nullspace_orthogonal(rows):
 @given(rows_strategy)
 def test_nullspace_independent(rows):
     basis = gf2.nullspace(rows, 8)
-    assert gf2.rank(basis) == len(basis)
+    assert _rank(basis) == len(basis)
 
 
 @given(rows_strategy, st.integers(0, 255))

@@ -65,17 +65,17 @@ def test_hermiticity():
 
 
 def test_sign_property():
-    assert parse_pauli("ZZ").sign == 1
-    assert parse_pauli("-ZZ").sign == -1
-    with pytest.raises(ValueError):
-        _ = PauliOperator(1, 1, 1, 0).sign
+    assert parse_pauli("ZZ").sign_exp == 0
+    assert parse_pauli("-ZZ").sign_exp == 2
+    # the bare XZ product is -iY: an imaginary sign
+    assert PauliOperator(1, 1, 1, 0).sign_exp == 3
 
 
 def test_weight_support():
     p = parse_pauli("XIYZI")
     assert p.weight == 3
     assert p.support == frozenset({1, 3, 4})
-    assert p.support_mask == 0b01101
+    assert p.x_bits | p.z_bits == 0b01101
     assert parse_pauli("IIIII").weight == 0
 
 

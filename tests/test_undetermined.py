@@ -103,14 +103,14 @@ def test_conditional_scan_counts(name, d_prime, n_undet, n_det):
     scan = conditional_scan(catalog(name), d_prime)
     assert len(scan.undetermined) == n_undet
     assert len(scan.determined) == n_det
-    assert scan.all_undetermined == (n_det == 0)
-    assert scan.any_undetermined == (n_undet > 0)
+    assert (not scan.determined) == (n_det == 0)
+    assert bool(scan.undetermined) == (n_undet > 0)
 
 
 def test_conditional_scan_ghz4():
     scan = conditional_scan(catalog("ghz", n=4), 1)
     assert scan.undetermined == ((1,), (2,), (3,), (4,))
-    assert scan.all_undetermined
+    assert not scan.determined
 
 
 def test_conditional_scan_witnesses_are_valid():
