@@ -29,6 +29,10 @@ STRATEGIES = ("honest", "delay_discriminate")
 
 _MAX_TABLE_PARTIES = 8
 
+# rounds per chunk: the per-chunk temporaries of qss_run stay a few MB
+# at any party count and round count
+_CHUNK_ROUNDS = 1 << 16
+
 # single-qubit measurement eigenvectors; basis index 0 = X, 1 = Y,
 # outcome index 0 -> +1, 1 -> -1
 _EIGENVECTORS = {
@@ -139,6 +143,22 @@ def _outcome_tables(n: int) -> np.ndarray:
     return tables
 
 
+@lru_cache(maxsize=_MAX_TABLE_PARTIES)
+def _cumulative_rows(n: int) -> np.ndarray:
+    """One cumulative outcome row per (codeword, basis combo) group.
+
+    Shape (2^(n+1), 2^n), row s * 2^n + combo.  Each row is divided by
+    its last entry, so it ends at exactly 1.0: the largest uniform draw,
+    1 - 2^-53, then never counts past the last outcome, and a trailing
+    zero-probability outcome stays unreachable.  Cached per party count
+    and read-only, like the tables.
+    """
+    cum = np.cumsum(_outcome_tables(n), axis=2).reshape(2 << n, 1 << n)
+    cum /= cum[:, -1:]
+    cum.flags.writeable = False
+    return cum
+
+
 def _stabilizer_sign(y_counts: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Sign of the measured X/Y string on codeword s (kept rounds only)."""
     return ((-1) ** (y_counts // 2)) * (1 - 2 * s)
@@ -162,6 +182,12 @@ def _sample_by_group(cum: np.ndarray, group: np.ndarray, draws: np.ndarray) -> n
     return out
 
 
+def _chunks(rounds: int):
+    """Consecutive slices of at most _CHUNK_ROUNDS rounds, in order."""
+    for start in range(0, rounds, _CHUNK_ROUNDS):
+        yield slice(start, min(start + _CHUNK_ROUNDS, rounds))
+
+
 def qss_run(config: QssConfig) -> QssStats:
     """Simulate the secret-sharing protocol; deterministic per seed.
 
@@ -172,69 +198,93 @@ def qss_run(config: QssConfig) -> QssStats:
     report an outcome before the dealer announces which codeword was
     sent; the dealer's codeword choice is what the modified variant
     hides, and it is exactly the bit his readout is missing.
+
+    Every draw covers the whole run, in the order codeword, bases,
+    check, then outcomes, and is taken a chunk of rounds at a time: a
+    chunked ``integers(0, 2)`` or ``random()`` call returns the values
+    of one whole call.  Per round only the int16 group word
+    ``s * 2^n + basis combo`` and the checked flag are kept (the delay
+    attack adds three int8 signs); everything else lives in one chunk.
     """
     n = config.parties
+    honest = config.strategy == "honest"
+    if honest and n > _MAX_TABLE_PARTIES:
+        raise ValueError(f"honest sampling tables capped at {_MAX_TABLE_PARTIES} parties")
     rng = np.random.default_rng(config.seed)
     rounds = config.rounds
-    modified = config.variant == "modified"
+    combo_mask = (1 << n) - 1
 
-    s = rng.integers(0, 2, size=rounds) if modified else np.zeros(rounds, dtype=int)
-    bases = rng.integers(0, 2, size=(rounds, n))  # 0 = X, 1 = Y
-    y_counts = bases.sum(axis=1)
-    kept = (y_counts % 2) == 0
-    check_draw = rng.random(rounds)
-    checked = kept & (check_draw < config.check_fraction)
+    # group word: codeword s, then the basis combo with party 1 as the
+    # most significant bit (0 = X, 1 = Y); int16 (n <= 8 honest, n = 3
+    # attacked) lets the stable argsort run as a radix sort
+    group = np.zeros(rounds, dtype=np.int16)
+    if config.variant == "modified":
+        for sl in _chunks(rounds):
+            group[sl] = rng.integers(0, 2, size=sl.stop - sl.start) << n
+    weights = 1 << np.arange(n - 1, -1, -1)
+    for sl in _chunks(rounds):
+        group[sl] |= rng.integers(0, 2, size=(sl.stop - sl.start, n)) @ weights
+    # kept iff the basis string has an even number of Y's
+    checked = np.empty(rounds, dtype=bool)
+    for sl in _chunks(rounds):
+        kept = np.bitwise_count(group[sl] & combo_mask) % 2 == 0
+        checked[sl] = kept & (rng.random(sl.stop - sl.start) < config.check_fraction)
 
-    if config.strategy == "honest":
-        if n > _MAX_TABLE_PARTIES:
-            raise ValueError(f"honest sampling tables capped at {_MAX_TABLE_PARTIES} parties")
-        # one cumulative outcome row per (codeword, basis combo) group
-        cum = np.cumsum(_outcome_tables(n), axis=2).reshape(2 << n, 1 << n)
-        # group = s * 2^n + combo index; int16 (n <= 8) lets the stable
-        # argsort run as a radix sort
-        group = s.astype(np.int16) << n
-        for i in range(n):
-            group |= bases[:, i] << (n - 1 - i)
-        out_idx = _sample_by_group(cum, group, rng.random(rounds))
-        # outcome of party i: bit (n-1-i) of the joint index, 0 -> +1
-        o_dealer = 1 - 2 * ((out_idx >> (n - 1)) & 1)
-        parity = np.bitwise_count(out_idx & ((1 << (n - 1)) - 1)).astype(np.int64) & 1
-        product_receivers = 1 - 2 * parity
-        reconstructed = _stabilizer_sign(y_counts, s) * product_receivers
-        solo_correct = None
+    if honest:
+        cum = _cumulative_rows(n)
     else:
-        # fake qubit to the second party: uniform outcome either basis
-        o_dealer = 1 - 2 * rng.integers(0, 2, size=rounds)
-        o_second = 1 - 2 * rng.integers(0, 2, size=rounds)
-        # exact readout of the held pair: dealer outcome masked by the
-        # codeword choice; tests/test_protocols.py checks it against the
-        # dense state (test_delay_discriminate_readout_is_dense)
-        v = o_dealer * (1 - 2 * s)
-        # guess committed before the codeword announcement
-        solo_guess = v
-        solo_correct = solo_guess == o_dealer
-        # forged outcome: consistent with his readout and a guess at the
-        # second party's outcome (which is pure noise to him)
-        guess_second = 1 - 2 * rng.integers(0, 2, size=rounds)
-        m_sign = (-1) ** (y_counts // 2)
-        o_third = m_sign * v * guess_second
-        reconstructed = _stabilizer_sign(y_counts, s) * o_second * o_third
+        # fake qubit to the second party: uniform outcome either basis,
+        # so the dealer's and second party's outcomes are fair signs, as
+        # is the attacker's guess at the second party's outcome
+        signs = np.empty((3, rounds), dtype=np.int8)
+        for row in signs:
+            for sl in _chunks(rounds):
+                row[sl] = 1 - 2 * rng.integers(0, 2, size=sl.stop - sl.start)
 
-    agree = reconstructed == o_dealer
-    kept_n = int(kept.sum())
-    checked_n = int(checked.sum())
-    agreement = float(agree[kept].mean()) if kept_n else 0.0
-    check_errors = int((~agree[checked]).sum())
+    kept_n = checked_n = agree_n = check_errors = solo_n = 0
+    for sl in _chunks(rounds):
+        g = group[sl]
+        s = g >> n
+        # signed, so the +-1 arithmetic below does not wrap as uint8 would
+        y_counts = np.bitwise_count(g & combo_mask).astype(np.int16)
+        kept = y_counts % 2 == 0
+        if honest:
+            out_idx = _sample_by_group(cum, g, rng.random(sl.stop - sl.start))
+            # outcome of party i: bit (n-1-i) of the joint index, 0 -> +1
+            o_dealer = 1 - 2 * ((out_idx >> (n - 1)) & 1)
+            parity = np.bitwise_count(out_idx & ((1 << (n - 1)) - 1)) & 1
+            product_receivers = 1 - 2 * parity.astype(np.int16)
+            reconstructed = _stabilizer_sign(y_counts, s) * product_receivers
+        else:
+            o_dealer, o_second, guess_second = signs[:, sl]
+            # exact readout of the held pair: dealer outcome masked by the
+            # codeword choice; tests/test_protocols.py checks it against the
+            # dense state (test_delay_discriminate_readout_is_dense)
+            v = o_dealer * (1 - 2 * s)
+            # guess committed before the codeword announcement
+            solo_n += int(np.count_nonzero(kept & (v == o_dealer)))
+            # forged outcome: consistent with his readout and a guess at the
+            # second party's outcome (which is pure noise to him)
+            o_third = (-1) ** (y_counts // 2) * v * guess_second
+            reconstructed = _stabilizer_sign(y_counts, s) * o_second * o_third
+        agree = reconstructed == o_dealer
+        c = checked[sl]
+        kept_n += int(np.count_nonzero(kept))
+        checked_n += int(np.count_nonzero(c))
+        agree_n += int(np.count_nonzero(agree & kept))
+        check_errors += int(np.count_nonzero(c & ~agree))
+
+    agreement = agree_n / kept_n if kept_n else 0.0
     check_error_rate = check_errors / checked_n if checked_n else 0.0
-    keep_rate = kept.mean()
+    keep_rate = kept_n / rounds
     radii = {
         "keep_rate": _binomial_radius(keep_rate, rounds),
         "honest_key_agreement": _binomial_radius(agreement, kept_n),
         "check_error_rate": _binomial_radius(check_error_rate, checked_n),
     }
     solo = detection = None
-    if solo_correct is not None:
-        solo = float(solo_correct[kept].mean()) if kept_n else 0.0
+    if not honest:
+        solo = solo_n / kept_n if kept_n else 0.0
         detection = check_error_rate
         radii["attacker_solo_accuracy"] = _binomial_radius(solo, kept_n)
         radii["per_forged_round_detection"] = _binomial_radius(detection, checked_n)
@@ -244,7 +294,7 @@ def qss_run(config: QssConfig) -> QssStats:
         rounds=rounds,
         kept=kept_n,
         checked=checked_n,
-        keep_rate=float(keep_rate),
+        keep_rate=keep_rate,
         honest_key_agreement=agreement,
         check_error_rate=check_error_rate,
         attacker_solo_accuracy=solo,
@@ -270,10 +320,16 @@ class BcDemoResult:
         }
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _haar_unitaries(rng: np.random.Generator, samples: int) -> np.ndarray:
+    """Haar-random 2x2 unitaries, shape (samples, 2, 2), from one draw.
+
+    Sample i uses the real then the imaginary 2x2 block of its slice of
+    one normal draw, the order of a per-sample draw of each.
+    """
+    g = rng.normal(size=(samples, 2, 2, 2))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def bc_demo(samples: int, seed: int = 0) -> BcDemoResult:
@@ -292,13 +348,11 @@ def bc_demo(samples: int, seed: int = 0) -> BcDemoResult:
     singlet = np.array([0, 1, -1, 0], dtype=complex) / sqrt(2)
     eye2 = np.eye(2, dtype=complex)
 
-    worst = 0.0
-    for _ in range(samples):
-        u = _haar_unitary(rng)
-        moved = (np.kron(u, eye2) @ singlet).reshape(2, 2)
-        reduced = moved.conj().T @ moved  # trace over the sender's qubit
-        eigs = np.linalg.eigvalsh(reduced - eye2 / 2)
-        worst = max(worst, float(np.abs(eigs).sum() / 2))
+    # (U x I)|singlet> reshaped to sender x receiver is U @ S
+    moved = _haar_unitaries(rng, samples) @ singlet.reshape(2, 2)
+    reduced = moved.conj().transpose(0, 2, 1) @ moved  # trace over the sender's qubit
+    eigs = np.linalg.eigvalsh(reduced - eye2 / 2)
+    worst = float(np.abs(eigs).sum(axis=1).max() / 2)
 
     pauli_y = np.array([[0, -1j], [1j, 0]])
     opened = {

@@ -3,15 +3,18 @@
 import itertools
 import json
 import tracemalloc
+from math import sqrt
 
 import numpy as np
 import pytest
 
 from helpers import I2, X2, Y2, kron_all
+from qundet import protocols
 from qundet.protocols import (
     BcDemoResult,
     QssConfig,
     QssStats,
+    _cumulative_rows,
     _outcome_tables,
     _sample_by_group,
     bc_demo,
@@ -102,11 +105,34 @@ def test_outcome_tables_cached_and_read_only():
         tables[0, 0, 0] = 0.0
 
 
+def test_cumulative_rows_cached_read_only_and_end_at_one():
+    cum = _cumulative_rows(5)
+    assert _cumulative_rows(5) is cum
+    assert not cum.flags.writeable
+    assert cum.shape == (2 << 5, 1 << 5)
+    assert np.all(cum[:, -1] == 1.0)
+    np.testing.assert_allclose(
+        cum, np.cumsum(_outcome_tables(5), axis=2).reshape(cum.shape), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_largest_draw_lands_on_a_possible_outcome(n):
+    # rng.random() can return 1 - 2^-53; in every group it must pick an
+    # existing outcome of nonzero probability, not index 2^n or a
+    # trailing zero-probability outcome
+    groups = np.arange(2 << n, dtype=np.int16)
+    draws = np.full(len(groups), np.nextafter(1.0, 0.0))
+    out = _sample_by_group(_cumulative_rows(n), groups, draws)
+    assert np.all(out < 1 << n)
+    probs = _outcome_tables(n).reshape(2 << n, 1 << n)[groups, out]
+    assert np.all(probs > 1e-12)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_sample_by_group_matches_row_gather(n):
     # the reference gathers each round's whole cumulative row and counts
     # the entries below its draw
-    cum = np.cumsum(_outcome_tables(n), axis=2).reshape(2 << n, 1 << n)
+    cum = _cumulative_rows(n)
     rng = np.random.default_rng(n)
     group = rng.integers(0, 2 << n, size=5000).astype(np.int16)
     draws = rng.random(5000)
@@ -138,7 +164,39 @@ def test_delay_discriminate_readout_is_dense(s, bases, o):
     assert np.allclose(expectation, (-1) ** (sum(bases) // 2) * v, atol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("variant,strategy,parties", [
+    ("modified", "honest", 3),
+    ("original", "honest", 6),
+    ("modified", "honest", 8),
+    ("original", "delay_discriminate", 3),
+    ("modified", "delay_discriminate", 3),
+])
+def test_stats_independent_of_chunk_size(monkeypatch, chunk, variant, strategy, parties):
+    # 5003 rounds is not a multiple of any chunk size here, so the last
+    # chunk of every draw is a partial one
+    config = QssConfig(variant=variant, strategy=strategy, parties=parties,
+                       rounds=5003, check_fraction=0.5, seed=17)
+    whole = qss_run(config).as_dict()
+    monkeypatch.setattr(protocols, "_CHUNK_ROUNDS", chunk)
+    assert qss_run(config).as_dict() == whole
+
+
+def test_million_round_peak_is_chunk_bounded():
+    _cumulative_rows(6)
+    tracemalloc.start()
+    qss_run(QssConfig(parties=6, rounds=1_000_000, seed=3))
+    _, top = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert top < 16 * 2**20
+
+
 def test_honest_memory_is_independent_of_parties():
+    # the cached 8-party cumulative rows (1 MB) would otherwise be built
+    # inside the traced call and outweigh the per-round state
+    _cumulative_rows(3)
+    _cumulative_rows(8)
+
     def peak(parties):
         tracemalloc.start()
         qss_run(QssConfig(parties=parties, rounds=200_000, seed=3))
@@ -183,6 +241,30 @@ def test_bc_demo_invisible_and_openable():
     # sender passes the open test for either bit value
     assert result.sender_open_success == {0: 1.0, 1: 1.0}
     assert result.samples == 400
+
+
+def _bc_worst_per_sample(samples, seed):
+    # one Haar unitary, one reduced state and one eigvalsh per sample
+    rng = np.random.default_rng(seed)
+    singlet = np.array([0, 1, -1, 0], dtype=complex) / sqrt(2)
+    eye2 = np.eye(2, dtype=complex)
+    worst = 0.0
+    for _ in range(samples):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, r = np.linalg.qr(g)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        moved = (np.kron(u, eye2) @ singlet).reshape(2, 2)
+        reduced = moved.conj().T @ moved
+        eigs = np.linalg.eigvalsh(reduced - eye2 / 2)
+        worst = max(worst, float(np.abs(eigs).sum() / 2))
+    return worst
+
+
+@pytest.mark.parametrize("samples,seed", [(1, 0), (50, 2), (400, 9), (1000, 20260819)])
+def test_bc_demo_matches_per_sample_loop(samples, seed):
+    # the batched draw, QR and eigvalsh reproduce the loop bit for bit
+    assert bc_demo(samples, seed=seed).max_reduced_deviation \
+        == _bc_worst_per_sample(samples, seed)
 
 
 def test_bc_demo_deterministic():
