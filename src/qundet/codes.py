@@ -243,7 +243,7 @@ def validate(spec: CodeSpec) -> ValidationReport:
         for idx, zb in enumerate(z_bars, start=1):
             if not zb.is_hermitian:
                 failures.append(f"logical_z[{idx - 1}] is not Hermitian")
-            bad = [g for g in group.generators if zb.anticommutes(g)]
+            bad = group.anticommuting(zb)
             if bad:
                 failures.append(
                     f"logical_z[{idx - 1}] anticommutes with stabilizer {bad[0]}"
@@ -257,7 +257,7 @@ def validate(spec: CodeSpec) -> ValidationReport:
             if group.contains_unsigned(prod):
                 failures.append("logical_z[0]*logical_z[1] is in the stabilizer group")
         for idx, xb in enumerate(x_bars, start=1):
-            bad = [g for g in group.generators if xb.anticommutes(g)]
+            bad = group.anticommuting(xb)
             if bad:
                 failures.append(
                     f"logical_x[{idx - 1}] anticommutes with stabilizer {bad[0]}"

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 _SIGN_PREFIX = {"": 0, "+": 0, "-": 2, "+i": 1, "-i": 3, "i": 1}
 _PREFIX_OF_EXP = {0: "", 2: "-", 1: "+i", 3: "-i"}
 _STRING_RE = re.compile(r"^([+-]?i?)([IXYZ]+)$")
+# a letter's x and z bit as a binary digit
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
 class PauliFormatError(ValueError):
@@ -64,15 +67,11 @@ class PauliOperator:
             raise PauliFormatError(
                 f"expected {n} qubits, got {len(letters)} in {text!r}"
             )
-        x = z = 0
-        phase = _SIGN_PREFIX[prefix]
-        for i, ch in enumerate(letters):
-            if ch in "XY":
-                x |= 1 << i
-            if ch in "ZY":
-                z |= 1 << i
-            if ch == "Y":
-                phase += 1
+        # bit i of x and z is qubit i + 1, so read the letters backwards
+        backwards = letters[::-1]
+        x = int(backwards.translate(_X_DIGITS), 2)
+        z = int(backwards.translate(_Z_DIGITS), 2)
+        phase = _SIGN_PREFIX[prefix] + letters.count("Y")
         return cls(len(letters), x, z, phase % 4)
 
     @classmethod

@@ -1,10 +1,19 @@
 """Stabilizer groups over the binary symplectic representation.
 
 A group is given by commuting, independent, Hermitian Pauli generators
-whose generated group avoids -I.  Independence and membership are GF(2)
-linear algebra on symplectic rows (x_bits | z_bits << n); commutation is
-the symplectic form, so the centralizer of the group is the kernel of
-the swapped rows (z_bits | x_bits << n).
+whose generated group avoids -I.  Commutation is the symplectic form on
+packed rows (x_bits | z_bits << n against z_bits | x_bits << n), so the
+centralizer of the group is the kernel of the swapped rows.
+
+One GF(2) elimination per group does the rest.  Each generator's
+*letter key* (``_letter_key``) is an integer ordered like its letter
+string and XOR-linear in (x, z).  The group row-reduces the keys once,
+each row packed as key << rank | combo, where the combo names the
+generators the row is the product of.  The first generator that
+vanishes names the dependent subset (or -I), whatever the pivot rule;
+the reduced rows are the echelon that membership, the logical classes
+and every coset table reduce against.  Rows carry no sign: an operator
+that is returned gets one, from one product rep * g_i over its combo.
 
 Enumeration-based operations (group elements, cosets, logical X sets,
 code distance) fail loudly past one cap, rank ``MAX_ENUM_RANK``, instead
@@ -17,12 +26,14 @@ over distinct unsigned Paulis, not cosets modulo the group.
 Cosets are scanned as numpy blocks (``CosetTable``): bit-packed uint64
 x/z rows, as in Aaronson-Gottesman (quant-ph/0406196), formed as the
 XOR of two half-rank factors, each doubled once per generator, so a
-scan takes O(2^rank) time and O(2^(rank/2) + block) memory.  Rows are
-unsigned; the one row a caller asks for (the witness) gets its sign
-from one product.  Kept-set queries enumerate nothing: a
-``RestrictionSolve`` decides them by GF(2) elimination over the same
-bit-packed rows, for any n up to 64.  The centralizer is read as one
-coset table per logical class L * S (``logical_classes``).
+scan takes O(2^rank) time and O(2^(rank/2) + block) memory.  The
+minimum-weight scan skips every block whose forced letters (those no
+low-factor generator can change) already weigh as much as the best row
+found.  Kept-set queries enumerate nothing: a ``RestrictionSolve``
+decides them by GF(2) elimination over the same bit-packed rows, for
+any n up to 64, and stops once no generator row is left to pivot on.
+The centralizer is read as one coset table per logical class L * S
+(``logical_classes``).
 """
 
 from __future__ import annotations
@@ -73,6 +84,74 @@ class EnumerationCapError(ValueError):
     """Raised when an enumeration would exceed its configured cap."""
 
 
+def _letter_key(p: PauliOperator) -> int:
+    """Integer ordered like p.letters: digits I=0 < X=1 < Y=2 < Z=3, qubit 1 first.
+
+    The digit is x ^ 3z: its low bit is x ^ z and its high bit z.  Each
+    of the two bit-vectors, read qubit 1 first as a base-4 numeral, puts
+    its bits on the digits.  The key is XOR-linear in (x, z): the key of
+    a product is the XOR of the keys of its factors.
+    """
+    top = 1 << p.n  # keeps the leading zeros; bin(...)[:2:-1] drops it and "0b"
+    low = bin(p.x_bits ^ p.z_bits | top)[:2:-1]
+    high = bin(p.z_bits | top)[:2:-1]
+    return int(low, 4) | int(high, 4) << 1
+
+
+def _key_bits(key: int, n: int) -> tuple[int, int]:
+    """(x_bits, z_bits) of an n-qubit letter key, the inverse of ``_letter_key``."""
+    digits = bin(key | 1 << 2 * n)[3:]  # qubit 1's two bits first
+    z = int(digits[-2::-2], 2)
+    return int(digits[::-2], 2) ^ z, z
+
+
+def _reduce(v: int, rows: Sequence[int]) -> int:
+    """v with the leading bit of every row cleared.
+
+    No row holds another row's leading bit, so the XORs commute.
+    """
+    for b in rows:
+        if v ^ b < v:  # v holds b's leading bit
+            v ^= b
+    return v
+
+
+def _insert(rows: list[int], v: int) -> None:
+    """Add v, nonzero and reduced against rows, and clear its leading bit from them."""
+    lead = 1 << v.bit_length() - 1
+    for i, b in enumerate(rows):
+        if b & lead:
+            rows[i] = b ^ v
+    rows.append(v)
+
+
+def _combo_key(keys: Sequence[int], combo: int) -> int:
+    """The letter key of the product of the keyed operators in combo."""
+    key = 0
+    while combo:
+        low = combo & -combo
+        key ^= keys[low.bit_length() - 1]
+        combo ^= low
+    return key
+
+
+def _product(p: PauliOperator, ops: Sequence[PauliOperator], combo: int) -> PauliOperator:
+    """p times the operators whose bits are set in combo, in index order.
+
+    The rule of PauliOperator.__mul__ on plain ints: phases add, plus 2
+    per z(a) & x(b) bit.
+    """
+    x, z, phase = p.x_bits, p.z_bits, p.phase_exp
+    while combo:
+        low = combo & -combo
+        g = ops[low.bit_length() - 1]
+        phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
+        x ^= g.x_bits
+        z ^= g.z_bits
+        combo ^= low
+    return PauliOperator(p.n, x, z, phase & 3)
+
+
 class StabilizerGroup:
     """A validated stabilizer group.
 
@@ -90,8 +169,9 @@ class StabilizerGroup:
             self.n = n
             self.generators: tuple[PauliOperator, ...] = ()
             self.rank = 0
-            self._ech: list[int] = []
-            self._pivots: list[int] = []
+            self._sym: list[int] = []
+            self._keys: list[int] = []
+            self._rows: list[int] = []
             return
         self.n = generators[0].n
         for g in generators:
@@ -103,45 +183,36 @@ class StabilizerGroup:
                 raise MinusIdentityError(
                     (idx,), f"generator {idx} ({g}) is not Hermitian; its square is -I"
                 )
-        for i in range(len(generators)):
-            for j in range(i + 1, len(generators)):
-                if generators[i].anticommutes(generators[j]):
-                    raise NonCommutingGeneratorsError(
-                        i + 1, j + 1, generators[i], generators[j]
-                    )
-        self._validate_independent(generators)
+        n = self.n
+        self._sym = [g.x_bits | g.z_bits << n for g in generators]
+        swapped = [g.z_bits | g.x_bits << n for g in generators]
+        for i, s in enumerate(self._sym):
+            for j in range(i + 1, len(swapped)):
+                if (s & swapped[j]).bit_count() & 1:
+                    raise NonCommutingGeneratorsError(i + 1, j + 1, generators[i], generators[j])
         self.generators = tuple(generators)
         self.rank = len(generators)
-        rows = [self._symplectic_row(g) for g in generators]
-        self._ech, self._pivots = gf2.echelon(rows)
+        self._keys = [_letter_key(g) for g in generators]
+        self._rows = self._eliminate()
 
-    def _symplectic_row(self, p: PauliOperator) -> int:
-        return p.x_bits | (p.z_bits << self.n)
+    def _eliminate(self) -> list[int]:
+        """The generators' keys, fully reduced, each row key << rank | combo.
 
-    def _validate_independent(self, generators: Sequence[PauliOperator]) -> None:
-        # eliminate symplectic rows, tracking which generators combine,
-        # so a vanishing row names its subset and fixes the product sign
-        ech: list[int] = []
-        pivots: list[int] = []
-        combos: list[int] = []
-        for idx, g in enumerate(generators):
-            row = self._symplectic_row(g)
-            combo = 1 << idx
-            for e, p, c in zip(ech, pivots, combos):
-                if row >> p & 1:
-                    row ^= e
-                    combo ^= c
-            if row == 0:
-                subset = tuple(
-                    i + 1 for i in range(len(generators)) if combo >> i & 1
-                )
-                prod = _combo_product(PauliOperator.identity(self.n), generators, combo)
-                if prod.phase_exp == 2:
+        Raises for the first generator that is the product of earlier
+        ones; its combo is unique, so it does not depend on the pivots.
+        Sorted, the rows ascend by leading bit.
+        """
+        rows: list[int] = []
+        for i, key in enumerate(self._keys):
+            v = _reduce(key << self.rank | 1 << i, rows)
+            if v >> self.rank == 0:
+                subset = tuple(j + 1 for j in range(i + 1) if v >> j & 1)
+                if _product(PauliOperator.identity(self.n), self.generators, v).phase_exp == 2:
                     raise MinusIdentityError(subset)
                 raise DependentGeneratorsError(subset)
-            ech.append(row)
-            pivots.append(gf2.lowest_set_bit(row))
-            combos.append(combo)
+            _insert(rows, v)
+        rows.sort()
+        return rows
 
     # -- membership ----------------------------------------------------
 
@@ -149,10 +220,17 @@ class StabilizerGroup:
         """True iff p is in the group up to sign."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        return gf2.reduce_row(self._symplectic_row(p), self._ech, self._pivots) == 0
+        return _reduce(_letter_key(p) << self.rank, self._rows) >> self.rank == 0
+
+    def anticommuting(self, p: PauliOperator) -> list[PauliOperator]:
+        """The generators that anticommute with p, in order."""
+        if p.n != self.n:
+            raise ValueError("qubit count mismatch")
+        swapped = p.z_bits | p.x_bits << self.n
+        return [g for g, s in zip(self.generators, self._sym) if (s & swapped).bit_count() & 1]
 
     def commutes_with_all(self, p: PauliOperator) -> bool:
-        return all(p.commutes(g) for g in self.generators)
+        return not self.anticommuting(p)
 
     # -- enumeration ---------------------------------------------------
 
@@ -196,73 +274,6 @@ class StabilizerGroup:
             yield x, z
 
 
-def _combo_product(
-    p: PauliOperator, generators: Sequence[PauliOperator], combo: int
-) -> PauliOperator:
-    """p times the generators whose bits are set in combo, in index order."""
-    for i, g in enumerate(generators):
-        if combo >> i & 1:
-            p = p * g
-    return p
-
-
-def _letter_key(p: PauliOperator) -> int:
-    """Integer ordered like p.letters: digits I=0 < X=1 < Y=2 < Z=3, qubit 1 first.
-
-    The digit is x ^ 3z, so the key is XOR-linear in (x, z): the key of
-    a product is the XOR of the keys of its factors.
-    """
-    key = 0
-    for i in range(p.n):
-        key = key << 2 | ((p.x_bits >> i & 1) ^ 3 * (p.z_bits >> i & 1))
-    return key
-
-
-# a Pauli as (letter key, x_bits, z_bits, phase_exp) ints
-_Row = tuple[int, int, int, int]
-
-
-def _row(p: PauliOperator) -> _Row:
-    return _letter_key(p), p.x_bits, p.z_bits, p.phase_exp
-
-
-def _row_product(a: _Row, b: _Row) -> _Row:
-    """a * b by the rule of PauliOperator.__mul__: phases add, plus 2 per z(a) & x(b) bit."""
-    phase = (a[3] + b[3] + 2 * (a[2] & b[1]).bit_count()) & 3
-    return a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], phase
-
-
-def _sorted_basis(
-    generators: Sequence[PauliOperator], rep: PauliOperator
-) -> tuple[list[PauliOperator], PauliOperator]:
-    """Re-base so that doubling emits rep * S in ascending letter-key order.
-
-    Row-reduces the generators on their letter keys (each key gets a
-    leading bit no other key has) and clears those bits from rep.  An
-    element's key then carries its generator choices at the leading
-    bits, most significant first, so index order is key order once the
-    generators are taken by ascending leading bit.  The reduction runs
-    on (key, x, z, phase) int rows; operators are built only for the
-    result.
-    """
-    rows: list[_Row] = []  # reduced, so the keys are distinct
-    for g in generators:
-        r = _row(g)
-        for b in rows:
-            if r[0] ^ b[0] < r[0]:  # r's key has b's leading bit
-                r = _row_product(r, b)
-        lead = 1 << r[0].bit_length() - 1
-        rows = [_row_product(b, r) if b[0] & lead else b for b in rows]
-        rows.append(r)
-    rows.sort()
-    r = _row(rep)
-    for b in rows:
-        if r[0] ^ b[0] < r[0]:
-            r = _row_product(r, b)
-    n = rep.n
-    return [PauliOperator(n, *b[1:]) for b in rows], PauliOperator(n, *r[1:])
-
-
 class RestrictionSolve:
     """Which traced sets leave some element of rep * S inside the kept set.
 
@@ -279,6 +290,9 @@ class RestrictionSolve:
     combo records which generators the row is the product of; the last
     row holds rep with combo 0.  Each mask pivots on the lowest set bit
     of x, or of z when x is zero, so a batch costs O(rank) array steps.
+    A row that starts at zero on every mask is never hit, so it gets no
+    step, and the elimination stops once every generator row left is
+    zero: nothing changes after that.
     """
 
     def __init__(self, group: StabilizerGroup, rep: PauliOperator, traced: Sequence[int]):
@@ -293,43 +307,62 @@ class RestrictionSolve:
         rows[:, 0] = np.array([p.x_bits for p in ops], dtype=np.uint64)[:, None] & masks
         rows[:, 1] = np.array([p.z_bits for p in ops], dtype=np.uint64)[:, None] & masks
         rows[:, 2] = np.array([1 << i for i in range(group.rank)] + [0], dtype=np.uint64)[:, None]
-        for i in range(group.rank):
-            x, z = rows[i, 0], rows[i, 1]
-            pivot_x = x & -x
-            pivot_z = np.where(pivot_x == 0, z & -z, 0)
+        union = int(np.bitwise_or.reduce(masks))
+        for i, g in enumerate(group.generators):
+            if not (g.x_bits | g.z_bits) & union:
+                continue
+            if not rows[i:-1, :2].any():
+                break
+            # the lowest set bit of x, or of z where x is zero
+            pivot = rows[i, :2] & -rows[i, :2]
+            pivot[1] *= pivot[0] == 0
             below = rows[i + 1 :]
-            hit = ((below[:, 0] & pivot_x) | (below[:, 1] & pivot_z)) != 0
+            hit = (below[:, :2] & pivot).any(axis=1)
             np.bitwise_xor(below, rows[i], out=below, where=hit[:, None])
         self._rows = rows
         # True where rep's row survives: no element lies inside the kept set
         self.equal = (rows[-1, 0] | rows[-1, 1]) != 0
 
     def witness(self, j: int) -> PauliOperator | None:
-        """The least-letters element inside mask j's kept set, sign included, or None."""
+        """The least-letters element inside mask j's kept set, sign included, or None.
+
+        The generator rows that vanished on mask j span S_K.  Reduced on
+        their letter keys, they clear their leading bits from e0's key,
+        which leaves the least key in e0 * S_K.
+        """
         if self.equal[j]:
             return None
-        gens = self.group.generators
+        r, keys = self.group.rank, self.group._keys
         rows = self._rows[:, :, j].tolist()
-        e0 = _combo_product(self.rep, gens, rows[-1][2])
-        identity = PauliOperator.identity(self.group.n)
-        local = [_combo_product(identity, gens, c) for x, z, c in rows[:-1] if x == z == 0]
-        return _sorted_basis(local, e0)[1]
+        local: list[int] = []
+        for x, z, combo in rows[:-1]:
+            if x == z == 0:
+                _insert(local, _reduce(_combo_key(keys, combo) << r | combo, local))
+        combo = rows[-1][2]
+        e0 = (_letter_key(self.rep) ^ _combo_key(keys, combo)) << r | combo
+        least = _reduce(e0, local)
+        return _product(self.rep, self.group.generators, least & (1 << r) - 1)
 
 
 class CosetTable:
     """The signed coset {rep * s : s in group}, in letters order, scanned in blocks.
 
-    ``_sorted_basis`` re-bases the generators so that doubling (the
-    first 2^i rows times basis[i] give the next 2^i) emits the coset
-    sorted by letters.  Row j is rep times the basis elements at the set
-    bits of j.  The table holds that order as two unsigned factors of
+    The group's rows are its generators row-reduced on letter keys, each
+    with a leading bit no other row has, in ascending order.  Clearing
+    those bits from rep's key leaves the least key in the coset, and an
+    element's key carries its generator choices at the leading bits,
+    most significant first.  So doubling over the rows (the first 2^i
+    entries times row i give the next 2^i) emits the coset sorted by
+    letters: entry j is the reduced rep times the rows at the set bits
+    of j.  The table holds that order as two unsigned factors of
     bit-packed uint64 x/z rows, each built by XOR doubling: the low
-    factor rep * span(basis[:a]) and the high factor span(basis[a:]),
-    with a = ceil(rank / 2).  Row hi << a | lo is high row hi XOR low
+    factor rep * span(rows[:a]) and the high factor span(rows[a:]),
+    with a = ceil(rank / 2).  Entry hi << a | lo is high row hi XOR low
     row lo, so a scan in blocks of about ``_BLOCK_ROWS`` rows holds
-    O(2^(rank/2) + block) words, never the whole coset.  Only the rows
-    that are asked for get a sign, by one product of at most rank
-    factors.
+    O(2^(rank/2) + block) words, never the whole coset.  Each entry's
+    generator combo is the XOR of its rows' combos, and only the
+    entries that are asked for get a sign, by one product of at most
+    rank generators.
     """
 
     def __init__(self, group: StabilizerGroup, rep: PauliOperator):
@@ -340,53 +373,90 @@ class CosetTable:
         if group.n > MAX_ROW_N:
             raise EnumerationCapError(f"n {group.n} exceeds bit-packed row cap {MAX_ROW_N}")
         self.n, self.rank = group.n, group.rank
-        self.basis, self.rep = _sorted_basis(group.generators, rep)
-        a = (self.rank + 1) // 2
-        self._low = _span(self.basis[:a], self.rep.x_bits, self.rep.z_bits)
-        self._high = _span(self.basis[a:], 0, 0)
+        n, r = self.n, self.rank
+        self._generators, self._rep = group.generators, rep
+        # the reduced rep first, then the group's rows
+        rows = [_reduce(_letter_key(rep) << r, group._rows), *group._rows]
+        self._combos = [b & (1 << r) - 1 for b in rows]
+        words = np.array([_key_bits(b >> r, n) for b in rows], dtype=np.uint64)
+        a = (r + 1) // 2
+        self._low = _span(words[0], words[1 : a + 1])
+        self._high = _span(np.zeros(2, dtype=np.uint64), words[a + 1 :])
+        # qubits where some low-factor row has an x, and a z, bit
+        self._low_support = np.bitwise_or.reduce(words[1 : a + 1], axis=0, initial=0)
         self._min: tuple[int, PauliOperator] | None = None
 
     def __len__(self) -> int:
         return 1 << self.rank
 
+    def _step(self) -> int:
+        """High rows per block."""
+        return max(1, _BLOCK_ROWS // self._low.shape[1])
+
+    def _block(self, s: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """x and z of high rows s..s+step-1, each XOR every low row."""
+        (lx, lz), (hx, hz) = self._low, self._high
+        return (hx[s : s + step, None] ^ lx).ravel(), (hz[s : s + step, None] ^ lz).ravel()
+
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """(offset, x, z) for consecutive runs of rows, in index order."""
-        (lx, lz), (hx, hz) = self._low, self._high
-        step = max(1, _BLOCK_ROWS // len(lx))
-        for s in range(0, len(hx), step):
-            yield (
-                s * len(lx),
-                (hx[s : s + step, None] ^ lx).ravel(),
-                (hz[s : s + step, None] ^ lz).ravel(),
-            )
+        step, size = self._step(), self._low.shape[1]
+        for s in range(0, self._high.shape[1], step):
+            yield (s * size, *self._block(s, step))
 
     def element(self, pos: int) -> PauliOperator:
         """The entry at a sorted position, sign included."""
-        return _combo_product(self.rep, self.basis, pos)
+        combo = self._combos[0]
+        for c in self._combos[1:]:
+            if pos & 1:
+                combo ^= c
+            pos >>= 1
+        return _product(self._rep, self._generators, combo)
+
+    def _forced_weights(self) -> np.ndarray:
+        """Per high row, a lower bound on the weight of every entry built on it.
+
+        Where no low-factor row has an x bit, an entry's x is its high
+        row's x XOR the reduced rep's, and likewise for z; the letters
+        so forced count toward every entry's weight.
+        """
+        (lx, lz), (hx, hz) = self._low, self._high
+        free_x, free_z = self._low_support
+        return np.bitwise_count(((hx ^ lx[0]) & ~free_x) | ((hz ^ lz[0]) & ~free_z))
 
     def min_weight(self) -> tuple[int, PauliOperator]:
-        """Minimum weight and the least-letters entry of that weight."""
+        """Minimum weight and the least-letters entry of that weight.
+
+        A block is scanned only if some high row in it has a forced
+        weight below the best weight found so far.  The blocks run in
+        index order, so a skipped block could at most tie, and a tie
+        goes to the earlier entry.
+        """
         if self._min is None:
+            step, size = self._step(), self._low.shape[1]
+            starts = range(0, self._high.shape[1], step)
+            floors = np.minimum.reduceat(self._forced_weights(), starts).tolist()
             best, at = self.n + 1, 0
-            for offset, x, z in self.blocks():
+            for s, floor in zip(starts, floors):
+                if floor >= best:
+                    continue
+                x, z = self._block(s, step)
                 weight = np.bitwise_count(x | z)
                 w = int(weight.min())
                 if w < best:
-                    best, at = w, offset + int(np.argmax(weight == w))
+                    best, at = w, s * size + int(np.argmax(weight == w))
             self._min = best, self.element(at)
         return self._min
 
 
-def _span(basis: Sequence[PauliOperator], x: int, z: int) -> tuple[np.ndarray, np.ndarray]:
-    """x/z rows of (x, z) times every product of the basis, by XOR doubling."""
-    xs = np.empty(1 << len(basis), dtype=np.uint64)
-    zs = np.empty_like(xs)
-    xs[0], zs[0] = x, z
+def _span(start: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(x, z) rows of start times every product of the basis rows, by XOR doubling."""
+    rows = np.empty((2, 1 << len(basis)), dtype=np.uint64)
+    rows[:, 0] = start
     for i, g in enumerate(basis):
         h = 1 << i
-        np.bitwise_xor(xs[:h], np.uint64(g.x_bits), out=xs[h : 2 * h])
-        np.bitwise_xor(zs[:h], np.uint64(g.z_bits), out=zs[h : 2 * h])
-    return xs, zs
+        np.bitwise_xor(rows[:, :h], g[:, None], out=rows[:, h : 2 * h])
+    return rows
 
 
 def coset_min_weight(group: StabilizerGroup, rep: PauliOperator) -> tuple[int, PauliOperator]:
@@ -406,23 +476,23 @@ def logical_classes(
 
     Modulo S the centralizer is the union of 2^(2k) classes L * S
     (Gottesman, quant-ph/9705052).  L runs over the nonempty products of
-    the centralizer basis vectors independent of S and of each other.
-    With z_bar, only the classes anticommuting with it are built (z_bar
-    commutes with S, so L decides).  Keep no table longer than its use.
+    the centralizer basis vectors independent of S and of each other,
+    found by extending the group's reduced rows.  With z_bar, only the
+    classes anticommuting with it are built (z_bar commutes with S, so
+    L decides).  Keep no table longer than its use.
     """
     if z_bar is not None and not group.commutes_with_all(z_bar):
         raise ValueError("z_bar is not in the centralizer of the group")
-    ech, pivots = list(group._ech), list(group._pivots)
+    rows = list(group._rows)
     reps = []
     for p in group.centralizer_basis():
-        row = gf2.reduce_row(group._symplectic_row(p), ech, pivots)
-        if row:
-            ech.append(row)
-            pivots.append(gf2.lowest_set_bit(row))
+        v = _reduce(_letter_key(p) << group.rank, rows)
+        if v >> group.rank:
+            _insert(rows, v)
             reps.append(p)
     identity = PauliOperator.identity(group.n)
     for combo in range(1, 1 << len(reps)):
-        rep = _combo_product(identity, reps, combo)
+        rep = _product(identity, reps, combo)
         if z_bar is None or rep.anticommutes(z_bar):
             yield CosetTable(group, rep)
 

@@ -17,7 +17,8 @@ entirely inside the kept set.  Consequences used throughout:
     (Z-bar_1 Z-bar_2) * S.
 
 Each spec's difference coset has one ``stabilizer.CosetTable``, which
-finds w_min by one blockwise scan.  Kept-set queries need no
+finds w_min by one blockwise scan that skips the blocks whose forced
+letters already weigh too much.  Kept-set queries need no
 enumeration: some coset element avoids the traced set T iff Z-bar
 restricted to T lies in the span of the generators restricted to T,
 which ``stabilizer.RestrictionSolve`` decides for a batch of traced
@@ -78,9 +79,9 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
     raise ValueError(f"unsupported k={spec.k}")
 
 
-# a table holds its re-based basis, two half-rank factors (2 * 2^10 rows
-# of x and z words at the rank cap, 32 KB) and its minimum weight once
-# read; the coset itself is scanned in blocks and never held
+# a table holds its rows' generator combos, two half-rank factors
+# (2 * 2^10 rows of x and z words at the rank cap, 32 KB) and its minimum
+# weight once read; the coset itself is scanned in blocks and never held
 @lru_cache(maxsize=4)
 def _table_of(spec: CodeSpec) -> CosetTable:
     return CosetTable(_group_of(spec), _difference_rep(spec))

@@ -8,14 +8,17 @@ centralizer pair by pair, the reference for the logical-class tables;
 ``doubling`` and ``sorted_coset`` enumerate a whole coset with signs
 in plain numpy, the reference for the factored coset table, and
 ``signed_coset`` multiplies rep into every group element, the
-per-element reference.  ``relating_unitary`` and its checks work on
+per-element reference.  ``random_codes`` draws valid codes by random
+Clifford circuits.  ``relating_unitary`` and its checks work on
 plain state vectors, the reference for the fact behind the oracle's
 verdicts: a unitary on the traced qubits maps one codeword to the other
 exactly when the kept qubits' reduced states agree.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
+from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
 
 I2 = np.eye(2, dtype=complex)
@@ -162,3 +165,35 @@ def zz_chain_doc(n=17):
         "stabilizers": ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 2)],
         "logical_z": ["X" * (n - 1) + "I", "I" * (n - 1) + "X"],
     }
+
+
+_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+
+@st.composite
+def random_codes(draw, max_n=6):
+    """A random valid [[n, k]] code, k = 1 or 2, n <= max_n.
+
+    Starts from the trivial code (Z on qubits k+1..n stabilizes, Z on
+    qubits 1..k are the logical Z's) and applies a random H/S/CNOT
+    circuit to the (x, z) bits of every row.  The image rows stay
+    independent and commuting, so any signs on the Hermitian generators
+    give a valid group.
+    """
+    k = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(k + 1, max_n))
+    rows = [([0] * n, [1 if q == i else 0 for q in range(n)]) for i in range(n)]
+    gates = st.tuples(st.sampled_from("HSC"), st.integers(0, n - 1), st.integers(0, n - 1))
+    for gate, a, b in draw(st.lists(gates, min_size=4 * n, max_size=12 * n)):
+        for x, z in rows:
+            if gate == "H":
+                x[a], z[a] = z[a], x[a]
+            elif gate == "S":
+                z[a] ^= x[a]
+            elif a != b:  # CNOT, control a, target b
+                x[b] ^= x[a]
+                z[a] ^= z[b]
+    strings = ["".join(_LETTER[x[q], z[q]] for q in range(n)) for x, z in rows]
+    signs = draw(st.lists(st.sampled_from(("", "-")), min_size=n - k, max_size=n - k))
+    stabilizers = tuple(sign + s for sign, s in zip(signs, strings[k:]))
+    return CodeSpec(f"random_{n}_{k}", n, k, stabilizers, tuple(strings[:k]))

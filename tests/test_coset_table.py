@@ -9,6 +9,7 @@ several blocks, are checked against a whole-coset numpy doubling.
 
 import itertools
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qundet import codes
+from qundet import codes, gf2, stabilizer
 from qundet import undetermined as und
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator, parse_pauli
@@ -25,6 +26,8 @@ from qundet.stabilizer import (
     MAX_ROW_N,
     CosetTable,
     EnumerationCapError,
+    RestrictionSolve,
+    StabilizerGroup,
     coset_min_weight,
     logical_x_weights,
 )
@@ -182,5 +185,91 @@ def test_queries_run_to_the_row_cap():
 
 def test_table_cache_stays_small():
     # a cached table holds its two factors, 2 * 2^10 rows of x and z
-    # words at the rank cap, its basis and its memoized minimum weight
+    # words at the rank cap, its rows' combos and its memoized minimum weight
     assert und._table_of.cache_info().maxsize <= 8
+
+
+def _least(elements):
+    return min(elements, key=lambda p: (p.weight, p.letters))
+
+
+def bits_of(n):
+    return st.integers(0, (1 << n) - 1)
+
+
+@st.composite
+def z_type_cosets(draw):
+    """Z-type generators with an X-type or mixed rep: every x bit outside
+    the low factor's support is forced, so the forced-letter bound bites."""
+    n = draw(st.integers(2, 9))
+    rows: list[int] = []
+    for z in draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3 * n)):
+        if len(rows) < n - 1 and len(gf2.echelon(rows + [z])[0]) > len(rows):
+            rows.append(z)
+    group = StabilizerGroup([PauliOperator(n, 0, z) for z in rows])
+    x = draw(st.integers(1, (1 << n) - 1))
+    return group, PauliOperator(n, x, draw(st.one_of(st.just(0), st.just(x), bits_of(n))))
+
+
+@st.composite
+def random_cosets(draw):
+    """Some of a random code's generators, with its difference rep or any
+    signed Pauli as the rep (one that anticommutes with some of them too)."""
+    spec = draw(helpers.random_codes(max_n=8))
+    gens = spec.stabilizer_ops()
+    group = StabilizerGroup(gens[: draw(st.integers(1, len(gens)))])
+    n = spec.n
+    any_rep = st.builds(PauliOperator, st.just(n), bits_of(n), bits_of(n), st.sampled_from((0, 2)))
+    return group, draw(st.one_of(st.just(_difference_rep(spec)), any_rep))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_cosets(), z_type_cosets()), st.sampled_from((1, 2, 4, 16)))
+def test_pruned_scan_matches_least_signed_element(case, block_rows):
+    # small blocks split even these small tables, so whole blocks get skipped
+    group, rep = case
+    with patch.object(stabilizer, "_BLOCK_ROWS", block_rows):
+        best = _least(helpers.signed_coset(group, rep))
+        assert CosetTable(group, rep).min_weight() == (best.weight, best)
+
+
+def test_ghz_scan_forms_only_its_first_block(monkeypatch):
+    spec = codes.catalog("ghz", n=19)
+    group, rep = spec.group(), spec.logical_z_ops()[0]
+    formed = []
+    block = CosetTable._block
+
+    def counted(self, s, step):
+        formed.append(s)
+        return block(self, s, step)
+
+    monkeypatch.setattr(CosetTable, "_block", counted)
+    table = CosetTable(group, rep)
+    # every entry has an x on every qubit, so weight 19 is forced everywhere
+    w, witness = table.min_weight()
+    assert formed == [0]
+    assert len(list(table.blocks())) == 16
+    x, z, phase = helpers.sorted_coset(group, rep)
+    assert (w, witness) == (19, PauliOperator(19, int(x[0]), int(z[0]), int(phase[0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_cosets())
+def test_restriction_solve_matches_brute_force(case):
+    # every traced mask, the empty and the full one included, both in one
+    # batch and one mask at a time, so the early stop is hit at every depth
+    group, rep = case
+    n = group.n
+    x, z, phase, key = helpers.doubling(group.generators, rep)
+    masks = list(range(1 << n))
+    batch = RestrictionSolve(group, rep, masks)
+    for mask in masks:
+        inside = np.flatnonzero((x | z) & np.uint64(mask) == 0)
+        want = None
+        if len(inside):
+            at = inside[np.argmin(key[inside])]
+            want = PauliOperator(n, int(x[at]), int(z[at]), int(phase[at]))
+        single = RestrictionSolve(group, rep, [mask])
+        for solve, j in ((batch, mask), (single, 0)):
+            assert bool(solve.equal[j]) == (want is None)
+            assert solve.witness(j) == want

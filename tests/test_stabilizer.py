@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qundet import codes
 from qundet.pauli import PauliOperator, parse_pauli
@@ -21,6 +21,7 @@ from qundet.stabilizer import (
     logical_x_weights,
 )
 
+import helpers
 from helpers import matrix_of, walk_distance
 
 
@@ -282,3 +283,64 @@ def test_ghz_group_properties(n):
     for e in els:
         assert e.x_bits == 0  # GHZ stabilizers are Z-type
         assert e.phase_exp == 0
+
+
+@pytest.mark.parametrize("text, error, subset", [
+    # generator 4 is the product of 1 and 2; 3 sits between them and 5 follows
+    ("ZZIII IIZZI XXXXI ZZZZI IIIIZ", DependentGeneratorsError, (1, 2, 4)),
+    ("ZZIII IIZZI XXXXI -ZZZZI IIIIZ", MinusIdentityError, (1, 2, 4)),
+    # generator 4 is the product of 1 and 3, and XX * ZZ = -YY
+    ("XXII ZZZZ ZZII -YYII IIXX", DependentGeneratorsError, (1, 3, 4)),
+    ("XXII ZZZZ ZZII YYII IIXX", MinusIdentityError, (1, 3, 4)),
+])
+def test_vanishing_generator_inside_the_list(text, error, subset):
+    with pytest.raises(error) as exc:
+        StabilizerGroup(paulis(text))
+    assert type(exc.value) is error
+    assert exc.value.subset == subset
+
+
+def test_noncommuting_error_names_the_first_pair():
+    # pairs (1, 4) and (2, 3) both anticommute; (1, 4) comes first
+    with pytest.raises(NonCommutingGeneratorsError) as exc:
+        StabilizerGroup(paulis("ZII IZI IXI XII"))
+    assert exc.value.pair == (1, 4)
+
+
+@st.composite
+def generating_sets(draw):
+    """Commuting Hermitian generators, signed at random, with one
+    dependent generator (a signed product of earlier ones) inserted."""
+    spec = draw(helpers.random_codes(max_n=7))
+    gens = spec.stabilizer_ops()
+    at = draw(st.integers(1, len(gens)))
+    picks = draw(st.lists(st.integers(0, at - 1), min_size=1, max_size=at, unique=True))
+    dependent = PauliOperator.identity(spec.n)
+    for i in sorted(picks):
+        dependent = dependent * gens[i]
+    dependent = dependent * PauliOperator(spec.n, 0, 0, draw(st.sampled_from((0, 2))))
+    return gens[:at] + [dependent] + gens[at:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_sets())
+def test_validation_names_the_subset_found_by_brute_force(gens):
+    # the first generator in the span of the ones before it, by a walk
+    # over every subset of those
+    for k, g in enumerate(gens):
+        for combo in range(1 << k):
+            prod = g
+            for i in range(k):
+                if combo >> i & 1:
+                    prod = prod * gens[i]
+            if prod.x_bits == prod.z_bits == 0:
+                subset = tuple(i + 1 for i in range(k) if combo >> i & 1) + (k + 1,)
+                error = MinusIdentityError if prod.phase_exp == 2 else DependentGeneratorsError
+                break
+        else:
+            continue
+        break
+    with pytest.raises(error) as exc:
+        StabilizerGroup(gens)
+    assert exc.value.subset == subset
+    assert type(exc.value) is error

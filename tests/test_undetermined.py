@@ -24,6 +24,7 @@ from qundet.undetermined import (
     undetected_error_cover,
 )
 
+import helpers
 from helpers import walk_distance
 
 
@@ -351,40 +352,8 @@ def test_oracle_sweep_compares_each_subset_once(monkeypatch, name, n):
     assert oracle_sweep(spec) == len(calls) == 2 ** spec.n - 2
 
 
-_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-
-
-@st.composite
-def random_codes(draw):
-    """A random valid [[n, k]] code, k = 1 or 2, n <= 6.
-
-    Starts from the trivial code (Z on qubits k+1..n stabilizes, Z on
-    qubits 1..k are the logical Z's) and applies a random H/S/CNOT
-    circuit to the (x, z) bits of every row.  The image rows stay
-    independent and commuting, so any signs on the Hermitian generators
-    give a valid group.
-    """
-    k = draw(st.sampled_from((1, 2)))
-    n = draw(st.integers(k + 1, 6))
-    rows = [([0] * n, [1 if q == i else 0 for q in range(n)]) for i in range(n)]
-    gates = st.tuples(st.sampled_from("HSC"), st.integers(0, n - 1), st.integers(0, n - 1))
-    for gate, a, b in draw(st.lists(gates, min_size=4 * n, max_size=12 * n)):
-        for x, z in rows:
-            if gate == "H":
-                x[a], z[a] = z[a], x[a]
-            elif gate == "S":
-                z[a] ^= x[a]
-            elif a != b:  # CNOT, control a, target b
-                x[b] ^= x[a]
-                z[a] ^= z[b]
-    strings = ["".join(_LETTER[x[q], z[q]] for q in range(n)) for x, z in rows]
-    signs = draw(st.lists(st.sampled_from(("", "-")), min_size=n - k, max_size=n - k))
-    stabilizers = tuple(sign + s for sign, s in zip(signs, strings[k:]))
-    return CodeSpec(f"random_{n}_{k}", n, k, stabilizers, tuple(strings[:k]))
-
-
 @settings(max_examples=60, deadline=None)
-@given(random_codes())
+@given(helpers.random_codes())
 def test_random_codes_agree_with_oracle(spec):
     assert validate(spec).ok
     assert oracle_sweep(spec) == 2 ** spec.n - 2
