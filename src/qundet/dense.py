@@ -38,7 +38,7 @@ O(2^n) memory.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -236,7 +236,7 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def reduced_distances(
     states0: np.ndarray, states1: np.ndarray, subsets: Iterable[Iterable[int]]
-) -> Iterator[float]:
+) -> list[float]:
     """Frobenius distance of two stacks' reduced states, one per traced subset.
 
     The subsets must share one size; each distance is one
@@ -248,14 +248,9 @@ def reduced_distances(
     and no 2^|K| x 2^|K| matrix is formed.
     """
     n = states0.shape[1].bit_length() - 1
-    return _distances(states0, states1, _traced_sets(subsets, n), n)
-
-
-def _distances(
-    states0: np.ndarray, states1: np.ndarray, traced: list[tuple[int, ...]], n: int
-) -> Iterator[float]:
+    traced = _traced_sets(subsets, n)
     if not traced:
-        return
+        return []
     (scaled0, norm0), (scaled1, norm1) = _scaled(states0), _scaled(states1)
     both = np.concatenate([scaled0, scaled1])
     t = len(traced[0])
@@ -264,6 +259,7 @@ def _distances(
     # exact (see _scaled), so an equal pair reads exactly 0
     direct = 1 << (n - t) <= len(both) << t
     step = max(1, _CHUNK // max(states0.size, states1.size))
+    out = []
     for at in range(0, len(traced), step):
         cut = _cut(both, traced[at:at + step], n)
         if not direct:
@@ -271,5 +267,5 @@ def _distances(
         a, b = cut[..., :split], cut[..., split:]
         rho0 = a @ (a.conj().swapaxes(1, 2) / norm0)
         rho1 = b @ (b.conj().swapaxes(1, 2) / norm1)
-        for r0, r1 in zip(rho0, rho1):
-            yield frobenius_distance(r0, r1)
+        out += [frobenius_distance(r0, r1) for r0, r1 in zip(rho0, rho1)]
+    return out

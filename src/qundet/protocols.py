@@ -29,6 +29,9 @@ STRATEGIES = ("honest", "delay_discriminate")
 
 _MAX_TABLE_PARTIES = 8
 
+# a run aborts when more than this share of its check rounds disagree
+_ABORT_THRESHOLD = 0.05
+
 # rounds per chunk: the per-chunk temporaries of qss_run stay a few MB
 # at any party count and round count
 _CHUNK_ROUNDS = 1 << 16
@@ -53,7 +56,6 @@ class QssConfig:
     check_fraction: float = 0.2
     strategy: str = "honest"
     seed: int = 0
-    abort_threshold: float = 0.05
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -288,7 +290,7 @@ def qss_run(config: QssConfig) -> QssStats:
         detection = check_error_rate
         radii["attacker_solo_accuracy"] = _binomial_radius(solo, kept_n)
         radii["per_forged_round_detection"] = _binomial_radius(detection, checked_n)
-    aborted = checked_n > 0 and check_error_rate > config.abort_threshold
+    aborted = checked_n > 0 and check_error_rate > _ABORT_THRESHOLD
     return QssStats(
         config=config,
         rounds=rounds,

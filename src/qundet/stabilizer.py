@@ -3,9 +3,11 @@
 A group is given by commuting, independent, Hermitian Pauli generators
 whose generated group avoids -I.  Commutation is the symplectic form on
 packed rows (x_bits | z_bits << n against z_bits | x_bits << n), so the
-centralizer of the group is the kernel of the swapped rows.
+centralizer of the group is the kernel of the swapped rows, found by
+the same leading-bit reduction (``_reduce``, ``_insert``) as the letter
+keys below.
 
-One GF(2) elimination per group does the rest.  Each generator's
+One elimination of letter keys per group does the rest.  Each generator's
 *letter key* (``_letter_key``) is an integer ordered like its letter
 string and XOR-linear in (x, z).  The group row-reduces the keys once,
 each row packed as key << rank | combo, where the combo names the
@@ -42,7 +44,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from qundet import gf2
 from qundet.pauli import PauliOperator
 
 MAX_ENUM_RANK = 20
@@ -246,12 +247,25 @@ class StabilizerGroup:
         return out
 
     def centralizer_basis(self) -> list[PauliOperator]:
-        """2n - rank unsigned Paulis spanning the commutant of the group."""
-        swapped = [g.z_bits | (g.x_bits << self.n) for g in self.generators]
-        mask = (1 << self.n) - 1
+        """2n - rank unsigned Paulis spanning the commutant of the group.
+
+        The commutant is the kernel of the swapped rows.  Reduced, each
+        row owns its leading bit, so every other column c gives one
+        kernel vector: bit c plus the leading bit of each row holding c.
+        """
+        n = self.n
+        rows: list[int] = []
+        for g in self.generators:
+            _insert(rows, _reduce(g.z_bits | g.x_bits << n, rows))
+        leads = [b.bit_length() - 1 for b in rows]
         basis = []
-        for v in gf2.nullspace(swapped, 2 * self.n):
-            basis.append(PauliOperator(self.n, v & mask, v >> self.n).unsigned())
+        for c in range(2 * n):
+            if c in leads:
+                continue
+            v = 1 << c
+            for b, lead in zip(rows, leads):
+                v |= (b >> c & 1) << lead
+            basis.append(PauliOperator(n, v & (1 << n) - 1, v >> n).unsigned())
         return basis
 
     def normalizer_masks(self) -> Iterator[tuple[int, int]]:
@@ -385,9 +399,6 @@ class CosetTable:
         # qubits where some low-factor row has an x, and a z, bit
         self._low_support = np.bitwise_or.reduce(words[1 : a + 1], axis=0, initial=0)
         self._min: tuple[int, PauliOperator] | None = None
-
-    def __len__(self) -> int:
-        return 1 << self.rank
 
     def _step(self) -> int:
         """High rows per block."""

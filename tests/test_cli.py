@@ -184,6 +184,31 @@ def test_qss_digest_pinned(capsys, argv, digest):
     assert json.loads(capsys.readouterr().out)["manifest"]["result_digest"] == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["analyze", "--catalog", "code_412", "--max-trace", "3", "--conditional", "2"],
+     "08a31e100a0a459535a9378ba4fdca6b38365af1d50f4846ad1686c511df6dd5"),
+    (["analyze", "--catalog", "code_513", "--max-trace", "4", "--conditional", "3"],
+     "004c3f897d6acc1edbe54de974cf14005ca0dcf9ecfa8ee7aea87018e831ec6b"),
+    (["analyze", "--catalog", "steane_713", "--max-trace", "6", "--conditional", "3"],
+     "c9dff4c8cb2f285367ee4d829bdb08135458d2424a01cc3720e17434da0d53c0"),
+    (["analyze", "--catalog", "code_422", "--max-trace", "3", "--conditional", "2"],
+     "a1b6a0d1595dd4b5cc3ed0a576e380b81d49b8c74d0d04086cd4e30c3d1465ca"),
+    (["analyze", "--catalog", "ghz", "--n", "10", "--max-trace", "9"],
+     "13c5356b313c4926737215f7016ac1409c30f03379523c8913a1031742ae5f4a"),
+    (["analyze", "--catalog", "cyclic", "--n", "21", "--max-trace", "12"],
+     "738dc2d005d1d7b25271bda6b5110d460c82a29765dc1823aadb84c16f184abb"),
+    (["analyze", "--catalog", "cyclic", "--n", "13", "--max-trace", "12", "--conditional", "4"],
+     "76abdaff7278996bf90c7fe8564122fdc53aaa83c14f2448de5b0a6622b06f60"),
+    (["scan-cyclic", "--from", "7", "--to", "23"],
+     "17ab12ea24de6f5d84e62d23e067db59862a96d110ee55ecf207b1310bf33c09"),
+])
+def test_symbolic_digest_pinned(capsys, argv, digest):
+    # symbolic reports hold no floats: thresholds, witnesses, distances
+    # and counts, so a refactor of the engine must leave these bytes alone
+    assert run([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["result_digest"] == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["qss", "--parties", "5", "--rounds", "3000", "--seed", "4"],
     ["bc-demo", "--samples", "40", "--seed", "6"],

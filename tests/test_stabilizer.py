@@ -120,10 +120,25 @@ def test_centralizer_sizes_and_commutation():
 
 def test_centralizer_basis_independent():
     g = codes.catalog("steane_713").group()
-    from qundet import gf2
+    basis = g.centralizer_basis()
+    assert len(set(g.normalizer_masks())) == 1 << len(basis)
 
-    rows = [b.x_bits | (b.z_bits << g.n) for b in g.centralizer_basis()]
-    assert len(gf2.echelon(rows)[0]) == len(rows)
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.random_codes(max_n=6))
+def test_centralizer_basis_spans_the_commutant(spec):
+    # the commutant by brute force over all 4^n (x, z) pairs
+    g = spec.group()
+    basis = g.centralizer_basis()
+    assert len(basis) == 2 * g.n - g.rank
+    assert all(g.commutes_with_all(b) for b in basis)
+    commutant = {
+        (x, z)
+        for x in range(1 << g.n)
+        for z in range(1 << g.n)
+        if g.commutes_with_all(PauliOperator(g.n, x, z))
+    }
+    assert commutant == set(g.normalizer_masks())
 
 
 def test_ghz3_centralizer_spans_expected():
