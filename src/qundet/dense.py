@@ -20,7 +20,11 @@ reduced states come out exact and equal ones compare bitwise equal,
 whatever the start vector.  A k=2 equal mixture is a stack of two such
 vectors.  The reduced state on the kept qubits K is
 sum_i M_i M_i^dagger / m, where M_i is vector i reshaped to
-2^|K| x 2^|T| (T the traced qubits).
+2^|K| x 2^|T| (T the traced qubits).  When every amplitude of the two
+stacks is real (all 0 or +-1 once scaled, as for most codes), the
+whole comparison runs in float64 instead of complex128, through the
+same lines: the reduced states are then integers over a power of 2,
+as exact as the Gaussian integers of the complex case.
 
 Two reduced states are compared on the smaller side of the cut.  With
 A and B the two stacks as 2^|K| x m 2^|T| matrices, the reduced states
@@ -31,9 +35,11 @@ O(2^n min(2^|K|, 2m 2^|T|)), not 2^(n+|K|).  The two states are
 equal when that distance is below ``ATOL``: an equal pair's distance
 is exactly 0 on the direct side and about 1e-16 on the QR side, and a
 determined pair's is at least 2^((3-n)/2), so one constant separates
-them up to the cap (docs/method.md).  Sizes are capped at n <= ``ORACLE_MAX_N``,
-which bounds ``pauli_matrix``'s 4^n entries; the state vectors take
-O(2^n) memory.
+them up to the cap (docs/method.md).  Each chunk of traced subsets
+is cut by one gather, whose index is built by doubling over each
+subset's basis-index weights (see :func:`_cut`).  Sizes are capped at
+n <= ``ORACLE_MAX_N``, which bounds ``pauli_matrix``'s 4^n entries;
+the state vectors take O(2^n) memory.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ from qundet.stabilizer import StabilizerGroup
 ORACLE_MAX_N = 10
 # reduced-state distances below this are equal (see the module docstring)
 ATOL = 1e-9
-# gathered amplitudes per stack in one chunk of traced subsets
+# gathered amplitudes per stack in one chunk of traced subsets; 2^16
+# is no faster on the benchmark's sweep and has a larger peak RSS
 _CHUNK = 1 << 14
 
 # seed of the start vector every codeword is projected from; any vector
@@ -158,9 +165,17 @@ def _traced_sets(subsets: Iterable[Iterable[int]], n: int) -> list[tuple[int, ..
     return traced
 
 
-def _bits(width: int) -> np.ndarray:
-    """Row i holds the ``width`` bits of i, most significant first."""
-    return np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1) & 1
+def _double(index: np.ndarray, size: int, weights: np.ndarray) -> int:
+    """Extend each row's first ``size`` offsets by doubling over ``weights``.
+
+    The last column of ``weights`` is doubled over first, so it becomes
+    the least significant bit of the new part of the index; returns the
+    new number of offsets per row.
+    """
+    for w in weights[:, ::-1].T:
+        np.add(index[:, :size], w[:, None], out=index[:, size:2 * size])
+        size *= 2
+    return size
 
 
 def _cut(states: np.ndarray, traced: list[tuple[int, ...]], n: int) -> np.ndarray:
@@ -169,19 +184,23 @@ def _cut(states: np.ndarray, traced: list[tuple[int, ...]], n: int) -> np.ndarra
     Returns shape (len(traced), 2^|K|, m 2^|T|): row bits are the kept
     qubits and column bits the stack index then the traced qubits, each
     most significant first in ascending qubit order, as in
-    :func:`partial_trace`.
+    :func:`partial_trace`.  Each set's flat gather offsets are built by
+    doubling over its basis-index weights (qubit q weighs 2^(n-q)), the
+    traced qubits first, then the stack, then the kept qubits.
     """
     t = len(traced[0])
     member = np.zeros((len(traced), n), dtype=bool)
-    np.put_along_axis(member, np.array(traced, dtype=np.intp) - 1, True, axis=1)
-    # per set, the kept qubits then the traced ones, each ascending, as
-    # their basis-index weights (qubit q weighs 2^(n-q))
+    member[np.arange(len(traced))[:, None], np.array(traced, dtype=np.intp) - 1] = True
+    # per set, the kept qubits then the traced ones, each ascending
     weights = 1 << (n - 1 - np.argsort(member, axis=1, kind="stable"))
-    rows = weights[:, :n - t] @ _bits(n - t).T
-    cols = weights[:, n - t:] @ _bits(t).T
-    stack = np.arange(len(states)) << n
-    index = rows[:, :, None, None] + stack[:, None] + cols[:, None, None, :]
-    return states.ravel()[index].reshape(len(traced), len(rows[0]), -1)
+    m = len(states)
+    index = np.zeros((len(traced), m << n), dtype=weights.dtype)
+    size = _double(index, 1, weights[:, n - t:])
+    # vector j of the stack starts at j 2^n in the flat stack
+    stacked = index[:, None, :size] + (np.arange(m) << n)[:, None]
+    index[:, :m * size] = stacked.reshape(len(traced), -1)
+    _double(index, m * size, weights[:, :n - t])
+    return states.ravel()[index.reshape(len(traced), 1 << (n - t), -1)]
 
 
 def _scaled(states: np.ndarray) -> tuple[np.ndarray, float]:
@@ -231,7 +250,8 @@ def partial_trace(m: np.ndarray, traced_out: Iterable[int], n: int | None = None
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
+    d = (a - b).ravel()
+    return float(np.sqrt(np.vdot(d, d).real))
 
 
 def reduced_distances(
@@ -253,6 +273,9 @@ def reduced_distances(
         return []
     (scaled0, norm0), (scaled1, norm1) = _scaled(states0), _scaled(states1)
     both = np.concatenate([scaled0, scaled1])
+    # real codewords run in real arithmetic, through the same lines
+    if not both.imag.any():
+        both = np.ascontiguousarray(both.real)
     t = len(traced[0])
     split = len(states0) << t
     # the kept side is the smaller one: the reduced states themselves,

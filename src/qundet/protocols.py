@@ -163,7 +163,7 @@ def _cumulative_rows(n: int) -> np.ndarray:
 
 def _stabilizer_sign(y_counts: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Sign of the measured X/Y string on codeword s (kept rounds only)."""
-    return ((-1) ** (y_counts // 2)) * (1 - 2 * s)
+    return (1 - 2 * (y_counts >> 1 & 1)) * (1 - 2 * s)
 
 
 def _sample_by_group(cum: np.ndarray, group: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -267,7 +267,7 @@ def qss_run(config: QssConfig) -> QssStats:
             solo_n += int(np.count_nonzero(kept & (v == o_dealer)))
             # forged outcome: consistent with his readout and a guess at the
             # second party's outcome (which is pure noise to him)
-            o_third = (-1) ** (y_counts // 2) * v * guess_second
+            o_third = (1 - 2 * (y_counts >> 1 & 1)) * v * guess_second
             reconstructed = _stabilizer_sign(y_counts, s) * o_second * o_third
         agree = reconstructed == o_dealer
         c = checked[sl]

@@ -202,6 +202,61 @@ def test_reduced_distances_do_not_depend_on_the_chunk(monkeypatch, name, n):
         assert [d < dense.ATOL for d in a] == [d < dense.ATOL for d in b]
 
 
+@pytest.mark.parametrize("name,n", list(dict.fromkeys(CATALOG_UP_TO_7 + SWEEP_CODES)))
+def test_reduced_distances_do_not_depend_on_the_dtype(monkeypatch, name, n):
+    # a global phase of i keeps every amplitude exact but makes the
+    # stacks complex, so the same lines run in complex arithmetic
+    spec = catalog(name, n=n)
+    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    dtypes = set()
+    compare = dense.frobenius_distance
+
+    def spied(a, b):
+        dtypes.add(a.dtype)
+        return compare(a, b)
+
+    def run(states0, states1, subsets):
+        dtypes.clear()
+        return list(reduced_distances(states0, states1, subsets)), set(dtypes)
+
+    monkeypatch.setattr(dense, "frobenius_distance", spied)
+    # code_412's codewords have imaginary amplitudes; every other code here is real
+    plain_dtype = np.dtype(complex if name == "code_412" else float)
+    for size in range(spec.n + 1):
+        subsets = _subsets(spec.n, size)
+        plain, plain_dtypes = run(s0, s1, subsets)
+        rotated, rotated_dtypes = run(1j * s0, 1j * s1, subsets)
+        assert plain_dtypes == {plain_dtype}
+        assert rotated_dtypes == {np.dtype(complex)}
+        if _qr_side(spec.n, size, spec.k):
+            np.testing.assert_allclose(plain, rotated, rtol=0, atol=1e-15)
+        else:
+            assert plain == rotated, f"{spec.name} traced size {size}"
+        assert [d < ATOL for d in plain] == [d < ATOL for d in rotated]
+
+
+def _transpose_cut(states, traced, n):
+    """Reference cut: the stack as (m, 2, ..., 2), axes kept, stack, traced."""
+    traced = sorted(set(traced))
+    kept = [q for q in range(1, n + 1) if q not in traced]
+    # qubit q is axis q, after the stack axis 0
+    t = states.reshape((len(states),) + (2,) * n).transpose(kept + [0] + traced)
+    return t.reshape(1 << len(kept), -1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cut_matches_a_transpose(m):
+    n = 5
+    rng = np.random.default_rng(m)
+    states = rng.normal(size=(m, 1 << n)) + 1j * rng.normal(size=(m, 1 << n))
+    # every size from 0 to n, and an unsorted set with a repeated qubit
+    cases = [_subsets(n, size) for size in range(n + 1)] + [[(4, 2, 4), (5, 1), (3, 2)]]
+    for subsets in cases:
+        got = dense._cut(states, dense._traced_sets(subsets, n), n)
+        want = np.stack([_transpose_cut(states, s, n) for s in subsets])
+        np.testing.assert_array_equal(got, want)
+
+
 def test_reduced_distances_reject_mixed_sizes():
     spec = catalog("steane_713")
     s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
