@@ -74,7 +74,10 @@ class QssConfig:
 
 @dataclass(frozen=True)
 class QssStats:
-    """Aggregate outcome of a run; radii are 3-sigma binomial."""
+    """Aggregate outcome of a run; radii are 3-sigma binomial.
+
+    A radius over zero trials (no kept or no checked round) is None.
+    """
 
     config: QssConfig
     rounds: int
@@ -86,7 +89,7 @@ class QssStats:
     attacker_solo_accuracy: float | None
     per_forged_round_detection: float | None
     aborted: bool
-    radii: Mapping[str, float] = field(default_factory=dict)
+    radii: Mapping[str, float | None] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -107,9 +110,10 @@ class QssStats:
         }
 
 
-def _binomial_radius(p_hat: float, count: int) -> float:
+def _binomial_radius(p_hat: float, count: int) -> float | None:
+    """3-sigma radius of a rate over count trials; None when count is 0."""
     if count == 0:
-        return float("nan")
+        return None
     return 3.0 * sqrt(max(p_hat * (1.0 - p_hat), 0.0) / count)
 
 
@@ -153,7 +157,7 @@ def _cumulative_rows(n: int) -> np.ndarray:
     its last entry, so it ends at exactly 1.0: the largest uniform draw,
     1 - 2^-53, then never counts past the last outcome, and a trailing
     zero-probability outcome stays unreachable.  Cached per party count
-    and read-only, like the tables.
+    and read-only, like the tables; ``_bucket_table`` is built from it.
     """
     cum = np.cumsum(_outcome_tables(n), axis=2).reshape(2 << n, 1 << n)
     cum /= cum[:, -1:]
@@ -161,26 +165,55 @@ def _cumulative_rows(n: int) -> np.ndarray:
     return cum
 
 
-def _stabilizer_sign(y_counts: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Sign of the measured X/Y string on codeword s (kept rounds only)."""
-    return (1 - 2 * (y_counts >> 1 & 1)) * (1 - 2 * s)
+@lru_cache(maxsize=_MAX_TABLE_PARTIES)
+def _bucket_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bucketed inverse CDF of the cumulative rows: ``(lo, th)``.
+
+    The draws [0, 1) are split into 2^n equal buckets; cell
+    ``group * 2^n + b`` belongs to group ``group`` and bucket
+    b = [b, b + 1) / 2^n.  ``lo`` (int16) counts the row entries below
+    the bucket's lower edge, and ``th`` (shape (span, cells)) holds the
+    at most ``span`` entries inside it, in row order, padded with 2.0,
+    which no draw reaches.  An entry of 1.0 lies above every bucket.
+    Cached per party count and read-only; span is 3 at 3 to 8 parties,
+    and the table holds 3.3 KB at 3 parties, 208 KB at 6 and 3.25 MiB
+    at 8.  2^(n+1) buckets sample no faster at 3 and 6 parties and
+    double the table.
+    """
+    cum = _cumulative_rows(n)
+    groups, width = cum.shape
+    buckets = 1 << n
+    # an entry's bucket, floor(c * 2^n), is exact: scaling by a power of
+    # two does not round; an entry of 1.0 goes to a spare bucket 2^n
+    slot = (cum * buckets).astype(np.intp) + (buckets + 1) * np.arange(groups)[:, None]
+    inside = np.bincount(slot.ravel(), minlength=groups * (buckets + 1))
+    inside = inside.reshape(groups, buckets + 1)[:, :-1]
+    lo = np.cumsum(inside, axis=1) - inside
+    # rows are non-decreasing, so a bucket's entries start at index lo
+    th = np.full((inside.max(), groups, buckets), 2.0)
+    for j, layer in enumerate(th):
+        g, b = np.nonzero(inside > j)
+        layer[g, b] = cum[g, lo[g, b] + j]
+    th = th.reshape(len(th), -1)
+    lo = lo.astype(np.int16).reshape(-1)
+    lo.flags.writeable = th.flags.writeable = False
+    return lo, th
 
 
-def _sample_by_group(cum: np.ndarray, group: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _sample_outcomes(n: int, group: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample of each round from its group's cumulative row.
 
-    out[r] counts the entries of cum[group[r]] below draws[r], which is
-    one searchsorted per group since each row is non-decreasing.  Rounds
-    are ordered by group with one stable sort, so nothing wider than one
-    column per round is allocated.
+    out[r] counts the entries of row group[r] below draws[r], which is
+    ``searchsorted(side="left")`` on that row, ties included: with b =
+    floor(draws[r] * 2^n), exact for any draw in [0, 1), the entries
+    below bucket b all count, those above it never do, and the few
+    inside it are compared one by one.  Returns int16.
     """
-    order = np.argsort(group, kind="stable")
-    counts = np.bincount(group, minlength=len(cum))
-    ends = np.cumsum(counts)
-    out = np.empty(len(group), dtype=np.int64)
-    for g in np.flatnonzero(counts):
-        idx = order[ends[g] - counts[g] : ends[g]]
-        out[idx] = np.searchsorted(cum[g], draws[idx], side="left")
+    lo, th = _bucket_table(n)
+    cell = (group.astype(np.intp) << n) | (draws * (1 << n)).astype(np.intp)
+    out = lo[cell]
+    for row in th:
+        out += row[cell] < draws
     return out
 
 
@@ -205,8 +238,12 @@ def qss_run(config: QssConfig) -> QssStats:
     check, then outcomes, and is taken a chunk of rounds at a time: a
     chunked ``integers(0, 2)`` or ``random()`` call returns the values
     of one whole call.  Per round only the int16 group word
-    ``s * 2^n + basis combo`` and the checked flag are kept (the delay
-    attack adds three int8 signs); everything else lives in one chunk.
+    ``s * 2^n + basis combo`` and the check-draw flag are kept (the
+    delay attack adds one byte holding its three draws as bits);
+    everything else lives in one chunk.  Honest outcomes come from the
+    exact bucket table of ``_sample_outcomes``.  Every sign is kept as
+    a bit (1 for -1), so a product of signs is an XOR and agreement is
+    a parity.
     """
     n = config.parties
     honest = config.strategy == "honest"
@@ -217,8 +254,8 @@ def qss_run(config: QssConfig) -> QssStats:
     combo_mask = (1 << n) - 1
 
     # group word: codeword s, then the basis combo with party 1 as the
-    # most significant bit (0 = X, 1 = Y); int16 (n <= 8 honest, n = 3
-    # attacked) lets the stable argsort run as a radix sort
+    # most significant bit (0 = X, 1 = Y); int16 holds n <= 8 honest
+    # and n = 3 attacked
     group = np.zeros(rounds, dtype=np.int16)
     if config.variant == "modified":
         for sl in _chunks(rounds):
@@ -226,51 +263,51 @@ def qss_run(config: QssConfig) -> QssStats:
     weights = 1 << np.arange(n - 1, -1, -1)
     for sl in _chunks(rounds):
         group[sl] |= rng.integers(0, 2, size=(sl.stop - sl.start, n)) @ weights
-    # kept iff the basis string has an even number of Y's
-    checked = np.empty(rounds, dtype=bool)
+    # a kept round is checked when its check draw falls below the fraction
+    check_draw = np.empty(rounds, dtype=bool)
     for sl in _chunks(rounds):
-        kept = np.bitwise_count(group[sl] & combo_mask) % 2 == 0
-        checked[sl] = kept & (rng.random(sl.stop - sl.start) < config.check_fraction)
+        check_draw[sl] = rng.random(sl.stop - sl.start) < config.check_fraction
 
-    if honest:
-        cum = _cumulative_rows(n)
-    else:
+    if not honest:
         # fake qubit to the second party: uniform outcome either basis,
-        # so the dealer's and second party's outcomes are fair signs, as
-        # is the attacker's guess at the second party's outcome
-        signs = np.empty((3, rounds), dtype=np.int8)
-        for row in signs:
+        # so the dealer's and second party's outcomes are fair bits, as
+        # is the attacker's guess at the second party's outcome; the
+        # three whole-run draws are bits 0, 1 and 2 of one byte per round
+        attack_bits = np.zeros(rounds, dtype=np.int8)
+        for bit in range(3):
             for sl in _chunks(rounds):
-                row[sl] = 1 - 2 * rng.integers(0, 2, size=sl.stop - sl.start)
+                attack_bits[sl] |= rng.integers(0, 2, size=sl.stop - sl.start) << bit
 
     kept_n = checked_n = agree_n = check_errors = solo_n = 0
     for sl in _chunks(rounds):
         g = group[sl]
         s = g >> n
-        # signed, so the +-1 arithmetic below does not wrap as uint8 would
-        y_counts = np.bitwise_count(g & combo_mask).astype(np.int16)
+        y_counts = np.bitwise_count(g & combo_mask)
+        # kept iff the basis string has an even number of Y's
         kept = y_counts % 2 == 0
+        # sign bit of the measured X/Y string on codeword s
+        stabilizer = s ^ (y_counts >> 1)
         if honest:
-            out_idx = _sample_by_group(cum, g, rng.random(sl.stop - sl.start))
-            # outcome of party i: bit (n-1-i) of the joint index, 0 -> +1
-            o_dealer = 1 - 2 * ((out_idx >> (n - 1)) & 1)
-            parity = np.bitwise_count(out_idx & ((1 << (n - 1)) - 1)) & 1
-            product_receivers = 1 - 2 * parity.astype(np.int16)
-            reconstructed = _stabilizer_sign(y_counts, s) * product_receivers
+            outcome = _sample_outcomes(n, g, rng.random(sl.stop - sl.start))
+            # bit (n-1-i) of the joint index is party i's outcome: the
+            # dealer's outcome against the receivers' product is the
+            # parity of the whole index
+            disagree = np.bitwise_count(outcome) ^ stabilizer
         else:
-            o_dealer, o_second, guess_second = signs[:, sl]
+            drawn = attack_bits[sl]
+            o_dealer, o_second, guess_second = drawn & 1, drawn >> 1 & 1, drawn >> 2
             # exact readout of the held pair: dealer outcome masked by the
             # codeword choice; tests/test_protocols.py checks it against the
             # dense state (test_delay_discriminate_readout_is_dense)
-            v = o_dealer * (1 - 2 * s)
+            v = o_dealer ^ s
             # guess committed before the codeword announcement
             solo_n += int(np.count_nonzero(kept & (v == o_dealer)))
             # forged outcome: consistent with his readout and a guess at the
             # second party's outcome (which is pure noise to him)
-            o_third = (1 - 2 * (y_counts >> 1 & 1)) * v * guess_second
-            reconstructed = _stabilizer_sign(y_counts, s) * o_second * o_third
-        agree = reconstructed == o_dealer
-        c = checked[sl]
+            o_third = (y_counts >> 1) ^ v ^ guess_second
+            disagree = stabilizer ^ o_second ^ o_third ^ o_dealer
+        agree = (disagree & 1) == 0
+        c = kept & check_draw[sl]
         kept_n += int(np.count_nonzero(kept))
         checked_n += int(np.count_nonzero(c))
         agree_n += int(np.count_nonzero(agree & kept))

@@ -39,7 +39,7 @@ class RunManifest:
 
     def wrap(self, result: Any) -> dict:
         """Embed the result under a finalized manifest."""
-        canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False)
         manifest = {
             "command": self.command,
             "parameters": self.parameters,
@@ -58,17 +58,17 @@ def emit(document: dict, json_target: str | None, human_text: str) -> None:
 
     ``json_target`` is None (human text on stdout), "-" (JSON on
     stdout), or a path (JSON written there, note on stderr).  Human
-    diagnostics never mix into machine output.
+    diagnostics never mix into machine output.  A non-finite float
+    raises instead of printing a token that strict JSON parsers reject.
     """
     if json_target is None:
         print(human_text)
-    elif json_target == "-":
-        json.dump(document, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        if human_text:
-            print(human_text, file=sys.stderr)
+        return
+    text = json.dumps(document, indent=2, allow_nan=False) + "\n"
+    if json_target == "-":
+        sys.stdout.write(text)
     else:
-        Path(json_target).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+        Path(json_target).write_text(text, encoding="utf-8")
         print(f"wrote {json_target}", file=sys.stderr)
-        if human_text:
-            print(human_text, file=sys.stderr)
+    if human_text:
+        print(human_text, file=sys.stderr)

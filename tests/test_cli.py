@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qundet import report
 from qundet.cli import main, run
 from qundet.codes import catalog, save_spec
 
@@ -161,6 +162,26 @@ def test_qss_json(capsys):
     assert doc["manifest"]["seed"] == 5
     assert doc["result"]["honest_key_agreement"] == 1.0
     assert doc["result"]["rounds"] == 2000
+
+
+def _strict_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_qss_json_is_strict_when_no_round_is_checked(capsys):
+    # 3 rounds check none, so the check radii have no trials: null, not NaN
+    assert run(["qss", "--strategy", "delay_discriminate", "--rounds", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_strict_constant)
+    assert doc["result"]["checked"] == 0
+    assert doc["result"]["radii"]["check_error_rate"] is None
+    assert doc["result"]["radii"]["per_forged_round_detection"] is None
+
+
+def test_reports_refuse_non_finite_floats():
+    with pytest.raises(ValueError):
+        report.RunManifest("qss", {}).wrap({"radius": float("nan")})
+    with pytest.raises(ValueError):
+        report.emit({"radius": float("inf")}, "-", "")
 
 
 @pytest.mark.parametrize("argv,digest", [

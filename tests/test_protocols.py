@@ -14,9 +14,10 @@ from qundet.protocols import (
     BcDemoResult,
     QssConfig,
     QssStats,
+    _bucket_table,
     _cumulative_rows,
     _outcome_tables,
-    _sample_by_group,
+    _sample_outcomes,
     bc_demo,
     qss_run,
 )
@@ -115,6 +116,14 @@ def test_cumulative_rows_cached_read_only_and_end_at_one():
         cum, np.cumsum(_outcome_tables(5), axis=2).reshape(cum.shape), atol=1e-12)
 
 
+def test_bucket_table_cached_and_read_only():
+    lo, th = _bucket_table(4)
+    assert _bucket_table(4)[0] is lo
+    assert not lo.flags.writeable and not th.flags.writeable
+    cells = (2 << 4) << 4
+    assert lo.shape == (cells,) and th.shape[1:] == (cells,)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_largest_draw_lands_on_a_possible_outcome(n):
     # rng.random() can return 1 - 2^-53; in every group it must pick an
@@ -122,25 +131,70 @@ def test_largest_draw_lands_on_a_possible_outcome(n):
     # trailing zero-probability outcome
     groups = np.arange(2 << n, dtype=np.int16)
     draws = np.full(len(groups), np.nextafter(1.0, 0.0))
-    out = _sample_by_group(_cumulative_rows(n), groups, draws)
+    out = _sample_outcomes(n, groups, draws)
     assert np.all(out < 1 << n)
     probs = _outcome_tables(n).reshape(2 << n, 1 << n)[groups, out]
     assert np.all(probs > 1e-12)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_sample_by_group_matches_row_gather(n):
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sample_outcomes_matches_row_gather(n):
     # the reference gathers each round's whole cumulative row and counts
-    # the entries below its draw
+    # the entries below its draw.  Per group the draws are every row
+    # entry, every bucket edge k / 2^n, 0 and 1 - 2^-53, each with both
+    # float neighbours inside [0, 1): where ties and bucket edges decide
+    # the count.  Seeded uniform draws in random groups come on top.
     cum = _cumulative_rows(n)
+    buckets = 1 << n
+    edges = np.arange(buckets) / buckets
+    groups, draws = [], []
+    for g, row in enumerate(cum):
+        points = np.concatenate([row, edges, [0.0, np.nextafter(1.0, 0.0)]])
+        near = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+        near = near[(near >= 0.0) & (near < 1.0)]
+        groups.append(np.full(len(near), g))
+        draws.append(near)
     rng = np.random.default_rng(n)
-    group = rng.integers(0, 2 << n, size=5000).astype(np.int16)
-    draws = rng.random(5000)
-    # draws on the row entries themselves, where ties decide the count
-    draws[:1000] = cum[group[:1000], rng.integers(0, 1 << n, size=1000)]
-    draws[1000:1004] = [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0)]
-    reference = (cum[group] < draws[:, None]).sum(axis=1)
-    np.testing.assert_array_equal(_sample_by_group(cum, group, draws), reference)
+    groups.append(rng.integers(0, 2 << n, size=5000))
+    draws.append(rng.random(5000))
+    group = np.concatenate(groups).astype(np.int16)
+    draw = np.concatenate(draws)
+    reference = np.concatenate([
+        (cum[group[i:i + 4096]] < draw[i:i + 4096, None]).sum(axis=1)
+        for i in range(0, len(group), 4096)
+    ])
+    np.testing.assert_array_equal(_sample_outcomes(n, group, draw), reference)
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_sampled_outcomes_follow_the_dense_tables(n):
+    # 2 * 10^5 seeded rounds through the production sampler against the
+    # dense tables, per (codeword, basis) group, within 5 sigma: the
+    # dealer's +1 rate, and for even-Y bases the rate at which the
+    # dealer's outcome equals the receivers' product (an even popcount
+    # of the joint index).  A wrong row or a shifted outcome index is
+    # off by a whole interval and fails; exact ties are left to the
+    # row-gather test above.
+    rounds = 200_000
+    rng = np.random.default_rng(20 + n)
+    group = rng.integers(0, 2 << n, size=rounds).astype(np.int16)
+    out = _sample_outcomes(n, group, rng.random(rounds))
+    tables = _outcome_tables(n).reshape(2 << n, 1 << n)
+    index = np.arange(1 << n)
+    counts = np.bincount(group, minlength=2 << n)
+    assert counts.min() > 100
+
+    def within_5_sigma(hit_round, hit_outcome, rows):
+        p = tables[:, hit_outcome].sum(axis=1)[rows]
+        rate = np.bincount(group[hit_round], minlength=2 << n)[rows] / counts[rows]
+        radius = 5.0 * np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / counts[rows]) + 1e-12
+        assert np.all(np.abs(rate - p) <= radius)
+
+    dealer_plus = index >> (n - 1) == 0
+    within_5_sigma(out >> (n - 1) == 0, dealer_plus, np.arange(2 << n))
+    even_y = np.flatnonzero(np.bitwise_count(np.arange(2 << n) & ((1 << n) - 1)) % 2 == 0)
+    parity_even = np.bitwise_count(index) % 2 == 0
+    within_5_sigma(np.bitwise_count(out) % 2 == 0, parity_even, even_y)
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -183,7 +237,7 @@ def test_stats_independent_of_chunk_size(monkeypatch, chunk, variant, strategy, 
 
 
 def test_million_round_peak_is_chunk_bounded():
-    _cumulative_rows(6)
+    _bucket_table(6)
     tracemalloc.start()
     qss_run(QssConfig(parties=6, rounds=1_000_000, seed=3))
     _, top = tracemalloc.get_traced_memory()
@@ -192,10 +246,11 @@ def test_million_round_peak_is_chunk_bounded():
 
 
 def test_honest_memory_is_independent_of_parties():
-    # the cached 8-party cumulative rows (1 MB) would otherwise be built
-    # inside the traced call and outweigh the per-round state
-    _cumulative_rows(3)
-    _cumulative_rows(8)
+    # the cached 8-party cumulative rows (1 MB) and bucket table (3.3 MB)
+    # would otherwise be built inside the traced call and outweigh the
+    # per-round state
+    _bucket_table(3)
+    _bucket_table(8)
 
     def peak(parties):
         tracemalloc.start()
