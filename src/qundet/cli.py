@@ -194,6 +194,7 @@ def _cmd_qss(args) -> int:
     lines = [
         f"{config.variant}/{config.strategy}, {stats.rounds} rounds, seed {config.seed}:",
         f"  keep rate          {stats.keep_rate:.4f}",
+        f"  dealer +1 rate     {stats.dealer_plus_rate:.4f}",
         f"  key agreement      {stats.honest_key_agreement:.4f}",
         f"  check error rate   {stats.check_error_rate:.4f}",
     ]

@@ -36,14 +36,12 @@ _ABORT_THRESHOLD = 0.05
 # at any party count and round count
 _CHUNK_ROUNDS = 1 << 16
 
-# single-qubit measurement eigenvectors; basis index 0 = X, 1 = Y,
-# outcome index 0 -> +1, 1 -> -1
-_EIGENVECTORS = {
-    (0, 0): np.array([1, 1], dtype=complex) / sqrt(2),
-    (0, 1): np.array([1, -1], dtype=complex) / sqrt(2),
-    (1, 0): np.array([1, 1j], dtype=complex) / sqrt(2),
-    (1, 1): np.array([1, -1j], dtype=complex) / sqrt(2),
-}
+# single-qubit measurement eigenvectors, indexed (basis, outcome,
+# component); basis index 0 = X, 1 = Y, outcome index 0 -> +1, 1 -> -1
+_EIGENVECTORS = np.array([
+    [[1, 1], [1, -1]],
+    [[1, 1j], [1, -1j]],
+]) / sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,10 @@ class QssConfig:
 class QssStats:
     """Aggregate outcome of a run; radii are 3-sigma binomial.
 
-    A radius over zero trials (no kept or no checked round) is None.
+    ``dealer_plus_rate`` is the share of all rounds in which the dealer
+    measured +1, 1/2 for any GHZ state and basis; unlike the agreement,
+    it sees which outcome the sampler picks, not only its parity.  A
+    radius over zero trials (no kept or no checked round) is None.
     """
 
     config: QssConfig
@@ -84,6 +85,7 @@ class QssStats:
     kept: int
     checked: int
     keep_rate: float
+    dealer_plus_rate: float
     honest_key_agreement: float
     check_error_rate: float
     attacker_solo_accuracy: float | None
@@ -101,6 +103,7 @@ class QssStats:
             "kept": self.kept,
             "checked": self.checked,
             "keep_rate": self.keep_rate,
+            "dealer_plus_rate": self.dealer_plus_rate,
             "honest_key_agreement": self.honest_key_agreement,
             "check_error_rate": self.check_error_rate,
             "attacker_solo_accuracy": self.attacker_solo_accuracy,
@@ -129,22 +132,22 @@ def _outcome_tables(n: int) -> np.ndarray:
     """P(outcomes | state s, basis combo) from dense projections.
 
     Shape (2, 2^n, 2^n): state index, basis-combo index (party 1 is the
-    most significant bit, 0=X 1=Y), outcome index (bit 0 -> +1).  Cached
-    per party count and read-only, since every caller shares the array.
+    most significant bit, 0=X 1=Y), outcome index (bit 0 -> +1).  Each
+    codeword's amplitudes take n contractions, one party at a time with
+    the conjugate eigenvector tensor, which leave the axes (basis,
+    outcome) per party; one transpose then groups the bases before the
+    outcomes.  Cached per party count and read-only, since every caller
+    shares the array.
     """
     dim = 1 << n
-    tables = np.zeros((2, dim, dim))
+    tables = np.empty((2, dim, dim))
+    eig = _EIGENVECTORS.conj()
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
     for s in (0, 1):
-        psi = _ghz_vector(n, s)
-        for combo in range(dim):
-            bases = [(combo >> (n - 1 - i)) & 1 for i in range(n)]
-            # amplitude of each joint outcome via an n-fold tensor contraction
-            t = psi.reshape((2,) * n)
-            for axis, b in enumerate(bases):
-                e = np.stack([_EIGENVECTORS[(b, o)].conj() for o in (0, 1)])
-                t = np.tensordot(e, t, axes=([1], [axis]))
-                t = np.moveaxis(t, 0, axis)
-            tables[s, combo] = np.abs(t.reshape(-1)) ** 2
+        t = _ghz_vector(n, s).reshape((2,) * n)
+        for _ in range(n):
+            t = np.tensordot(t, eig, axes=([0], [2]))
+        tables[s] = np.abs(t.transpose(order).reshape(dim, dim)) ** 2
     tables.flags.writeable = False
     return tables
 
@@ -234,16 +237,22 @@ def qss_run(config: QssConfig) -> QssStats:
     sent; the dealer's codeword choice is what the modified variant
     hides, and it is exactly the bit his readout is missing.
 
-    Every draw covers the whole run, in the order codeword, bases,
-    check, then outcomes, and is taken a chunk of rounds at a time: a
-    chunked ``integers(0, 2)`` or ``random()`` call returns the values
-    of one whole call.  Per round only the int16 group word
-    ``s * 2^n + basis combo`` and the check-draw flag are kept (the
-    delay attack adds one byte holding its three draws as bits);
-    everything else lives in one chunk.  Honest outcomes come from the
-    exact bucket table of ``_sample_outcomes``.  Every sign is kept as
-    a bit (1 for -1), so a product of signs is an XOR and agreement is
-    a parity.
+    Every draw covers the whole run, in the order group word, check,
+    then outcomes (honest) or attack bits, and is taken a chunk of
+    rounds at a time.  Each discrete choice is one draw per round: the
+    group word ``s * 2^n + basis combo`` is ``integers(0, 2^(n+1))``
+    for the modified variant and ``integers(0, 2^n)`` for the original
+    (s = 0), and the delaying receiver's three bits are
+    ``integers(0, 8)``.  These draws keep numpy's default int64 dtype:
+    below 2^32 they take 32-bit words whose spare half the generator
+    keeps in its own state, so a chunked call returns the values of one
+    whole call, while int8 and int16 draws buffer within one call and
+    would depend on the chunk size.  Per round only the int16 group
+    word and the check-draw flag are kept (the delay attack adds one
+    byte for its bits); everything else lives in one chunk.  Honest
+    outcomes come from the exact bucket table of ``_sample_outcomes``.
+    Every sign is kept as a bit (1 for -1), so a product of signs is
+    an XOR and agreement is a parity.
     """
     n = config.parties
     honest = config.strategy == "honest"
@@ -253,16 +262,14 @@ def qss_run(config: QssConfig) -> QssStats:
     rounds = config.rounds
     combo_mask = (1 << n) - 1
 
-    # group word: codeword s, then the basis combo with party 1 as the
-    # most significant bit (0 = X, 1 = Y); int16 holds n <= 8 honest
-    # and n = 3 attacked
-    group = np.zeros(rounds, dtype=np.int16)
-    if config.variant == "modified":
-        for sl in _chunks(rounds):
-            group[sl] = rng.integers(0, 2, size=sl.stop - sl.start) << n
-    weights = 1 << np.arange(n - 1, -1, -1)
+    # group word s * 2^n + basis combo, one draw per round: codeword s
+    # (always 0 for the original variant), then the basis combo with
+    # party 1 as the most significant bit (0 = X, 1 = Y); int16 holds
+    # n <= 8 honest and n = 3 attacked
+    group = np.empty(rounds, dtype=np.int16)
+    words = (2 if config.variant == "modified" else 1) << n
     for sl in _chunks(rounds):
-        group[sl] |= rng.integers(0, 2, size=(sl.stop - sl.start, n)) @ weights
+        group[sl] = rng.integers(0, words, size=sl.stop - sl.start)
     # a kept round is checked when its check draw falls below the fraction
     check_draw = np.empty(rounds, dtype=bool)
     for sl in _chunks(rounds):
@@ -271,14 +278,13 @@ def qss_run(config: QssConfig) -> QssStats:
     if not honest:
         # fake qubit to the second party: uniform outcome either basis,
         # so the dealer's and second party's outcomes are fair bits, as
-        # is the attacker's guess at the second party's outcome; the
-        # three whole-run draws are bits 0, 1 and 2 of one byte per round
-        attack_bits = np.zeros(rounds, dtype=np.int8)
-        for bit in range(3):
-            for sl in _chunks(rounds):
-                attack_bits[sl] |= rng.integers(0, 2, size=sl.stop - sl.start) << bit
+        # is the attacker's guess at the second party's outcome: bits 0,
+        # 1 and 2 of one draw per round
+        attack_bits = np.empty(rounds, dtype=np.int8)
+        for sl in _chunks(rounds):
+            attack_bits[sl] = rng.integers(0, 8, size=sl.stop - sl.start)
 
-    kept_n = checked_n = agree_n = check_errors = solo_n = 0
+    kept_n = checked_n = agree_n = check_errors = solo_n = plus_n = 0
     for sl in _chunks(rounds):
         g = group[sl]
         s = g >> n
@@ -293,9 +299,11 @@ def qss_run(config: QssConfig) -> QssStats:
             # dealer's outcome against the receivers' product is the
             # parity of the whole index
             disagree = np.bitwise_count(outcome) ^ stabilizer
+            dealer_minus = outcome >> (n - 1)
         else:
             drawn = attack_bits[sl]
             o_dealer, o_second, guess_second = drawn & 1, drawn >> 1 & 1, drawn >> 2
+            dealer_minus = o_dealer
             # exact readout of the held pair: dealer outcome masked by the
             # codeword choice; tests/test_protocols.py checks it against the
             # dense state (test_delay_discriminate_readout_is_dense)
@@ -309,6 +317,7 @@ def qss_run(config: QssConfig) -> QssStats:
         agree = (disagree & 1) == 0
         c = kept & check_draw[sl]
         kept_n += int(np.count_nonzero(kept))
+        plus_n += sl.stop - sl.start - int(np.count_nonzero(dealer_minus))
         checked_n += int(np.count_nonzero(c))
         agree_n += int(np.count_nonzero(agree & kept))
         check_errors += int(np.count_nonzero(c & ~agree))
@@ -316,8 +325,10 @@ def qss_run(config: QssConfig) -> QssStats:
     agreement = agree_n / kept_n if kept_n else 0.0
     check_error_rate = check_errors / checked_n if checked_n else 0.0
     keep_rate = kept_n / rounds
+    dealer_plus_rate = plus_n / rounds
     radii = {
         "keep_rate": _binomial_radius(keep_rate, rounds),
+        "dealer_plus_rate": _binomial_radius(dealer_plus_rate, rounds),
         "honest_key_agreement": _binomial_radius(agreement, kept_n),
         "check_error_rate": _binomial_radius(check_error_rate, checked_n),
     }
@@ -334,6 +345,7 @@ def qss_run(config: QssConfig) -> QssStats:
         kept=kept_n,
         checked=checked_n,
         keep_rate=keep_rate,
+        dealer_plus_rate=dealer_plus_rate,
         honest_key_agreement=agreement,
         check_error_rate=check_error_rate,
         attacker_solo_accuracy=solo,

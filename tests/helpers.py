@@ -13,6 +13,8 @@ Clifford circuits.  ``relating_unitary`` and its checks work on
 plain state vectors, the reference for the fact behind the oracle's
 verdicts: a unitary on the traced qubits maps one codeword to the other
 exactly when the kept qubits' reduced states agree.
+``qss_outcome_tables`` contracts the GHZ state once per basis combo,
+the reference for the secret-sharing outcome tables.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
+from qundet.protocols import _EIGENVECTORS, _ghz_vector
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -165,6 +168,24 @@ def zz_chain_doc(n=17):
         "stabilizers": ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 2)],
         "logical_z": ["X" * (n - 1) + "I", "I" * (n - 1) + "X"],
     }
+
+
+def qss_outcome_tables(n):
+    """P(outcomes | state s, basis combo), shape (2, 2^n, 2^n), by n
+    tensordots per (codeword, basis combo): party 1 is the most
+    significant bit of both indices."""
+    dim = 1 << n
+    tables = np.zeros((2, dim, dim))
+    for s in (0, 1):
+        psi = _ghz_vector(n, s)
+        for combo in range(dim):
+            bases = [(combo >> (n - 1 - i)) & 1 for i in range(n)]
+            t = psi.reshape((2,) * n)
+            for axis, b in enumerate(bases):
+                t = np.tensordot(_EIGENVECTORS[b].conj(), t, axes=([1], [axis]))
+                t = np.moveaxis(t, 0, axis)
+            tables[s, combo] = np.abs(t.reshape(-1)) ** 2
+    return tables
 
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}

@@ -8,7 +8,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from helpers import I2, X2, Y2, kron_all
+from helpers import I2, X2, Y2, kron_all, qss_outcome_tables
 from qundet import protocols
 from qundet.protocols import (
     BcDemoResult,
@@ -104,6 +104,12 @@ def test_outcome_tables_cached_and_read_only():
     assert not tables.flags.writeable
     with pytest.raises(ValueError):
         tables[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_outcome_tables_match_per_combo_reference(n):
+    # n contractions per codeword give the same bits as n per basis combo
+    assert np.array_equal(_outcome_tables(n), qss_outcome_tables(n))
 
 
 def test_cumulative_rows_cached_read_only_and_end_at_one():
@@ -236,6 +242,54 @@ def test_stats_independent_of_chunk_size(monkeypatch, chunk, variant, strategy, 
     assert qss_run(config).as_dict() == whole
 
 
+@pytest.mark.parametrize("variant", ["original", "modified"])
+@pytest.mark.parametrize("strategy,parties", [
+    ("honest", 3), ("honest", 6), ("honest", 8), ("delay_discriminate", 3),
+])
+def test_counts_replay_the_documented_stream(variant, strategy, parties):
+    # one whole-run draw of each kind, in the documented order: the
+    # group words s * 2^n + basis combo, the check draws, then the
+    # outcome draws (honest) or the delaying receiver's three bits, bit
+    # 0 being the dealer's outcome.  70,001 rounds span two chunks.
+    n, rounds = parties, 70_001
+    config = QssConfig(variant=variant, strategy=strategy, parties=n, rounds=rounds,
+                       check_fraction=0.3, seed=29)
+    rng = np.random.default_rng(config.seed)
+    group = rng.integers(0, (2 if variant == "modified" else 1) << n, size=rounds)
+    check = rng.random(rounds) < config.check_fraction
+    if strategy == "honest":
+        outcome = _sample_outcomes(n, group.astype(np.int16), rng.random(rounds))
+        dealer_minus = outcome >> (n - 1)
+    else:
+        dealer_minus = rng.integers(0, 8, size=rounds) & 1
+    kept = np.bitwise_count(group & ((1 << n) - 1)) % 2 == 0
+    stats = qss_run(config)
+    assert stats.kept == np.count_nonzero(kept)
+    assert stats.checked == np.count_nonzero(kept & check)
+    assert stats.dealer_plus_rate == np.count_nonzero(dealer_minus == 0) / rounds
+
+
+@pytest.mark.parametrize("variant", ["original", "modified"])
+@pytest.mark.parametrize("parties", [3, 6])
+def test_dealer_plus_rate_sees_a_biased_sampler(monkeypatch, variant, parties):
+    # this sampler keeps the stabilizer's parity but returns the least
+    # outcome of that parity, index 0 or 1, so the dealer always reads
+    # +1: every kept round still agrees, and only the dealer's +1 rate
+    # sees the bias
+    def least_of_parity(n, group, draws):
+        y_counts = np.bitwise_count(group & ((1 << n) - 1))
+        return ((group >> n) ^ (y_counts >> 1)) & 1
+
+    config = QssConfig(variant=variant, parties=parties, rounds=20_000, seed=7)
+    fair = qss_run(config)
+    assert abs(fair.dealer_plus_rate - 0.5) <= fair.radii["dealer_plus_rate"]
+    monkeypatch.setattr(protocols, "_sample_outcomes", least_of_parity)
+    biased = qss_run(config)
+    assert biased.honest_key_agreement == 1.0
+    assert biased.check_error_rate == 0.0
+    assert abs(biased.dealer_plus_rate - 0.5) > fair.radii["dealer_plus_rate"]
+
+
 def test_million_round_peak_is_chunk_bounded():
     _bucket_table(6)
     tracemalloc.start()
@@ -267,12 +321,12 @@ def test_honest_memory_is_independent_of_parties():
 def test_radii_keys():
     honest = qss_run(QssConfig(rounds=500, seed=3))
     assert set(honest.radii) == {
-        "keep_rate", "honest_key_agreement", "check_error_rate",
+        "keep_rate", "dealer_plus_rate", "honest_key_agreement", "check_error_rate",
     }
     attack = qss_run(QssConfig(strategy="delay_discriminate",
                                rounds=500, seed=3))
     assert set(attack.radii) == {
-        "keep_rate", "honest_key_agreement", "check_error_rate",
+        "keep_rate", "dealer_plus_rate", "honest_key_agreement", "check_error_rate",
         "attacker_solo_accuracy", "per_forged_round_detection",
     }
     for v in attack.radii.values():
