@@ -88,22 +88,10 @@ class ValidationReport:
     k: int
     rank: int | None
     failures: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "k": self.k,
-            "rank": self.rank,
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "notes": list(self.notes),
-        }
 
 
 def _ghz(n: int) -> CodeSpec:
@@ -211,7 +199,6 @@ def catalog(name: str, n: int | None = None) -> CodeSpec:
 def validate(spec: CodeSpec) -> ValidationReport:
     """Re-derive every invariant of a spec; failures become report entries."""
     failures: list[str] = []
-    notes: list[str] = []
     rank: int | None = None
 
     try:
@@ -264,9 +251,8 @@ def validate(spec: CodeSpec) -> ValidationReport:
                 )
             if idx <= len(z_bars) and not xb.anticommutes(z_bars[idx - 1]):
                 failures.append(f"logical_x[{idx - 1}] commutes with its logical_z")
-        notes.append(f"rank {group.rank} group on {group.n} qubits")
 
-    return ValidationReport(spec.name, spec.n, spec.k, rank, tuple(failures), tuple(notes))
+    return ValidationReport(spec.name, spec.n, spec.k, rank, tuple(failures))
 
 
 _SCHEMA_FIELDS = {

@@ -35,11 +35,11 @@ O(2^n min(2^|K|, 2m 2^|T|)), not 2^(n+|K|).  The two states are
 equal when that distance is below ``ATOL``: an equal pair's distance
 is exactly 0 on the direct side and about 1e-16 on the QR side, and a
 determined pair's is at least 2^((3-n)/2), so one constant separates
-them up to the cap (docs/method.md).  Each chunk of traced subsets
-is cut by one gather, whose index is built by doubling over each
-subset's basis-index weights (see :func:`_cut`).  Sizes are capped at
-n <= ``ORACLE_MAX_N``, which bounds ``pauli_matrix``'s 4^n entries;
-the state vectors take O(2^n) memory.
+them up to the cap (docs/method.md).  A chunk of traced subsets is
+cut by viewing the stacks as (m, 2, ..., 2) tensors and transposing
+each subset's kept axes before its traced ones (see :func:`_cut`).
+Sizes are capped at n <= ``ORACLE_MAX_N``, which bounds
+``pauli_matrix``'s 4^n entries; the state vectors take O(2^n) memory.
 """
 
 from __future__ import annotations
@@ -165,42 +165,23 @@ def _traced_sets(subsets: Iterable[Iterable[int]], n: int) -> list[tuple[int, ..
     return traced
 
 
-def _double(index: np.ndarray, size: int, weights: np.ndarray) -> int:
-    """Extend each row's first ``size`` offsets by doubling over ``weights``.
-
-    The last column of ``weights`` is doubled over first, so it becomes
-    the least significant bit of the new part of the index; returns the
-    new number of offsets per row.
-    """
-    for w in weights[:, ::-1].T:
-        np.add(index[:, :size], w[:, None], out=index[:, size:2 * size])
-        size *= 2
-    return size
-
-
 def _cut(states: np.ndarray, traced: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """The stack ``states`` cut kept x traced for each traced set, by one gather.
+    """The stack ``states`` cut kept x traced for each traced set.
 
     Returns shape (len(traced), 2^|K|, m 2^|T|): row bits are the kept
     qubits and column bits the stack index then the traced qubits, each
     most significant first in ascending qubit order, as in
-    :func:`partial_trace`.  Each set's flat gather offsets are built by
-    doubling over its basis-index weights (qubit q weighs 2^(n-q)), the
-    traced qubits first, then the stack, then the kept qubits.
+    :func:`partial_trace`.  The stack is viewed as (m, 2, ..., 2), with
+    qubit q on axis q, and each set's axes are transposed to the kept
+    qubits, the stack, then the traced qubits, and copied into one
+    buffer for the chunk.
     """
-    t = len(traced[0])
-    member = np.zeros((len(traced), n), dtype=bool)
-    member[np.arange(len(traced))[:, None], np.array(traced, dtype=np.intp) - 1] = True
-    # per set, the kept qubits then the traced ones, each ascending
-    weights = 1 << (n - 1 - np.argsort(member, axis=1, kind="stable"))
-    m = len(states)
-    index = np.zeros((len(traced), m << n), dtype=weights.dtype)
-    size = _double(index, 1, weights[:, n - t:])
-    # vector j of the stack starts at j 2^n in the flat stack
-    stacked = index[:, None, :size] + (np.arange(m) << n)[:, None]
-    index[:, :m * size] = stacked.reshape(len(traced), -1)
-    _double(index, m * size, weights[:, :n - t])
-    return states.ravel()[index.reshape(len(traced), 1 << (n - t), -1)]
+    m, t = len(states), len(traced[0])
+    tensor = states.reshape((m,) + (2,) * n)
+    cuts = np.empty((len(traced),) + (2,) * (n - t) + (m,) + (2,) * t, dtype=states.dtype)
+    for cut, ts in zip(cuts, traced):
+        cut[...] = tensor.transpose([q for q in range(1, n + 1) if q not in ts] + [0, *ts])
+    return cuts.reshape(len(traced), 1 << (n - t), -1)
 
 
 def _scaled(states: np.ndarray) -> tuple[np.ndarray, float]:

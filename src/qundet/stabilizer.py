@@ -164,27 +164,20 @@ class StabilizerGroup:
 
     def __init__(self, generators: Sequence[PauliOperator], n: int | None = None):
         generators = list(generators)
-        if not generators:
-            if n is None:
+        if n is None:
+            if not generators:
                 raise ValueError("empty generating set needs an explicit n")
-            self.n = n
-            self.generators: tuple[PauliOperator, ...] = ()
-            self.rank = 0
-            self._sym: list[int] = []
-            self._keys: list[int] = []
-            self._rows: list[int] = []
-            return
-        self.n = generators[0].n
+            n = generators[0].n
         for g in generators:
-            if g.n != self.n:
-                raise ValueError(f"mixed qubit counts: {g.n} != {self.n}")
+            if g.n != n:
+                raise ValueError(f"mixed qubit counts: {g.n} != {n}")
         for idx, g in enumerate(generators, start=1):
             if not g.is_hermitian:
                 # a non-Hermitian Pauli squares to -I
                 raise MinusIdentityError(
                     (idx,), f"generator {idx} ({g}) is not Hermitian; its square is -I"
                 )
-        n = self.n
+        self.n = n
         self._sym = [g.x_bits | g.z_bits << n for g in generators]
         swapped = [g.z_bits | g.x_bits << n for g in generators]
         for i, s in enumerate(self._sym):

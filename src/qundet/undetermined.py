@@ -225,17 +225,6 @@ class CoverResult:
     def full_cover(self) -> bool:
         return not self.uncovered
 
-    def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "assignments": [
-                {"subset": list(s), "operator": str(p)} for s, p in self.assignments
-            ],
-            "uncovered": [list(s) for s in self.uncovered],
-            "full_cover": self.full_cover,
-            "agrees_with_reduced": self.agrees_with_reduced,
-        }
-
 
 def _x_members_of_weight(spec: CodeSpec, d: int) -> list[PauliOperator]:
     """The weight-d logical X members in letters order, filtered in numpy
@@ -309,17 +298,6 @@ class TracedownResult:
     verdict: bool
     subsets_checked: int
     max_deviation: float
-
-    def as_dict(self) -> dict:
-        return {
-            "d_pure": self.d_pure,
-            "d_prime": self.d_prime,
-            "d_double": self.d_double,
-            "traced_subset": list(self.traced_subset),
-            "verdict": self.verdict,
-            "subsets_checked": self.subsets_checked,
-            "max_deviation": self.max_deviation,
-        }
 
 
 def mixed_tracedown_check(

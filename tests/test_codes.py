@@ -126,9 +126,9 @@ def test_validate_without_stabilizers():
     assert not validate(CodeSpec("two", 2, 2, (), ("ZI", "ZI"))).ok
 
 
-def test_validate_report_dict():
-    d = validate(catalog("code_513")).as_dict()
-    assert d["ok"] is True and d["rank"] == 4 and d["failures"] == []
+def test_validate_report():
+    rep = validate(catalog("code_513"))
+    assert rep.ok and rep.rank == 4 and rep.failures == ()
 
 
 def test_round_trip(tmp_path):

@@ -235,13 +235,21 @@ def test_reduced_distances_do_not_depend_on_the_dtype(monkeypatch, name, n):
         assert [d < ATOL for d in plain] == [d < ATOL for d in rotated]
 
 
-def _transpose_cut(states, traced, n):
-    """Reference cut: the stack as (m, 2, ..., 2), axes kept, stack, traced."""
+def _index_cut(states, traced, n):
+    """Reference cut, entry by entry: qubit q weighs 2^(n-q) in a basis index."""
     traced = sorted(set(traced))
     kept = [q for q in range(1, n + 1) if q not in traced]
-    # qubit q is axis q, after the stack axis 0
-    t = states.reshape((len(states),) + (2,) * n).transpose(kept + [0] + traced)
-    return t.reshape(1 << len(kept), -1)
+
+    def bits(b, qubits):
+        # the bits of basis index b at ``qubits``, the first most significant
+        return sum((b >> (n - q) & 1) << (len(qubits) - 1 - i) for i, q in enumerate(qubits))
+
+    want = np.zeros((1 << len(kept), len(states) << len(traced)), dtype=states.dtype)
+    for j, state in enumerate(states):
+        for b, amp in enumerate(state):
+            # rows are the kept bits; columns the stack index, then the traced bits
+            want[bits(b, kept), j << len(traced) | bits(b, traced)] = amp
+    return want
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -253,7 +261,7 @@ def test_cut_matches_a_transpose(m):
     cases = [_subsets(n, size) for size in range(n + 1)] + [[(4, 2, 4), (5, 1), (3, 2)]]
     for subsets in cases:
         got = dense._cut(states, dense._traced_sets(subsets, n), n)
-        want = np.stack([_transpose_cut(states, s, n) for s in subsets])
+        want = np.stack([_index_cut(states, s, n) for s in subsets])
         np.testing.assert_array_equal(got, want)
 
 

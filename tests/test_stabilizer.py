@@ -73,6 +73,9 @@ def test_dependent_error_names_subset():
 def test_mixed_sizes_rejected():
     with pytest.raises(ValueError):
         StabilizerGroup([parse_pauli("XX"), parse_pauli("XXX")])
+    # an explicit n is checked against every generator
+    with pytest.raises(ValueError, match="mixed qubit counts"):
+        StabilizerGroup([parse_pauli("ZZI")], n=5)
 
 
 def test_code_513_shifts():
