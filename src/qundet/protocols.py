@@ -11,23 +11,20 @@ Two demos built on the same physics as the analysis modules:
   unitary on a singlet half is invisible to the receiver yet lets the
   sender open either bit value later.
 
-All sampling distributions are derived from dense state vectors, not
-hand-written tables, and every run is deterministic given its seed.
+All sampling distributions are checked against dense state vectors in
+Tier-1, and every run is deterministic given its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import sqrt
+from math import ceil, ldexp, sqrt
 from typing import Mapping
 
 import numpy as np
 
 VARIANTS = ("original", "modified")
 STRATEGIES = ("honest", "delay_discriminate")
-
-_MAX_TABLE_PARTIES = 8
 
 # a run aborts when more than this share of its check rounds disagree
 _ABORT_THRESHOLD = 0.05
@@ -36,12 +33,10 @@ _ABORT_THRESHOLD = 0.05
 # at any party count and round count
 _CHUNK_ROUNDS = 1 << 16
 
-# single-qubit measurement eigenvectors, indexed (basis, outcome,
-# component); basis index 0 = X, 1 = Y, outcome index 0 -> +1, 1 -> -1
-_EIGENVECTORS = np.array([
-    [[1, 1], [1, -1]],
-    [[1, 1j], [1, -1j]],
-]) / sqrt(2)
+# each round is one raw 64-bit word; the bits above the round's own
+# 2n + 1 (honest) or n + 4 (delaying receiver) decide its check, and at
+# least this many must remain, so honest runs take at most 15 parties
+_CHECK_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,11 @@ class QssConfig:
             raise ValueError("need at least 3 parties (dealer + 2 receivers)")
         if self.strategy == "delay_discriminate" and self.parties != 3:
             raise ValueError("delay_discriminate is defined for 3 parties")
+        if self.strategy == "honest" and 2 * self.parties + 1 > 64 - _CHECK_BITS:
+            raise ValueError(
+                f"{self.parties} honest parties take {2 * self.parties + 1} bits of a "
+                f"round's 64-bit word and leave fewer than {_CHECK_BITS} check bits; "
+                f"at most {(63 - _CHECK_BITS) // 2} parties")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 < self.check_fraction < 1:
@@ -120,207 +120,124 @@ def _binomial_radius(p_hat: float, count: int) -> float | None:
     return 3.0 * sqrt(max(p_hat * (1.0 - p_hat), 0.0) / count)
 
 
-def _ghz_vector(n: int, s: int) -> np.ndarray:
-    v = np.zeros(1 << n, dtype=complex)
-    v[0] = 1 / sqrt(2)
-    v[-1] = (-1) ** s / sqrt(2)
-    return v
+def _key_table(honest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law of a round, evaluated once for each of the 64 keys.
 
+    Key bits 0-1 hold y mod 4, where y counts the round's Y bases, bit 2
+    the codeword s and bits 3-5 the round's own bits a.  Returns, per
+    key, the dealer's outcome bit (1 for -1), the parity of all reported
+    outcomes, and whether the delaying receiver's solo readout equals
+    the dealer's outcome.
 
-@lru_cache(maxsize=_MAX_TABLE_PARTIES)
-def _outcome_tables(n: int) -> np.ndarray:
-    """P(outcomes | state s, basis combo) from dense projections.
-
-    Shape (2, 2^n, 2^n): state index, basis-combo index (party 1 is the
-    most significant bit, 0=X 1=Y), outcome index (bit 0 -> +1).  Each
-    codeword's amplitudes take n contractions, one party at a time with
-    the conjugate eigenvector tensor, which leave the axes (basis,
-    outcome) per party; one transpose then groups the bases before the
-    outcomes.  Cached per party count and read-only, since every caller
-    shares the array.
+    Honest rounds measure GHZ codeword s, whose joint outcome o is
+    uniform for odd y and uniform over the strings of parity s ^ y/2 for
+    even y.  So o is the uniform string u, except that on even-y rounds
+    the last party's bit sets the parity; a holds u's top bit (the
+    dealer's, never the last party's) and parity(u) at bit 1.  The
+    delaying receiver's a holds the dealer's outcome, the second party's
+    outcome and the receiver's guess at it.
     """
-    dim = 1 << n
-    tables = np.empty((2, dim, dim))
-    eig = _EIGENVECTORS.conj()
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    for s in (0, 1):
-        t = _ghz_vector(n, s).reshape((2,) * n)
-        for _ in range(n):
-            t = np.tensordot(t, eig, axes=([0], [2]))
-        tables[s] = np.abs(t.transpose(order).reshape(dim, dim)) ** 2
-    tables.flags.writeable = False
-    return tables
+    key = np.arange(64)
+    y, s, a = key & 3, key >> 2 & 1, key >> 3
+    if honest:
+        parity = np.where(y % 2 == 0, s ^ y >> 1, a >> 1 & 1)
+        return a & 1, parity, np.zeros(64, dtype=bool)
+    # the fake qubit gives the second party a uniform outcome in either
+    # basis, so the dealer's outcome, the second party's and the guess
+    # at it are three fair bits
+    o_dealer, o_second, guess_second = a & 1, a >> 1 & 1, a >> 2
+    # exact readout of the held pair: the dealer's outcome masked by the
+    # codeword choice; tests/test_protocols.py checks it against the
+    # dense state (test_delay_discriminate_readout_is_dense)
+    v = o_dealer ^ s
+    # forged outcome, committed before the codeword announcement:
+    # consistent with the readout and a guess at the second party's
+    # outcome (which is pure noise to the receiver)
+    o_third = y >> 1 ^ v ^ guess_second
+    return o_dealer, o_dealer ^ o_second ^ o_third, v == o_dealer
 
 
-@lru_cache(maxsize=_MAX_TABLE_PARTIES)
-def _cumulative_rows(n: int) -> np.ndarray:
-    """One cumulative outcome row per (codeword, basis combo) group.
+def _round_keys(words: np.ndarray, n: int, s_mask: int, honest: bool) -> np.ndarray:
+    """Each round's 6-bit key (see ``_key_table``) from its raw word, as uint8.
 
-    Shape (2^(n+1), 2^n), row s * 2^n + combo.  Each row is divided by
-    its last entry, so it ends at exactly 1.0: the largest uniform draw,
-    1 - 2^-53, then never counts past the last outcome, and a trailing
-    zero-probability outcome stays unreachable.  Cached per party count
-    and read-only, like the tables; ``_bucket_table`` is built from it.
+    A word holds the basis combo in bits 0..n-1 (party 1 most
+    significant, 0 = X, 1 = Y), the codeword s in bit n (read only when
+    s_mask is 1, for the modified variant), then the uniform string u in
+    bits n+1..2n (honest; the dealer's bit is bit 2n) or the delaying
+    receiver's three bits.  Every field lies in the low 32 bits.
     """
-    cum = np.cumsum(_outcome_tables(n), axis=2).reshape(2 << n, 1 << n)
-    cum /= cum[:, -1:]
-    cum.flags.writeable = False
-    return cum
-
-
-@lru_cache(maxsize=_MAX_TABLE_PARTIES)
-def _bucket_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bucketed inverse CDF of the cumulative rows: ``(lo, th)``.
-
-    The draws [0, 1) are split into 2^n equal buckets; cell
-    ``group * 2^n + b`` belongs to group ``group`` and bucket
-    b = [b, b + 1) / 2^n.  ``lo`` (int16) counts the row entries below
-    the bucket's lower edge, and ``th`` (shape (span, cells)) holds the
-    at most ``span`` entries inside it, in row order, padded with 2.0,
-    which no draw reaches.  An entry of 1.0 lies above every bucket.
-    Cached per party count and read-only; span is 3 at 3 to 8 parties,
-    and the table holds 3.3 KB at 3 parties, 208 KB at 6 and 3.25 MiB
-    at 8.  2^(n+1) buckets sample no faster at 3 and 6 parties and
-    double the table.
-    """
-    cum = _cumulative_rows(n)
-    groups, width = cum.shape
-    buckets = 1 << n
-    # an entry's bucket, floor(c * 2^n), is exact: scaling by a power of
-    # two does not round; an entry of 1.0 goes to a spare bucket 2^n
-    slot = (cum * buckets).astype(np.intp) + (buckets + 1) * np.arange(groups)[:, None]
-    inside = np.bincount(slot.ravel(), minlength=groups * (buckets + 1))
-    inside = inside.reshape(groups, buckets + 1)[:, :-1]
-    lo = np.cumsum(inside, axis=1) - inside
-    # rows are non-decreasing, so a bucket's entries start at index lo
-    th = np.full((inside.max(), groups, buckets), 2.0)
-    for j, layer in enumerate(th):
-        g, b = np.nonzero(inside > j)
-        layer[g, b] = cum[g, lo[g, b] + j]
-    th = th.reshape(len(th), -1)
-    lo = lo.astype(np.int16).reshape(-1)
-    lo.flags.writeable = th.flags.writeable = False
-    return lo, th
-
-
-def _sample_outcomes(n: int, group: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample of each round from its group's cumulative row.
-
-    out[r] counts the entries of row group[r] below draws[r], which is
-    ``searchsorted(side="left")`` on that row, ties included: with b =
-    floor(draws[r] * 2^n), exact for any draw in [0, 1), the entries
-    below bucket b all count, those above it never do, and the few
-    inside it are compared one by one.  Returns int16.
-    """
-    lo, th = _bucket_table(n)
-    cell = (group.astype(np.intp) << n) | (draws * (1 << n)).astype(np.intp)
-    out = lo[cell]
-    for row in th:
-        out += row[cell] < draws
-    return out
-
-
-def _chunks(rounds: int):
-    """Consecutive slices of at most _CHUNK_ROUNDS rounds, in order."""
-    for start in range(0, rounds, _CHUNK_ROUNDS):
-        yield slice(start, min(start + _CHUNK_ROUNDS, rounds))
+    fields = words.astype(np.uint32)
+    key = np.bitwise_count(fields & np.uint32((1 << n) - 1))
+    key &= 3
+    # in place from here on: fewer chunk-sized temporaries measured
+    # faster
+    fields >>= np.uint32(n)
+    if honest:
+        parity = np.bitwise_count(fields & np.uint32(((1 << n) - 1) << 1))
+        parity &= 1
+        key |= parity << 4
+        # s stays at bit 0 and the dealer's bit moves from bit n to bit 1
+        dealer = fields >> np.uint32(n - 1)
+        dealer &= np.uint32(2)
+        fields &= np.uint32(s_mask)
+        fields |= dealer
+    else:
+        fields &= np.uint32(14 | s_mask)
+    key |= fields.astype(np.uint8) << 2
+    return key
 
 
 def qss_run(config: QssConfig) -> QssStats:
     """Simulate the secret-sharing protocol; deterministic per seed.
 
-    Honest rounds sample joint outcomes from dense-state distributions.
-    The delay_discriminate receiver intercepts both travelling qubits,
-    forwards a fresh uncorrelated qubit, performs the optimal
-    discrimination on the held pair once bases are public, and must
-    report an outcome before the dealer announces which codeword was
-    sent; the dealer's codeword choice is what the modified variant
-    hides, and it is exactly the bit his readout is missing.
+    Honest rounds sample joint outcomes from the GHZ outcome law of
+    ``_key_table``.  The delay_discriminate receiver intercepts both
+    travelling qubits, forwards a fresh uncorrelated qubit, performs the
+    optimal discrimination on the held pair once bases are public, and
+    must report an outcome before the dealer announces which codeword
+    was sent; the dealer's codeword choice is what the modified variant
+    hides, and it is exactly the bit the readout is missing.
 
-    Every draw covers the whole run, in the order group word, check,
-    then outcomes (honest) or attack bits, and is taken a chunk of
-    rounds at a time.  Each discrete choice is one draw per round: the
-    group word ``s * 2^n + basis combo`` is ``integers(0, 2^(n+1))``
-    for the modified variant and ``integers(0, 2^n)`` for the original
-    (s = 0), and the delaying receiver's three bits are
-    ``integers(0, 8)``.  These draws keep numpy's default int64 dtype:
-    below 2^32 they take 32-bit words whose spare half the generator
-    keeps in its own state, so a chunked call returns the values of one
-    whole call, while int8 and int16 draws buffer within one call and
-    would depend on the chunk size.  Per round only the int16 group
-    word and the check-draw flag are kept (the delay attack adds one
-    byte for its bits); everything else lives in one chunk.  Honest
-    outcomes come from the exact bucket table of ``_sample_outcomes``.
-    Every sign is kept as a bit (1 for -1), so a product of signs is
-    an XOR and agreement is a parity.
+    Each round is one raw word of the seed's bit generator, laid out as
+    in ``_round_keys``, taken a chunk of rounds at a time; raw words
+    carry no buffered state, so a chunked draw equals a whole one.  With
+    ``low`` round bits below them, the top 64 - low bits decide the
+    check: a round is checked iff ``word >> low < ceil(p * 2^(64 -
+    low))``.  Every statistic of a round depends only on its 6-bit key
+    and this check flag, so a chunk is counted by one 128-cell
+    histogram, and the law is evaluated once per key.  Every sign is
+    kept as a bit (1 for -1), so a product of signs is an XOR and
+    agreement is a parity.
     """
     n = config.parties
     honest = config.strategy == "honest"
-    if honest and n > _MAX_TABLE_PARTIES:
-        raise ValueError(f"honest sampling tables capped at {_MAX_TABLE_PARTIES} parties")
-    rng = np.random.default_rng(config.seed)
+    low = n + 1 + (n if honest else 3)
+    # word >> low < t is word <= t * 2^low - 1, which fits a uint64
+    # even when t reaches 2^(64 - low)
+    check_limit = np.uint64((ceil(ldexp(config.check_fraction, 64 - low)) << low) - 1)
+    s_mask = int(config.variant == "modified")
     rounds = config.rounds
-    combo_mask = (1 << n) - 1
+    bits = np.random.default_rng(config.seed).bit_generator
+    hist = np.zeros(128, dtype=np.int64)
+    for start in range(0, rounds, _CHUNK_ROUNDS):
+        words = bits.random_raw(min(_CHUNK_ROUNDS, rounds - start))
+        keys = _round_keys(words, n, s_mask, honest)
+        keys |= (words <= check_limit).view(np.uint8) << 6
+        hist += np.bincount(keys, minlength=128)
 
-    # group word s * 2^n + basis combo, one draw per round: codeword s
-    # (always 0 for the original variant), then the basis combo with
-    # party 1 as the most significant bit (0 = X, 1 = Y); int16 holds
-    # n <= 8 honest and n = 3 attacked
-    group = np.empty(rounds, dtype=np.int16)
-    words = (2 if config.variant == "modified" else 1) << n
-    for sl in _chunks(rounds):
-        group[sl] = rng.integers(0, words, size=sl.stop - sl.start)
-    # a kept round is checked when its check draw falls below the fraction
-    check_draw = np.empty(rounds, dtype=bool)
-    for sl in _chunks(rounds):
-        check_draw[sl] = rng.random(sl.stop - sl.start) < config.check_fraction
-
-    if not honest:
-        # fake qubit to the second party: uniform outcome either basis,
-        # so the dealer's and second party's outcomes are fair bits, as
-        # is the attacker's guess at the second party's outcome: bits 0,
-        # 1 and 2 of one draw per round
-        attack_bits = np.empty(rounds, dtype=np.int8)
-        for sl in _chunks(rounds):
-            attack_bits[sl] = rng.integers(0, 8, size=sl.stop - sl.start)
-
-    kept_n = checked_n = agree_n = check_errors = solo_n = plus_n = 0
-    for sl in _chunks(rounds):
-        g = group[sl]
-        s = g >> n
-        y_counts = np.bitwise_count(g & combo_mask)
-        # kept iff the basis string has an even number of Y's
-        kept = y_counts % 2 == 0
-        # sign bit of the measured X/Y string on codeword s
-        stabilizer = s ^ (y_counts >> 1)
-        if honest:
-            outcome = _sample_outcomes(n, g, rng.random(sl.stop - sl.start))
-            # bit (n-1-i) of the joint index is party i's outcome: the
-            # dealer's outcome against the receivers' product is the
-            # parity of the whole index
-            disagree = np.bitwise_count(outcome) ^ stabilizer
-            dealer_minus = outcome >> (n - 1)
-        else:
-            drawn = attack_bits[sl]
-            o_dealer, o_second, guess_second = drawn & 1, drawn >> 1 & 1, drawn >> 2
-            dealer_minus = o_dealer
-            # exact readout of the held pair: dealer outcome masked by the
-            # codeword choice; tests/test_protocols.py checks it against the
-            # dense state (test_delay_discriminate_readout_is_dense)
-            v = o_dealer ^ s
-            # guess committed before the codeword announcement
-            solo_n += int(np.count_nonzero(kept & (v == o_dealer)))
-            # forged outcome: consistent with his readout and a guess at the
-            # second party's outcome (which is pure noise to him)
-            o_third = (y_counts >> 1) ^ v ^ guess_second
-            disagree = stabilizer ^ o_second ^ o_third ^ o_dealer
-        agree = (disagree & 1) == 0
-        c = kept & check_draw[sl]
-        kept_n += int(np.count_nonzero(kept))
-        plus_n += sl.stop - sl.start - int(np.count_nonzero(dealer_minus))
-        checked_n += int(np.count_nonzero(c))
-        agree_n += int(np.count_nonzero(agree & kept))
-        check_errors += int(np.count_nonzero(c & ~agree))
+    dealer_minus, parity, solo_hit = _key_table(honest)
+    key = np.arange(64)
+    # kept iff the basis string has an even number of Y's; a kept round
+    # agrees iff its reported parity is the stabilizer's sign bit s ^ y/2
+    kept = key & 1 == 0
+    agree = (parity ^ key >> 2 ^ key >> 1) & 1 == 0
+    per_key, checked_per_key = hist[:64] + hist[64:], hist[64:]
+    kept_n = int(per_key[kept].sum())
+    checked_n = int(checked_per_key[kept].sum())
+    agree_n = int(per_key[kept & agree].sum())
+    check_errors = int(checked_per_key[kept & ~agree].sum())
+    solo_n = int(per_key[kept & solo_hit].sum())
+    plus_n = int(per_key[dealer_minus == 0].sum())
 
     agreement = agree_n / kept_n if kept_n else 0.0
     check_error_rate = check_errors / checked_n if checked_n else 0.0

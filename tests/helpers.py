@@ -14,7 +14,7 @@ plain state vectors, the reference for the fact behind the oracle's
 verdicts: a unitary on the traced qubits maps one codeword to the other
 exactly when the kept qubits' reduced states agree.
 ``qss_outcome_tables`` contracts the GHZ state once per basis combo,
-the reference for the secret-sharing outcome tables.
+the reference for the secret-sharing outcome law.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
-from qundet.protocols import _EIGENVECTORS, _ghz_vector
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,19 +169,29 @@ def zz_chain_doc(n=17):
     }
 
 
+# single-qubit measurement eigenvectors, indexed (basis, outcome,
+# component); basis index 0 = X, 1 = Y, outcome index 0 -> +1, 1 -> -1
+EIGENVECTORS = np.array([
+    [[1, 1], [1, -1]],
+    [[1, 1j], [1, -1j]],
+]) / np.sqrt(2)
+
+
 def qss_outcome_tables(n):
     """P(outcomes | state s, basis combo), shape (2, 2^n, 2^n), by n
-    tensordots per (codeword, basis combo): party 1 is the most
+    tensordots per (codeword, basis combo) on the GHZ codeword
+    (|0...0> + (-1)^s |1...1>) / sqrt(2): party 1 is the most
     significant bit of both indices."""
     dim = 1 << n
     tables = np.zeros((2, dim, dim))
     for s in (0, 1):
-        psi = _ghz_vector(n, s)
+        psi = np.zeros(dim, dtype=complex)
+        psi[0], psi[-1] = 1 / np.sqrt(2), (-1) ** s / np.sqrt(2)
         for combo in range(dim):
             bases = [(combo >> (n - 1 - i)) & 1 for i in range(n)]
             t = psi.reshape((2,) * n)
             for axis, b in enumerate(bases):
-                t = np.tensordot(_EIGENVECTORS[b].conj(), t, axes=([1], [axis]))
+                t = np.tensordot(EIGENVECTORS[b].conj(), t, axes=([1], [axis]))
                 t = np.moveaxis(t, 0, axis)
             tables[s, combo] = np.abs(t.reshape(-1)) ** 2
     return tables

@@ -3,7 +3,7 @@
 import itertools
 import json
 import tracemalloc
-from math import sqrt
+from math import ceil, sqrt
 
 import numpy as np
 import pytest
@@ -14,10 +14,8 @@ from qundet.protocols import (
     BcDemoResult,
     QssConfig,
     QssStats,
-    _bucket_table,
-    _cumulative_rows,
-    _outcome_tables,
-    _sample_outcomes,
+    _key_table,
+    _round_keys,
     bc_demo,
     qss_run,
 )
@@ -68,9 +66,23 @@ def test_honest_four_parties():
     assert abs(stats.keep_rate - 0.5) <= stats.radii["keep_rate"]
 
 
-def test_honest_table_cap():
-    with pytest.raises(ValueError, match="capped"):
-        qss_run(QssConfig(parties=9, rounds=10, check_fraction=0.5))
+def test_fifteen_honest_parties_agree():
+    stats = qss_run(QssConfig(parties=15, rounds=20_000, seed=2))
+    assert stats.honest_key_agreement == 1.0
+    assert abs(stats.dealer_plus_rate - 0.5) <= stats.radii["dealer_plus_rate"]
+
+
+def test_sixteen_honest_parties_are_refused():
+    # 2 * 16 + 1 round bits would leave 31 bits of the word for the check
+    with pytest.raises(ValueError, match="32 check bits"):
+        QssConfig(parties=16)
+
+
+def test_largest_check_fraction_checks_every_kept_round():
+    # at 6 parties ceil((1 - 2^-53) * 2^51) * 2^13 is 2^64: the threshold
+    # must not overflow a uint64, and every kept round is checked
+    stats = qss_run(QssConfig(parties=6, rounds=5000, check_fraction=1 - 2**-53, seed=4))
+    assert stats.checked == stats.kept > 0
 
 
 def test_attack_on_modified_is_blind():
@@ -98,109 +110,47 @@ def test_attack_on_original_reads_the_key():
     assert stats.aborted
 
 
-def test_outcome_tables_cached_and_read_only():
-    tables = _outcome_tables(4)
-    assert _outcome_tables(4) is tables
-    assert not tables.flags.writeable
-    with pytest.raises(ValueError):
-        tables[0, 0, 0] = 0.0
+def _dense_marginals(n):
+    """P(dealer bit, outcome parity | s, combo) from the dense tables,
+    shape (2, 2^n, 2, 2)."""
+    tables = qss_outcome_tables(n)
+    o = np.arange(1 << n)
+    dealer, parity = o >> (n - 1), np.bitwise_count(o) % 2
+    return np.stack([
+        np.stack([tables[..., (dealer == d) & (parity == p)].sum(axis=-1) for p in (0, 1)], -1)
+        for d in (0, 1)
+    ], -2)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_outcome_tables_match_per_combo_reference(n):
-    # n contractions per codeword give the same bits as n per basis combo
-    assert np.array_equal(_outcome_tables(n), qss_outcome_tables(n))
-
-
-def test_cumulative_rows_cached_read_only_and_end_at_one():
-    cum = _cumulative_rows(5)
-    assert _cumulative_rows(5) is cum
-    assert not cum.flags.writeable
-    assert cum.shape == (2 << 5, 1 << 5)
-    assert np.all(cum[:, -1] == 1.0)
-    np.testing.assert_allclose(
-        cum, np.cumsum(_outcome_tables(5), axis=2).reshape(cum.shape), atol=1e-12)
-
-
-def test_bucket_table_cached_and_read_only():
-    lo, th = _bucket_table(4)
-    assert _bucket_table(4)[0] is lo
-    assert not lo.flags.writeable and not th.flags.writeable
-    cells = (2 << 4) << 4
-    assert lo.shape == (cells,) and th.shape[1:] == (cells,)
+    # the closed form the sampler rests on: codeword s measured with y
+    # Y's gives P(o) = (1 + [y even] (-1)^(s + y/2 + |o|)) / 2^n
+    s = np.arange(2)[:, None, None]
+    y = np.bitwise_count(np.arange(1 << n))[None, :, None]
+    weight = np.bitwise_count(np.arange(1 << n))[None, None, :]
+    sign = np.where(y % 2 == 0, 1.0 - 2.0 * ((s + y // 2 + weight) % 2), 0.0)
+    closed = (1.0 + sign) / 2**n
+    assert np.abs(closed - qss_outcome_tables(n)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_largest_draw_lands_on_a_possible_outcome(n):
-    # rng.random() can return 1 - 2^-53; in every group it must pick an
-    # existing outcome of nonzero probability, not index 2^n or a
-    # trailing zero-probability outcome
-    groups = np.arange(2 << n, dtype=np.int16)
-    draws = np.full(len(groups), np.nextafter(1.0, 0.0))
-    out = _sample_outcomes(n, groups, draws)
-    assert np.all(out < 1 << n)
-    probs = _outcome_tables(n).reshape(2 << n, 1 << n)[groups, out]
-    assert np.all(probs > 1e-12)
-
-
-@pytest.mark.parametrize("n", range(3, 9))
-def test_sample_outcomes_matches_row_gather(n):
-    # the reference gathers each round's whole cumulative row and counts
-    # the entries below its draw.  Per group the draws are every row
-    # entry, every bucket edge k / 2^n, 0 and 1 - 2^-53, each with both
-    # float neighbours inside [0, 1): where ties and bucket edges decide
-    # the count.  Seeded uniform draws in random groups come on top.
-    cum = _cumulative_rows(n)
-    buckets = 1 << n
-    edges = np.arange(buckets) / buckets
-    groups, draws = [], []
-    for g, row in enumerate(cum):
-        points = np.concatenate([row, edges, [0.0, np.nextafter(1.0, 0.0)]])
-        near = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
-        near = near[(near >= 0.0) & (near < 1.0)]
-        groups.append(np.full(len(near), g))
-        draws.append(near)
-    rng = np.random.default_rng(n)
-    groups.append(rng.integers(0, 2 << n, size=5000))
-    draws.append(rng.random(5000))
-    group = np.concatenate(groups).astype(np.int16)
-    draw = np.concatenate(draws)
-    reference = np.concatenate([
-        (cum[group[i:i + 4096]] < draw[i:i + 4096, None]).sum(axis=1)
-        for i in range(0, len(group), 4096)
-    ])
-    np.testing.assert_array_equal(_sample_outcomes(n, group, draw), reference)
-
-
-@pytest.mark.parametrize("n", [3, 6, 8])
-def test_sampled_outcomes_follow_the_dense_tables(n):
-    # 2 * 10^5 seeded rounds through the production sampler against the
-    # dense tables, per (codeword, basis) group, within 5 sigma: the
-    # dealer's +1 rate, and for even-Y bases the rate at which the
-    # dealer's outcome equals the receivers' product (an even popcount
-    # of the joint index).  A wrong row or a shifted outcome index is
-    # off by a whole interval and fails; exact ties are left to the
-    # row-gather test above.
-    rounds = 200_000
-    rng = np.random.default_rng(20 + n)
-    group = rng.integers(0, 2 << n, size=rounds).astype(np.int16)
-    out = _sample_outcomes(n, group, rng.random(rounds))
-    tables = _outcome_tables(n).reshape(2 << n, 1 << n)
-    index = np.arange(1 << n)
-    counts = np.bincount(group, minlength=2 << n)
-    assert counts.min() > 100
-
-    def within_5_sigma(hit_round, hit_outcome, rows):
-        p = tables[:, hit_outcome].sum(axis=1)[rows]
-        rate = np.bincount(group[hit_round], minlength=2 << n)[rows] / counts[rows]
-        radius = 5.0 * np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / counts[rows]) + 1e-12
-        assert np.all(np.abs(rate - p) <= radius)
-
-    dealer_plus = index >> (n - 1) == 0
-    within_5_sigma(out >> (n - 1) == 0, dealer_plus, np.arange(2 << n))
-    even_y = np.flatnonzero(np.bitwise_count(np.arange(2 << n) & ((1 << n) - 1)) % 2 == 0)
-    parity_even = np.bitwise_count(index) % 2 == 0
-    within_5_sigma(np.bitwise_count(out) % 2 == 0, parity_even, even_y)
+def test_key_table_law_is_the_dense_marginal(n):
+    # every honest word of every (s, combo) group goes through the
+    # production keys and the key table; over the 2^n uniform strings u
+    # the (dealer bit, outcome parity) law must be the dense marginal.
+    # The law is in quarters and the dense sums lie within 1e-14 of
+    # them, so rounding the dense side to quarters makes the match exact
+    dim = 1 << n
+    s, combo, u = np.meshgrid(np.arange(2), np.arange(dim), np.arange(dim), indexing="ij")
+    words = (combo | s << n | u << (n + 1)).astype(np.uint64)
+    keys = _round_keys(words.ravel(), n, 1, honest=True)
+    dealer, parity, _ = _key_table(True)
+    cell = (dealer[keys] * 2 + parity[keys]).reshape(2 * dim, dim)
+    law = np.stack([np.bincount(row, minlength=4) for row in cell]) / dim
+    dense = _dense_marginals(n).reshape(2 * dim, 4)
+    assert np.abs(law - dense).max() < 1e-14
+    np.testing.assert_array_equal(law, np.round(dense * 4) / 4)
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -229,12 +179,13 @@ def test_delay_discriminate_readout_is_dense(s, bases, o):
     ("modified", "honest", 3),
     ("original", "honest", 6),
     ("modified", "honest", 8),
+    ("modified", "honest", 15),
     ("original", "delay_discriminate", 3),
     ("modified", "delay_discriminate", 3),
 ])
 def test_stats_independent_of_chunk_size(monkeypatch, chunk, variant, strategy, parties):
     # 5003 rounds is not a multiple of any chunk size here, so the last
-    # chunk of every draw is a partial one
+    # chunk is a partial one
     config = QssConfig(variant=variant, strategy=strategy, parties=parties,
                        rounds=5003, check_fraction=0.5, seed=17)
     whole = qss_run(config).as_dict()
@@ -242,48 +193,79 @@ def test_stats_independent_of_chunk_size(monkeypatch, chunk, variant, strategy, 
     assert qss_run(config).as_dict() == whole
 
 
+def _replay(config):
+    """Counts from a plain per-round evaluation of the law on the run's
+    raw words: (kept, checked, agreeing, check errors, solo-correct,
+    dealer +1)."""
+    n = config.parties
+    honest = config.strategy == "honest"
+    low = n + 1 + (n if honest else 3)
+    threshold = ceil(config.check_fraction * 2 ** (64 - low))
+    words = np.random.default_rng(config.seed).bit_generator.random_raw(config.rounds)
+    kept = checked = agreeing = errors = solo = plus = 0
+    for w in words.tolist():
+        combo = w & ((1 << n) - 1)
+        s = w >> n & 1 if config.variant == "modified" else 0
+        y = combo.bit_count()
+        stabilizer = (s + y // 2) % 2
+        if honest:
+            # party 1 is u's most significant bit; on even-y rounds the
+            # last party's bit (bit 0) fixes the parity to s + y/2
+            u = w >> (n + 1) & ((1 << n) - 1)
+            o = u if y % 2 else (u & ~1) | ((u >> 1).bit_count() + stabilizer) % 2
+            dealer, reported, solo_hit = o >> (n - 1), o.bit_count() % 2, False
+        else:
+            o_dealer, o_second, guess = w >> (n + 1) & 1, w >> (n + 2) & 1, w >> (n + 3) & 1
+            readout = o_dealer ^ s
+            o_third = (y // 2 + readout + guess) % 2
+            dealer, reported = o_dealer, (o_dealer + o_second + o_third) % 2
+            solo_hit = readout == o_dealer
+        plus += dealer == 0
+        if y % 2 == 0:
+            check = w >> low < threshold
+            kept += 1
+            checked += check
+            agreeing += reported == stabilizer
+            errors += check and reported != stabilizer
+            solo += solo_hit
+    return kept, checked, agreeing, errors, solo, plus
+
+
 @pytest.mark.parametrize("variant", ["original", "modified"])
 @pytest.mark.parametrize("strategy,parties", [
-    ("honest", 3), ("honest", 6), ("honest", 8), ("delay_discriminate", 3),
+    ("honest", 3), ("honest", 6), ("honest", 8), ("honest", 15), ("delay_discriminate", 3),
 ])
 def test_counts_replay_the_documented_stream(variant, strategy, parties):
-    # one whole-run draw of each kind, in the documented order: the
-    # group words s * 2^n + basis combo, the check draws, then the
-    # outcome draws (honest) or the delaying receiver's three bits, bit
-    # 0 being the dealer's outcome.  70,001 rounds span two chunks.
-    n, rounds = parties, 70_001
-    config = QssConfig(variant=variant, strategy=strategy, parties=n, rounds=rounds,
+    # one raw word per round, in the documented layout; 70,001 rounds
+    # span two chunks
+    config = QssConfig(variant=variant, strategy=strategy, parties=parties, rounds=70_001,
                        check_fraction=0.3, seed=29)
-    rng = np.random.default_rng(config.seed)
-    group = rng.integers(0, (2 if variant == "modified" else 1) << n, size=rounds)
-    check = rng.random(rounds) < config.check_fraction
-    if strategy == "honest":
-        outcome = _sample_outcomes(n, group.astype(np.int16), rng.random(rounds))
-        dealer_minus = outcome >> (n - 1)
-    else:
-        dealer_minus = rng.integers(0, 8, size=rounds) & 1
-    kept = np.bitwise_count(group & ((1 << n) - 1)) % 2 == 0
+    kept, checked, agreeing, errors, solo, plus = _replay(config)
     stats = qss_run(config)
-    assert stats.kept == np.count_nonzero(kept)
-    assert stats.checked == np.count_nonzero(kept & check)
-    assert stats.dealer_plus_rate == np.count_nonzero(dealer_minus == 0) / rounds
+    assert (stats.kept, stats.checked) == (kept, checked)
+    assert stats.honest_key_agreement == agreeing / kept
+    assert stats.check_error_rate == errors / checked
+    assert stats.dealer_plus_rate == plus / config.rounds
+    if strategy == "delay_discriminate":
+        assert stats.attacker_solo_accuracy == solo / kept
 
 
 @pytest.mark.parametrize("variant", ["original", "modified"])
 @pytest.mark.parametrize("parties", [3, 6])
 def test_dealer_plus_rate_sees_a_biased_sampler(monkeypatch, variant, parties):
-    # this sampler keeps the stabilizer's parity but returns the least
-    # outcome of that parity, index 0 or 1, so the dealer always reads
-    # +1: every kept round still agrees, and only the dealer's +1 rate
-    # sees the bias
-    def least_of_parity(n, group, draws):
-        y_counts = np.bitwise_count(group & ((1 << n) - 1))
-        return ((group >> n) ^ (y_counts >> 1)) & 1
+    # this law keeps every key's outcome parity, but the dealer always
+    # reads +1: every kept round still agrees, and only the dealer's +1
+    # rate sees the bias
+    fair_table = protocols._key_table
+
+    def dealer_always_plus(honest):
+        dealer, parity, solo = fair_table(honest)
+        return np.zeros_like(dealer), parity, solo
 
     config = QssConfig(variant=variant, parties=parties, rounds=20_000, seed=7)
     fair = qss_run(config)
     assert abs(fair.dealer_plus_rate - 0.5) <= fair.radii["dealer_plus_rate"]
-    monkeypatch.setattr(protocols, "_sample_outcomes", least_of_parity)
+    monkeypatch.setattr(protocols, "_key_table", dealer_always_plus)
     biased = qss_run(config)
     assert biased.honest_key_agreement == 1.0
     assert biased.check_error_rate == 0.0
@@ -291,7 +273,6 @@ def test_dealer_plus_rate_sees_a_biased_sampler(monkeypatch, variant, parties):
 
 
 def test_million_round_peak_is_chunk_bounded():
-    _bucket_table(6)
     tracemalloc.start()
     qss_run(QssConfig(parties=6, rounds=1_000_000, seed=3))
     _, top = tracemalloc.get_traced_memory()
@@ -300,12 +281,6 @@ def test_million_round_peak_is_chunk_bounded():
 
 
 def test_honest_memory_is_independent_of_parties():
-    # the cached 8-party cumulative rows (1 MB) and bucket table (3.3 MB)
-    # would otherwise be built inside the traced call and outweigh the
-    # per-round state
-    _bucket_table(3)
-    _bucket_table(8)
-
     def peak(parties):
         tracemalloc.start()
         qss_run(QssConfig(parties=parties, rounds=200_000, seed=3))
