@@ -72,8 +72,9 @@ def test_fifteen_honest_parties_agree():
     assert abs(stats.dealer_plus_rate - 0.5) <= stats.radii["dealer_plus_rate"]
 
 
-def test_sixteen_honest_parties_are_refused():
-    # 2 * 16 + 1 round bits would leave 31 bits of the word for the check
+def test_honest_table_cap():
+    # the cap comes from the word layout: 2 * 16 + 1 round bits would
+    # leave 31 bits of the word for the check
     with pytest.raises(ValueError, match="32 check bits"):
         QssConfig(parties=16)
 
@@ -153,6 +154,90 @@ def test_key_table_law_is_the_dense_marginal(n):
     np.testing.assert_array_equal(law, np.round(dense * 4) / 4)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_largest_draw_lands_on_a_possible_outcome(n):
+    # the largest raw word of every (s, combo) group has u and every
+    # check bit set; the word 2^64 - 1 is the last of them.  Its key
+    # must stay inside the 64-row table, and the (dealer bit, outcome
+    # parity) it lands on must have nonzero dense probability
+    groups = np.arange(2 << n, dtype=np.uint64)
+    words = groups | np.uint64(((1 << 64) - 1) ^ ((2 << n) - 1))
+    assert words[-1] == np.uint64((1 << 64) - 1)
+    keys = _round_keys(words, n, 1, honest=True)
+    assert keys.max() < 64
+    dealer, parity, _ = _key_table(True)
+    probs = _dense_marginals(n).reshape(2 << n, 2, 2)[
+        groups.astype(np.intp), dealer[keys], parity[keys]]
+    assert np.all(probs > 1e-12)
+
+
+def _honest_outcome(word, n, s):
+    """The joint outcome index of an honest round, party 1 most
+    significant, built from its word in plain Python: the uniform
+    string u, except that on even-y rounds the last party's bit (bit 0)
+    fixes the parity to s + y/2."""
+    y = (word & ((1 << n) - 1)).bit_count()
+    u = word >> (n + 1) & ((1 << n) - 1)
+    if y % 2:
+        return u
+    return (u & ~1) | ((u >> 1).bit_count() + s + y // 2) % 2
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sample_outcomes_matches_row_gather(n):
+    # the key table's rows, gathered at the production keys, give word
+    # for word the dealer bit and outcome parity of the outcome built
+    # per round in plain Python.  Per (s, combo) group the words take
+    # the edge strings u = 0, 1, 2^(n-1) and 2^n - 1, with no check bit
+    # and with every check bit set; seeded raw words come on top.  The
+    # original variant must ignore the s bit
+    dim = 1 << n
+    s_combo, u, top = np.meshgrid(
+        np.arange(2 * dim, dtype=np.uint64),
+        np.array([0, 1, dim >> 1, dim - 1], dtype=np.uint64),
+        np.array([0, ((1 << 64) - 1) >> (2 * n + 1) << (2 * n + 1)], dtype=np.uint64),
+        indexing="ij")
+    seeded = np.random.default_rng(n).bit_generator.random_raw(5000)
+    words = np.concatenate([(s_combo | u << np.uint64(n + 1) | top).ravel(), seeded])
+    dealer, parity, _ = _key_table(True)
+    for s_mask in (0, 1):
+        keys = _round_keys(words, n, s_mask, honest=True)
+        s = [w >> n & s_mask for w in words.tolist()]
+        outcome = [_honest_outcome(w, n, b) for w, b in zip(words.tolist(), s)]
+        np.testing.assert_array_equal(keys & 3, np.bitwise_count(words & np.uint64(dim - 1)) % 4)
+        np.testing.assert_array_equal(keys >> 2 & 1, s)
+        np.testing.assert_array_equal(dealer[keys], [o >> (n - 1) for o in outcome])
+        np.testing.assert_array_equal(parity[keys], [o.bit_count() % 2 for o in outcome])
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_sampled_outcomes_follow_the_dense_tables(n):
+    # 2 * 10^5 seeded raw words through the production keys and key
+    # table against the dense tables, per (codeword, basis) group,
+    # within 5 sigma: the dealer's +1 rate, and for even-Y bases the
+    # rate of an even outcome parity, which the law makes 0 or 1, so
+    # there the match is exact.  A wrong row or a shifted field is off
+    # by a whole interval and fails
+    rounds, dim = 200_000, 1 << n
+    words = np.random.default_rng(20 + n).bit_generator.random_raw(rounds)
+    keys = _round_keys(words, n, 1, honest=True)
+    dealer, parity, _ = _key_table(True)
+    group = (words & np.uint64(2 * dim - 1)).astype(np.intp)
+    dense = _dense_marginals(n).reshape(2 * dim, 2, 2)
+    counts = np.bincount(group, minlength=2 * dim)
+    assert counts.min() > 100
+
+    def within_5_sigma(hit_round, p, rows):
+        p = p[rows]
+        rate = np.bincount(group[hit_round], minlength=2 * dim)[rows] / counts[rows]
+        radius = 5.0 * np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / counts[rows]) + 1e-12
+        assert np.all(np.abs(rate - p) <= radius)
+
+    within_5_sigma(dealer[keys] == 0, dense[:, 0, :].sum(axis=1), np.arange(2 * dim))
+    even_y = np.flatnonzero(np.bitwise_count(np.arange(2 * dim) & (dim - 1)) % 2 == 0)
+    within_5_sigma(parity[keys] == 0, dense[:, :, 0].sum(axis=1), even_y)
+
+
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("bases", [b for b in itertools.product((0, 1), repeat=3)
                                    if sum(b) % 2 == 0])
@@ -209,10 +294,7 @@ def _replay(config):
         y = combo.bit_count()
         stabilizer = (s + y // 2) % 2
         if honest:
-            # party 1 is u's most significant bit; on even-y rounds the
-            # last party's bit (bit 0) fixes the parity to s + y/2
-            u = w >> (n + 1) & ((1 << n) - 1)
-            o = u if y % 2 else (u & ~1) | ((u >> 1).bit_count() + stabilizer) % 2
+            o = _honest_outcome(w, n, s)
             dealer, reported, solo_hit = o >> (n - 1), o.bit_count() % 2, False
         else:
             o_dealer, o_second, guess = w >> (n + 1) & 1, w >> (n + 2) & 1, w >> (n + 3) & 1
