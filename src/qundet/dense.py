@@ -8,43 +8,40 @@ Pauli's dense realization is a generalized permutation matrix,
 with qubit 1 the most significant bit of the basis index, matching the
 leftmost letter of the string form.
 
-A codeword is built as a 2^n state vector: a seeded start vector is
-projected through (I + g)/2 for each generator g of its extended
-generating set (the stabilizers plus the signed logical Z's), each g
-applied as the signed permutation above.  No matrix is built and no
-group is enumerated; the generating set is validated by constructing
-its ``StabilizerGroup``, and nothing is taken from the symbolic
-decision rule the oracle cross-checks.  The projection is rounded to
-the state's exact amplitudes (one modulus times 0, 1, -1, i or -i), so
-reduced states come out exact and equal ones compare bitwise equal,
-whatever the start vector.  A k=2 equal mixture is a stack of two such
-vectors.  The reduced state on the kept qubits K is
-sum_i M_i M_i^dagger / m, where M_i is vector i reshaped to
-2^|K| x 2^|T| (T the traced qubits).  When every amplitude of the two
-stacks is real (all 0 or +-1 once scaled, as for most codes), the
-whole comparison runs in float64 instead of complex128, through the
-same lines: the reduced states are then integers over a power of 2,
-as exact as the Gaussian integers of the complex case.
+A codeword is a 2^n state vector: a seeded start vector projected
+through (I + g)/2 for each stabilizer g, split into the sign sectors of
+the logical Z's and rounded to its exact amplitudes.  No matrix is
+built, no group is enumerated, and nothing is taken from the symbolic
+decision rule the oracle cross-checks; the extended generating set is
+validated by constructing its ``StabilizerGroup``.  A k=2 equal mixture
+is a stack of two such vectors.
 
-Two reduced states are compared on the smaller side of the cut.  With
-A and B the two stacks as 2^|K| x m 2^|T| matrices, the reduced states
-themselves are formed when 2^|K| <= 2m 2^|T|; otherwise the R factor
-of [A | B] = Q R stands in for it, since the isometry Q leaves the
-Frobenius distance unchanged.  A subset then costs
-O(2^n min(2^|K|, 2m 2^|T|)), not 2^(n+|K|).  The two states are
-equal when that distance is below ``ATOL``: an equal pair's distance
-is exactly 0 on the direct side and about 1e-16 on the QR side, and a
-determined pair's is at least 2^((3-n)/2), so one constant separates
-them up to the cap (docs/method.md).  A chunk of traced subsets is
-cut by viewing the stacks as (m, 2, ..., 2) tensors and transposing
-each subset's kept axes before its traced ones (see :func:`_cut`).
-Sizes are capped at n <= ``ORACLE_MAX_N``, which bounds
-``pauli_matrix``'s 4^n entries; the state vectors take O(2^n) memory.
+Reduced states are compared through exact Gram sums.  Scaled to
+modulus 1, a stabilizer state's amplitudes are 0, +-1 or +-i (Dehaene
+and De Moor, quant-ph/0304125), so a stack's squared norm N and every
+Gram entry of its cuts are integers.  With A and B the two stacks cut
+kept x (stack, traced), the reduced states are A A^dagger / N0 and
+B B^dagger / N1, and
+
+    (N0 N1)^2 ||rho0 - rho1||^2
+        = N1^2 ||A^dagger A||^2 + N0^2 ||B^dagger B||^2 - 2 N0 N1 ||A^dagger B||^2
+
+is an integer, 0 exactly when they are equal, so no tolerance is
+needed.  The products run in single precision, exact since every entry
+and partial sum is an integer of at most 2^n < 2^24; the squares are
+summed in float64, exact while the numerator's terms, at most
+2^(4n+4), stay below 2^53 (n <= 12).  One cut serves a traced set of at
+most n/2 qubits and its complement (see :func:`reduced_distances`), at
+O(2^n (m 2^|T|)^2) each.  Sizes are capped at n <= ``ORACLE_MAX_N``,
+which bounds ``pauli_matrix``'s 4^n entries; the state vectors take
+O(2^n) memory.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,10 +50,8 @@ from qundet.pauli import PauliOperator
 from qundet.stabilizer import StabilizerGroup
 
 ORACLE_MAX_N = 10
-# reduced-state distances below this are equal (see the module docstring)
-ATOL = 1e-9
-# gathered amplitudes per stack in one chunk of traced subsets; 2^16
-# is no faster on the benchmark's sweep and has a larger peak RSS
+# amplitudes per stack in one chunk of cuts; 2^13 and 2^15 both run
+# the benchmark's sweep slower
 _CHUNK = 1 << 14
 
 # seed of the start vector every codeword is projected from; any vector
@@ -99,29 +94,13 @@ def apply_pauli(p: PauliOperator, v: np.ndarray) -> np.ndarray:
     return v[..., src] * ((1j ** p.phase_exp) * signs)
 
 
-def _flip_sign(p: PauliOperator) -> PauliOperator:
-    return PauliOperator(p.n, p.x_bits, p.z_bits, (p.phase_exp + 2) % 4)
+def _rounded(v: np.ndarray) -> np.ndarray:
+    """The projection ``v`` rounded to its exact stabilizer state, as a unit vector.
 
-
-def _fixed_state(generators: list[PauliOperator]) -> np.ndarray:
-    """The unit vector every generator fixes, for a rank-n generating set.
-
-    A stabilizer state's nonzero amplitudes share one modulus and, once
-    the first is real and positive, are all 1, -1, i or -i times it.
-    The projected vector is rounded to that exact form, so equal reduced
-    states come out bitwise equal; a projection that is not close to it
-    raises.
+    The nonzero amplitudes share one modulus and, once the first is real
+    and positive, are 1, -1, i or -i times it; a projection that vanished
+    or is not close to that form raises.
     """
-    # construction validates the extended generating set
-    group = StabilizerGroup(generators)
-    n = group.n
-    _check_cap(n)
-    if group.rank != n:
-        raise ValueError(f"rank {group.rank} generating set fixes no single state on {n} qubits")
-    v = np.random.default_rng(_START_SEED).normal(size=(2, 1 << n)).T @ np.array([1, 1j])
-    v /= np.linalg.norm(v)
-    for g in group.generators:
-        v = (v + apply_pauli(g, v)) / 2
     norm = np.linalg.norm(v)
     if norm < _VANISHED:
         raise RuntimeError(f"start vector vanished under projection (norm {norm:.1e})")
@@ -129,77 +108,88 @@ def _fixed_state(generators: list[PauliOperator]) -> np.ndarray:
     first = int(np.argmax(mags > mags.max() / 2))
     units = v / v[first]
     exact = np.round(units.real) + 1j * np.round(units.imag)
-    if np.abs(units - exact).max() > 1e-6 or not np.isin(np.abs(exact), (0, 1)).all():
+    # a Gaussian integer of modulus at most 1 is 0, +-1 or +-i
+    if np.abs(units - exact).max() > 1e-6 or (np.abs(exact) > 1).any():
         raise RuntimeError("projected vector is not a stabilizer state")
     return exact / np.sqrt(np.count_nonzero(exact))
 
 
-def codeword_states(spec: CodeSpec, which: int) -> np.ndarray:
-    """Codeword ``which`` as a stack of unit vectors, shape (m, 2^n).
+def codeword_states(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two codewords as stacks of unit vectors, each of shape (m, 2^n).
 
-    For k=1 it is the one state fixed by the stabilizers and
-    (-1)^which Z-bar.  For k=2 it is the two states whose equal mixture
-    is the 00/11 pair (which=0) or the 10/01 pair (which=1).
+    For k=1 codeword b is the one state fixed by the stabilizers and
+    (-1)^b Z-bar.  For k=2 codeword 0 is the two states whose equal
+    mixture is the 00/11 pair, and codeword 1 the 10/01 pair.  The start
+    vector is projected through the stabilizers once, then split by the
+    signs of the logical Z's.
     """
     gens = spec.stabilizer_ops()
     z_bars = spec.logical_z_ops()
-    if spec.k == 1:
-        bit_rows = [(which,)]
-    elif spec.k == 2:
-        bit_rows = [(0, 0), (1, 1)] if which == 0 else [(1, 0), (0, 1)]
-    else:
+    # each codeword's sign sectors, Z-bar_1's sign the most significant bit
+    sectors = {1: ([0], [1]), 2: ([0b00, 0b11], [0b10, 0b01])}.get(spec.k)
+    if sectors is None:
         raise ValueError(f"codewords need k=1 or k=2, got k={spec.k}")
-    return np.stack([
-        _fixed_state(gens + [_flip_sign(z) if bit else z for z, bit in zip(z_bars, bits)])
-        for bits in bit_rows
-    ])
+    # validates the extended generating set, whatever the logical signs
+    group = StabilizerGroup(gens + z_bars)
+    n = group.n
+    _check_cap(n)
+    if group.rank != n:
+        raise ValueError(f"rank {group.rank} generating set fixes no single state on {n} qubits")
+    v = np.random.default_rng(_START_SEED).normal(size=(2, 1 << n)).T @ np.array([1, 1j])
+    v /= np.linalg.norm(v)
+    for g in gens:
+        v = (v + apply_pauli(g, v)) / 2
+    parts = [v]
+    for z in z_bars:
+        flips = [apply_pauli(z, p) for p in parts]
+        parts = [(p + sign * f) / 2 for p, f in zip(parts, flips) for sign in (1, -1)]
+    states0, states1 = (np.stack([_rounded(parts[i]) for i in rows]) for rows in sectors)
+    return states0, states1
 
 
 def _traced_sets(subsets: Iterable[Iterable[int]], n: int) -> list[tuple[int, ...]]:
-    """The 1-based traced subsets, each sorted; they must share one size."""
+    """The 1-based traced subsets, each sorted."""
     traced = [tuple(sorted(set(s))) for s in subsets]
-    if len({len(t) for t in traced}) > 1:
-        raise ValueError("traced subsets must all have the same size")
     if any(t and not (1 <= t[0] and t[-1] <= n) for t in traced):
         raise ValueError(f"traced qubits out of range 1..{n}")
     return traced
 
 
 def _cut(states: np.ndarray, traced: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """The stack ``states`` cut kept x traced for each traced set.
+    """The stack ``states`` cut traced x kept for each traced set.
 
-    Returns shape (len(traced), 2^|K|, m 2^|T|): row bits are the kept
-    qubits and column bits the stack index then the traced qubits, each
-    most significant first in ascending qubit order, as in
-    :func:`partial_trace`.  The stack is viewed as (m, 2, ..., 2), with
-    qubit q on axis q, and each set's axes are transposed to the kept
-    qubits, the stack, then the traced qubits, and copied into one
-    buffer for the chunk.
+    Returns shape (len(traced), m 2^|T|, 2^|K|): row bits are the stack
+    index then the traced qubits, and column bits the kept qubits, each
+    most significant first in ascending qubit order.  The stack is viewed
+    as (m, 2, ..., 2), with qubit q on axis q, and each set's axes are
+    transposed into that order and copied into one buffer for the chunk;
+    the kept qubits come last, as the more of them, so the copy's inner
+    run is most often contiguous.
     """
     m, t = len(states), len(traced[0])
     tensor = states.reshape((m,) + (2,) * n)
-    cuts = np.empty((len(traced),) + (2,) * (n - t) + (m,) + (2,) * t, dtype=states.dtype)
+    cuts = np.empty((len(traced), m) + (2,) * n, dtype=states.dtype)
+    qubits = frozenset(range(1, n + 1))
     for cut, ts in zip(cuts, traced):
-        cut[...] = tensor.transpose([q for q in range(1, n + 1) if q not in ts] + [0, *ts])
-    return cuts.reshape(len(traced), 1 << (n - t), -1)
+        cut[...] = tensor.transpose([0, *ts, *sorted(qubits.difference(ts))])
+    return cuts.reshape(len(traced), m << t, -1)
 
 
 def _scaled(states: np.ndarray) -> tuple[np.ndarray, float]:
     """``states`` scaled to amplitudes of modulus at most 1, and its squared norm.
 
-    The trace of M M^dagger is m for unit rows; with this scaling and the
-    trace divided out of the small factor, a stabilizer state's reduced
-    state is exact: Gaussian integers over a power of 2.
+    A stabilizer state's amplitudes are then 0, +-1 or +-i, so its
+    squared norm is an integer, and so is every Gram entry of its cuts.
     """
     scaled = states / np.abs(states).max()
-    return scaled, np.vdot(scaled, scaled).real
+    return scaled, float(np.vdot(scaled, scaled).real)
 
 
 def build_density(spec: CodeSpec, logical_bit: int) -> np.ndarray:
     """Density matrix of codeword ``logical_bit`` of a k=1 code."""
     if spec.k != 1:
         raise ValueError("build_density needs a k=1 code")
-    (v,) = codeword_states(spec, logical_bit)
+    (v,) = codeword_states(spec)[logical_bit]
     return np.outer(v, v.conj())
 
 
@@ -207,7 +197,7 @@ def build_mixed_density(spec: CodeSpec, which: int) -> np.ndarray:
     """Equal mixture of two k=2 codewords: 00/11 for which=0, 10/01 for 1."""
     if spec.k != 2:
         raise ValueError("build_mixed_density needs a k=2 code")
-    states = codeword_states(spec, which)
+    states = codeword_states(spec)[which]
     return states.T @ states.conj() / len(states)
 
 
@@ -230,9 +220,24 @@ def partial_trace(m: np.ndarray, traced_out: Iterable[int], n: int | None = None
     return t.reshape(dim, dim)
 
 
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    d = (a - b).ravel()
-    return float(np.sqrt(np.vdot(d, d).real))
+def frobenius_distance(grams: Sequence[float], norms: Sequence[float]) -> float:
+    """||rho0 - rho1|| for one subset, from three Gram sums and two squared norms.
+
+    With ``norms`` N0, N1 and ``grams`` g00 = N0^2 ||rho0||^2, g11 =
+    N1^2 ||rho1||^2 and g01 = N0 N1 tr(rho0 rho1), the squared distance
+    is (N1^2 g00 + N0^2 g11 - 2 N0 N1 g01) / (N0 N1)^2.  For stabilizer
+    stacks every term is an integer, so an equal pair reads exactly 0.
+    """
+    g00, g11, g01 = grams
+    n0, n1 = norms
+    return math.sqrt(max(n1 * n1 * g00 + n0 * n0 * g11 - 2 * n0 * n1 * g01, 0.0)) / (n0 * n1)
+
+
+def _inner(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Re <x_s, y_s> for each leading index s, as re * re + im * im summed in float64."""
+    x = np.asarray(x.view(x.real.dtype), dtype=np.float64)
+    y = x if y is None else np.asarray(y.view(y.real.dtype), dtype=np.float64)
+    return np.einsum("sij,sij->s", x, y)
 
 
 def reduced_distances(
@@ -240,36 +245,55 @@ def reduced_distances(
 ) -> list[float]:
     """Frobenius distance of two stacks' reduced states, one per traced subset.
 
-    The subsets must share one size; each distance is one
-    :func:`frobenius_distance` call, in the order of ``subsets``.  With
-    A and B the stacks cut kept x (stack, traced) (see :func:`_cut`),
-    the distance is ||A A^dagger - B B^dagger||.  When the kept side is
-    the larger, the R factor of C = [A | B] = Q R replaces C: Q is an
-    isometry, so the distance is ||R_a R_a^dagger - R_b R_b^dagger||
-    and no 2^|K| x 2^|K| matrix is formed.
+    ``subsets`` may mix sizes; the distances come in their order, from
+    one :func:`frobenius_distance` call per distinct subset.  A subset
+    and its complement share the cut of the one with at most n/2 qubits
+    (at n/2, the one holding qubit 1).  The Grams A^dagger A, B^dagger B
+    and A^dagger B of that cut (see :func:`_cut`) give the distance after
+    tracing the cut set; the sums of their diagonal stack blocks are the
+    reduced states on the cut set, up to conjugation and scale, and give
+    the distance after tracing its complement.
     """
     n = states0.shape[1].bit_length() - 1
     traced = _traced_sets(subsets, n)
-    if not traced:
-        return []
     (scaled0, norm0), (scaled1, norm1) = _scaled(states0), _scaled(states1)
     both = np.concatenate([scaled0, scaled1])
-    # real codewords run in real arithmetic, through the same lines
     if not both.imag.any():
-        both = np.ascontiguousarray(both.real)
-    t = len(traced[0])
-    split = len(states0) << t
-    # the kept side is the smaller one: the reduced states themselves,
-    # exact (see _scaled), so an equal pair reads exactly 0
-    direct = 1 << (n - t) <= len(both) << t
+        both = both.real
+    # Gram entries of Gaussian integers are integers of at most 2^n, exact
+    # in single precision
+    if np.array_equal(both, np.round(both)):
+        both = both.astype(np.complex64 if np.iscomplexobj(both) else np.float32)
+    # cut set -> {0: subset read on the traced side, 1: on the kept side}
+    sides: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    qubits = frozenset(range(1, n + 1))
+    for t in dict.fromkeys(traced):
+        small = 2 * len(t) < n or (2 * len(t) == n and t[0] == 1)
+        cut_set = t if small else tuple(sorted(qubits.difference(t)))
+        sides.setdefault(cut_set, {})[not small] = t
+    m0, m1 = len(states0), len(states1)
     step = max(1, _CHUNK // max(states0.size, states1.size))
-    out = []
-    for at in range(0, len(traced), step):
-        cut = _cut(both, traced[at:at + step], n)
-        if not direct:
-            cut = np.linalg.qr(cut, mode="r")
-        a, b = cut[..., :split], cut[..., split:]
-        rho0 = a @ (a.conj().swapaxes(1, 2) / norm0)
-        rho1 = b @ (b.conj().swapaxes(1, 2) / norm1)
-        out += [frobenius_distance(r0, r1) for r0, r1 in zip(rho0, rho1)]
-    return out
+    dist = {}
+    for size, group in itertools.groupby(sorted(sides, key=len), key=len):
+        cut_sets = list(group)
+        split = m0 << size
+        for at in range(0, len(cut_sets), step):
+            chunk = cut_sets[at:at + step]
+            cut = _cut(both, chunk, n)
+            # A = a^T and B = b^T; [A^dagger A | A^dagger B] in one product
+            a, b = cut[:, :split], cut[:, split:]
+            g0 = a.conj() @ cut.swapaxes(1, 2)
+            g00, g01 = g0[..., :split], g0[..., split:]
+            g11 = b.conj() @ b.swapaxes(1, 2)
+            # the sums of the m x m diagonal blocks
+            r0 = np.einsum("sjajb->sab", g00.reshape(-1, m0, 1 << size, m0, 1 << size))
+            r1 = np.einsum("sjajb->sab", g11.reshape(-1, m1, 1 << size, m1, 1 << size))
+            # [side][set] -> its three Gram sums
+            grams = np.array([
+                [_inner(g00), _inner(g11), _inner(g01)],
+                [_inner(r0), _inner(r1), _inner(r0, r1)],
+            ]).transpose(0, 2, 1).tolist()
+            for j, cut_set in enumerate(chunk):
+                for side, subset in sides[cut_set].items():
+                    dist[subset] = frobenius_distance(grams[side][j], (norm0, norm1))
+    return [dist[t] for t in traced]

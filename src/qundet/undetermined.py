@@ -327,14 +327,13 @@ def mixed_tracedown_check(
         if len(traced_subset) != d_prime:
             raise ValueError("traced_subset size must equal d_prime")
     d_double = d_pure - d_prime
-    states0 = dense.codeword_states(spec, 0)
-    states1 = dense.codeword_states(spec, 1)
+    states0, states1 = dense.codeword_states(spec)
     rest = [q for q in range(1, spec.n + 1) if q not in traced_subset]
     # rest is ascending, so this is the lexicographic order over 1..n-d_prime
     subsets = [traced_subset + further for further in itertools.combinations(rest, d_double)]
     worst = max(dense.reduced_distances(states0, states1, subsets))
     return TracedownResult(
-        d_pure, d_prime, d_double, traced_subset, worst < dense.ATOL, len(subsets), worst
+        d_pure, d_prime, d_double, traced_subset, worst == 0, len(subsets), worst
     )
 
 
@@ -493,28 +492,27 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
 
     Builds the codeword state vectors once (two per codeword for the
     k=2 equal mixtures) and, for every lexicographic traced subset of
-    each size in ``sizes`` (default 1..n-1), compares the symbolic
-    verdict (one batched solve per size, the rule behind
-    ``reduced_equal_on``) with the Frobenius distance of the dense
-    reduced states.  Any disagreement raises RuntimeError.
+    each distinct size in ``sizes`` (default 1..n-1), compares the
+    symbolic verdict (one batched solve for all of them, the rule behind
+    ``reduced_equal_on``) with the distance of the dense reduced states,
+    which is exactly 0 for equal ones.  A size outside 1..n-1 raises
+    ValueError; any disagreement raises RuntimeError.
     """
-    states0 = dense.codeword_states(spec, 0)
-    states1 = dense.codeword_states(spec, 1)
-    if sizes is None:
-        sizes = range(1, spec.n)
-    checked = 0
-    for size in sizes:
-        for batch, solve in _solves(spec, size):
-            devs = dense.reduced_distances(states0, states1, batch)
-            for subset, symbolic, dev in zip(batch, solve.equal.tolist(), devs):
-                numeric = dev < dense.ATOL
-                if symbolic != numeric:
-                    raise RuntimeError(
-                        f"symbolic/oracle disagreement on {spec.name} traced {subset}: "
-                        f"symbolic={symbolic}, dense deviation={dev:.3e}"
-                    )
-                checked += 1
-    return checked
+    sizes = sorted(set(range(1, spec.n) if sizes is None else sizes))
+    if bad := [size for size in sizes if not 1 <= size <= spec.n - 1]:
+        raise ValueError(f"traced sizes {bad} outside 1..{spec.n - 1}")
+    states0, states1 = dense.codeword_states(spec)
+    subsets = [s for size in sizes for s in itertools.combinations(range(1, spec.n + 1), size)]
+    masks = [_subset_mask(s, spec.n) for s in subsets]
+    solve = RestrictionSolve(_group_of(spec), _difference_rep(spec), masks)
+    devs = dense.reduced_distances(states0, states1, subsets)
+    for subset, symbolic, dev in zip(subsets, solve.equal.tolist(), devs):
+        if symbolic != (dev == 0):
+            raise RuntimeError(
+                f"symbolic/oracle disagreement on {spec.name} traced {subset}: "
+                f"symbolic={symbolic}, dense deviation={dev:.3e}"
+            )
+    return len(subsets)
 
 
 def scan_cyclic(lo: int, hi: int) -> list[dict]:

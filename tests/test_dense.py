@@ -1,6 +1,7 @@
 """Dense oracle: Pauli matrices, codeword state vectors, reduced-state distances."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import qundet.undetermined as und
 from qundet import dense
 from qundet.codes import CodeSpec, catalog
 from qundet.dense import (
-    ATOL,
     OracleCapError,
     apply_pauli,
     build_density,
@@ -47,13 +47,14 @@ def _extended_sets(spec):
 
 def _vectors(spec):
     """The two codeword state vectors of a k=1 code."""
-    return codeword_states(spec, 0)[0], codeword_states(spec, 1)[0]
+    (v0,), (v1,) = codeword_states(spec)
+    return v0, v1
 
 
 def _equal_after(spec, traced):
     """Does the oracle find equal reductions after tracing ``traced``?"""
-    (dist,) = reduced_distances(codeword_states(spec, 0), codeword_states(spec, 1), [traced])
-    return dist < ATOL
+    (dist,) = reduced_distances(*codeword_states(spec), [traced])
+    return dist == 0
 
 
 def _reference_projector(ops, n):
@@ -119,8 +120,7 @@ def test_apply_pauli_matches_matrix(args):
 @pytest.mark.parametrize("name,n", SMALL_CODES)
 def test_codeword_states_fixed_by_generators(name, n):
     spec = catalog(name, n=n)
-    for which, sets in _extended_sets(spec).items():
-        states = codeword_states(spec, which)
+    for states, sets in zip(codeword_states(spec), _extended_sets(spec).values()):
         assert states.shape == (spec.k, 1 << spec.n)
         for vec, ops in zip(states, sets):
             assert abs(np.linalg.norm(vec) - 1) < 1e-12
@@ -140,66 +140,138 @@ SWEEP_CODES = [
 ]
 
 
-def _qr_side(n, size, m):
-    """Does reduced_distances take the R factor for traced sets of this size?"""
-    return 1 << (n - size) > 2 * m << size
-
-
 def _subsets(n, size):
     return list(itertools.combinations(range(1, n + 1), size))
 
 
+def _densities(spec):
+    """The two codewords' density matrices, pure for k=1, mixed for k=2."""
+    if spec.k == 1:
+        return build_density(spec, 0), build_density(spec, 1)
+    return build_mixed_density(spec, 0), build_mixed_density(spec, 1)
+
+
+def _partial_traces(rho, n):
+    """(traced, partial_trace(rho, traced)) for every subset, depth first.
+
+    Each subset's reduction is its parent's with the least traced qubit
+    traced out too; the qubits below it keep their numbers, so no more
+    than one matrix per depth is alive.
+    """
+    def walk(m, traced, width):
+        yield traced, m
+        for q in range(1, traced[0] if traced else n + 1):
+            yield from walk(partial_trace(m, (q,), width), (q,) + traced, width - 1)
+
+    return walk(rho, (), n)
+
+
 @pytest.mark.parametrize("name,n", CATALOG_UP_TO_7)
 def test_reduced_distances_match_partial_trace(name, n):
+    # one size per call: below n/2 each subset is read on the traced side
+    # of its own cut, above it on the kept side of its complement's
     spec = catalog(name, n=n)
-    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
-    if spec.k == 1:
-        rho0, rho1 = build_density(spec, 0), build_density(spec, 1)
-    else:
-        rho0, rho1 = build_mixed_density(spec, 0), build_mixed_density(spec, 1)
-    sides = set()
+    s0, s1 = codeword_states(spec)
+    rho0, rho1 = _densities(spec)
     for size in range(spec.n + 1):
-        sides.add(_qr_side(spec.n, size, spec.k))
         subsets = _subsets(spec.n, size)
         got = list(reduced_distances(s0, s1, subsets))
         assert len(got) == len(subsets)
         for traced, dist in zip(subsets, got):
-            want = frobenius_distance(
-                partial_trace(rho0, traced, spec.n), partial_trace(rho1, traced, spec.n))
+            want = np.linalg.norm(
+                partial_trace(rho0, traced, spec.n) - partial_trace(rho1, traced, spec.n))
             assert abs(dist - want) < 1e-12, f"{spec.name} traced {traced}"
-    # with the untraced size 0, every code here has sizes on both sides of the cut
-    assert sides == {False, True}
+
+
+def _exact_numerators(monkeypatch):
+    """Spy on frobenius_distance: every Gram sum, norm and numerator is an integer.
+
+    Returns the list the numerators are appended to, one per call.
+    """
+    compare = dense.frobenius_distance
+    numerators = []
+
+    def exact(grams, norms):
+        assert all(float(v).is_integer() for v in (*grams, *norms)), (grams, norms)
+        (g00, g11, g01), (n0, n1) = map(int, grams), map(int, norms)
+        numerator = n1 * n1 * g00 + n0 * n0 * g11 - 2 * n0 * n1 * g01
+        dist = compare(grams, norms)
+        assert dist == math.sqrt(numerator) / (n0 * n1)
+        numerators.append(numerator)
+        return dist
+
+    monkeypatch.setattr(dense, "frobenius_distance", exact)
+    return numerators
+
+
+@pytest.mark.parametrize("name,n", list(dict.fromkeys(CATALOG_UP_TO_7 + SWEEP_CODES)))
+def test_reduced_distances_are_exact(monkeypatch, name, n):
+    # every subset of every size in one call, so each cut serves a subset
+    # and its complement; the global phase i makes the same stacks complex
+    spec = catalog(name, n=n)
+    s0, s1 = codeword_states(spec)
+    rho0, rho1 = _densities(spec)
+    want = {t: np.linalg.norm(m) for t, m in _partial_traces(rho0 - rho1, spec.n)}
+    subsets = sorted(want, key=lambda t: (len(t), t))
+    numerators = _exact_numerators(monkeypatch)
+    for phase in (1, 1j):
+        numerators.clear()
+        got = reduced_distances(phase * s0, phase * s1, subsets)
+        assert len(numerators) == len(subsets) == 2 ** spec.n
+        for traced, dist in zip(subsets, got):
+            if want[traced] < 1e-12:
+                assert dist == 0.0, f"{spec.name} traced {traced}"
+            else:
+                assert abs(dist - want[traced]) < 1e-12, f"{spec.name} traced {traced}"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduced_distances_are_exact_on_gaussian_integers(monkeypatch, seed):
+    # random amplitudes 0, +-1, +-i are no stabilizer state, and their
+    # Gram entries mix real and imaginary parts, yet every sum is an
+    # integer; S on qubit 1 and X on qubit n act inside any traced set
+    # that holds both, so those reductions are equal
+    rng = np.random.default_rng(seed)
+    n, m = 3 + seed % 4, 1 + seed % 2
+    s0 = rng.choice(np.array([0, 1, -1, 1j, -1j]), size=(m, 1 << n))
+    s1 = (s0 * np.where(np.arange(1 << n) >> (n - 1), 1j, 1))[:, np.arange(1 << n) ^ 1]
+    rho0, rho1 = (s.T @ s.conj() / np.vdot(s, s).real for s in (s0, s1))
+    want = dict(_partial_traces(rho0 - rho1, n))
+    subsets = sorted(want, key=lambda t: (len(t), t))
+    numerators = _exact_numerators(monkeypatch)
+    got = reduced_distances(s0, s1, subsets)
+    assert len(numerators) == len(subsets)
+    for traced, dist in zip(subsets, got):
+        if {1, n} <= set(traced):
+            assert dist == 0.0 and np.linalg.norm(want[traced]) < 1e-12, traced
+        else:
+            assert abs(dist - np.linalg.norm(want[traced])) < 1e-12, traced
 
 
 @pytest.mark.parametrize("name,n", SWEEP_CODES)
 def test_reduced_distances_separate_the_verdicts(name, n):
     spec = catalog(name, n=n)
-    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    s0, s1 = codeword_states(spec)
     floor = 2 ** ((3 - spec.n) / 2)
     for size in range(1, spec.n):
         for batch, solve in und._solves(spec, size):
             dists = list(reduced_distances(s0, s1, batch))
             for traced, equal, dist in zip(batch, solve.equal.tolist(), dists):
-                if not equal:
-                    assert dist >= floor * (1 - 1e-12), f"{spec.name} traced {traced}"
-                elif _qr_side(spec.n, size, spec.k):
-                    assert dist < 1e-12, f"{spec.name} traced {traced}"
-                else:
-                    # the direct side forms the exact reduced states
+                if equal:
                     assert dist == 0, f"{spec.name} traced {traced}"
+                else:
+                    assert dist >= floor * (1 - 1e-12), f"{spec.name} traced {traced}"
 
 
 @pytest.mark.parametrize("name,n", [("ghz", 9), ("cyclic", 7), ("code_422", None)])
 def test_reduced_distances_do_not_depend_on_the_chunk(monkeypatch, name, n):
     spec = catalog(name, n=n)
-    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    s0, s1 = codeword_states(spec)
     per_size = [_subsets(spec.n, size) for size in range(1, spec.n)]
     default = [list(reduced_distances(s0, s1, subsets)) for subsets in per_size]
     monkeypatch.setattr(dense, "_CHUNK", 1)
     single = [list(reduced_distances(s0, s1, subsets)) for subsets in per_size]
-    for a, b in zip(default, single):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
-        assert [d < dense.ATOL for d in a] == [d < dense.ATOL for d in b]
+    assert default == single
 
 
 @pytest.mark.parametrize("name,n", list(dict.fromkeys(CATALOG_UP_TO_7 + SWEEP_CODES)))
@@ -207,32 +279,29 @@ def test_reduced_distances_do_not_depend_on_the_dtype(monkeypatch, name, n):
     # a global phase of i keeps every amplitude exact but makes the
     # stacks complex, so the same lines run in complex arithmetic
     spec = catalog(name, n=n)
-    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    s0, s1 = codeword_states(spec)
     dtypes = set()
-    compare = dense.frobenius_distance
+    cut = dense._cut
 
-    def spied(a, b):
-        dtypes.add(a.dtype)
-        return compare(a, b)
+    def spied(*args):
+        out = cut(*args)
+        dtypes.add(out.dtype)
+        return out
 
     def run(states0, states1, subsets):
         dtypes.clear()
         return list(reduced_distances(states0, states1, subsets)), set(dtypes)
 
-    monkeypatch.setattr(dense, "frobenius_distance", spied)
+    monkeypatch.setattr(dense, "_cut", spied)
     # code_412's codewords have imaginary amplitudes; every other code here is real
-    plain_dtype = np.dtype(complex if name == "code_412" else float)
+    plain_dtype = np.dtype(np.complex64 if name == "code_412" else np.float32)
     for size in range(spec.n + 1):
         subsets = _subsets(spec.n, size)
         plain, plain_dtypes = run(s0, s1, subsets)
         rotated, rotated_dtypes = run(1j * s0, 1j * s1, subsets)
         assert plain_dtypes == {plain_dtype}
-        assert rotated_dtypes == {np.dtype(complex)}
-        if _qr_side(spec.n, size, spec.k):
-            np.testing.assert_allclose(plain, rotated, rtol=0, atol=1e-15)
-        else:
-            assert plain == rotated, f"{spec.name} traced size {size}"
-        assert [d < ATOL for d in plain] == [d < ATOL for d in rotated]
+        assert rotated_dtypes == {np.dtype(np.complex64)}
+        assert plain == rotated, f"{spec.name} traced size {size}"
 
 
 def _index_cut(states, traced, n):
@@ -244,11 +313,11 @@ def _index_cut(states, traced, n):
         # the bits of basis index b at ``qubits``, the first most significant
         return sum((b >> (n - q) & 1) << (len(qubits) - 1 - i) for i, q in enumerate(qubits))
 
-    want = np.zeros((1 << len(kept), len(states) << len(traced)), dtype=states.dtype)
+    want = np.zeros((len(states) << len(traced), 1 << len(kept)), dtype=states.dtype)
     for j, state in enumerate(states):
         for b, amp in enumerate(state):
-            # rows are the kept bits; columns the stack index, then the traced bits
-            want[bits(b, kept), j << len(traced) | bits(b, traced)] = amp
+            # rows are the stack index, then the traced bits; columns the kept bits
+            want[j << len(traced) | bits(b, traced), bits(b, kept)] = amp
     return want
 
 
@@ -265,27 +334,30 @@ def test_cut_matches_a_transpose(m):
         np.testing.assert_array_equal(got, want)
 
 
-def test_reduced_distances_reject_mixed_sizes():
+def test_reduced_distances_take_mixed_sizes():
     spec = catalog("steane_713")
-    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
-    with pytest.raises(ValueError, match="same size"):
-        reduced_distances(s0, s1, [(1,), (1, 2)])
+    s0, s1 = codeword_states(spec)
     with pytest.raises(ValueError, match="out of range"):
         reduced_distances(s0, s1, [(0, 1)])
     assert list(reduced_distances(s0, s1, [])) == []
     # a repeated qubit counts once, as in partial_trace
     assert list(reduced_distances(s0, s1, [(2, 3, 4), (4, 3, 2, 2)])) == [0.5, 0.5]
+    # subsets of any sizes, with or without their complements, in any order
+    subsets = [(2, 3, 4), (1,), (1, 5, 6, 7), (), (2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7)]
+    alone = [reduced_distances(s0, s1, [t])[0] for t in subsets]
+    assert reduced_distances(s0, s1, subsets) == alone
+    assert reduced_distances(s0, s1, subsets[::-1]) == alone[::-1]
 
 
 def test_codeword_states_do_not_depend_on_the_start_vector(monkeypatch):
     # the projection is rounded to the exact stabilizer state, so any
     # start vector gives the same bits
     spec = catalog("steane_713")
-    base = [codeword_states(spec, b) for b in (0, 1)]
+    base = codeword_states(spec)
     for seed in (0, 1, 12345):
         monkeypatch.setattr(dense, "_START_SEED", seed)
-        for b in (0, 1):
-            assert np.array_equal(codeword_states(spec, b), base[b])
+        for got, want in zip(codeword_states(spec), base):
+            assert np.array_equal(got, want)
 
 
 def test_projection_failures_raise(monkeypatch):
@@ -293,31 +365,32 @@ def test_projection_failures_raise(monkeypatch):
     # each (I - P)/2 step annihilates the vector
     monkeypatch.setattr(dense, "apply_pauli", lambda p, v: -v)
     with pytest.raises(RuntimeError, match="vanished"):
-        codeword_states(spec, 0)
+        codeword_states(spec)
     # an unprojected random vector is no stabilizer state
     monkeypatch.setattr(dense, "apply_pauli", lambda p, v: v)
     with pytest.raises(RuntimeError, match="not a stabilizer state"):
-        codeword_states(spec, 0)
+        codeword_states(spec)
 
 
 def test_codeword_states_validate_the_extended_set():
     # Z-bar anticommutes with the stabilizer
     spec = CodeSpec("bad", 2, 1, ("XX",), ("ZI",))
     with pytest.raises(NonCommutingGeneratorsError):
-        codeword_states(spec, 0)
+        codeword_states(spec)
     # too few generators fix no single state
     spec = CodeSpec("short", 3, 1, ("ZZI",), ("ZZZ",))
     with pytest.raises(ValueError, match="fixes no single state"):
-        codeword_states(spec, 0)
+        codeword_states(spec)
 
 
 def test_codeword_states_without_stabilizers():
     one = CodeSpec("one", 1, 1, (), ("Z",))
-    np.testing.assert_allclose(codeword_states(one, 0), [[1, 0]])
-    np.testing.assert_allclose(codeword_states(one, 1), [[0, 1]])
-    two = CodeSpec("two", 2, 2, (), ("ZI", "IZ"))
-    np.testing.assert_allclose(codeword_states(two, 0), np.eye(4)[[0, 3]])
-    np.testing.assert_allclose(codeword_states(two, 1), np.eye(4)[[2, 1]])
+    s0, s1 = codeword_states(one)
+    np.testing.assert_allclose(s0, [[1, 0]])
+    np.testing.assert_allclose(s1, [[0, 1]])
+    s0, s1 = codeword_states(CodeSpec("two", 2, 2, (), ("ZI", "IZ")))
+    np.testing.assert_allclose(s0, np.eye(4)[[0, 3]])
+    np.testing.assert_allclose(s1, np.eye(4)[[2, 1]])
 
 
 def test_build_density_ghz3():
@@ -479,12 +552,12 @@ def test_relating_unitary_exists_iff_reductions_agree(name, n):
     # a unitary on the traced qubits maps codeword 0 to codeword 1
     # exactly when the kept qubits leave equal reduced states
     spec = catalog(name, n=n)
-    s0, s1 = codeword_states(spec, 0), codeword_states(spec, 1)
+    s0, s1 = codeword_states(spec)
     psi0, psi1 = s0[0], s1[0]
     for size in range(1, spec.n):
         subsets = _subsets(spec.n, size)
         for traced, dist in zip(subsets, reduced_distances(s0, s1, subsets)):
-            if not dist < ATOL:
+            if dist != 0:
                 with pytest.raises(ValueError, match="does not relate"):
                     relating_unitary(psi0, psi1, traced)
                 continue
@@ -521,17 +594,21 @@ def test_reduced_equal_dense_mixed_422():
 
 
 def test_trace_and_frobenius_distance():
-    r0 = np.diag([1.0, 0.0])
-    r1 = np.diag([0.0, 1.0])
-    assert abs(frobenius_distance(r0, r1) - np.sqrt(2)) < 1e-12
-    assert frobenius_distance(r0, r0) < 1e-15
+    # |0> against |1>, nothing traced: each Gram is 1 x 1, and the
+    # states are orthogonal, so the cross sum is 0
+    assert abs(frobenius_distance((1.0, 1.0, 0.0), (1.0, 1.0)) - np.sqrt(2)) < 1e-12
+    (whole,) = reduced_distances(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), [()])
+    assert abs(whole - np.sqrt(2)) < 1e-12
+    # an equal pair reads exactly 0, whatever the norms
+    assert frobenius_distance((1.0, 1.0, 1.0), (1.0, 1.0)) == 0.0
+    assert frobenius_distance((4.0, 16.0, 8.0), (2.0, 4.0)) == 0.0
 
 
 def test_steane_frozen_distance():
     spec = catalog("steane_713")
     r0 = partial_trace(build_density(spec, 0), (2, 3, 4), 7)
     r1 = partial_trace(build_density(spec, 1), (2, 3, 4), 7)
-    assert abs(frobenius_distance(r0, r1) - 0.5) < 1e-9
+    assert abs(np.linalg.norm(r0 - r1) - 0.5) < 1e-9
 
 
 def test_phase_family_check():
@@ -544,7 +621,10 @@ def test_phase_family_check():
         v0[0, 0] = v1[0, 0] = alpha
         v0[0, -1] = beta
         v1[0, -1] = beta * np.exp(1j * theta)
-        assert all(d < ATOL for d in reduced_distances(v0, v1, _subsets(n, 1)))
+        # these amplitudes are no Gaussian integers once scaled, so the Gram
+        # sums carry rounding and an equal pair reads a few ulps of the
+        # squared distance rather than 0
+        assert all(d < 1e-7 for d in reduced_distances(v0, v1, _subsets(n, 1)))
         (whole,) = reduced_distances(v0, v1, [()])
         assert abs(whole - np.sqrt(2) * abs(alpha * beta * (1 - np.exp(1j * theta)))) < 1e-12
 
@@ -553,4 +633,4 @@ def test_oracle_cap():
     with pytest.raises(OracleCapError):
         pauli_matrix(PauliOperator(dense.ORACLE_MAX_N + 1, 0, 0, 0))
     with pytest.raises(OracleCapError):
-        codeword_states(catalog("ghz", n=dense.ORACLE_MAX_N + 1), 0)
+        codeword_states(catalog("ghz", n=dense.ORACLE_MAX_N + 1))

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -320,24 +321,29 @@ def test_ghz_x_set_size_scaling():
 
 def test_oracle_sweep_catches_disagreement(monkeypatch):
     spec = catalog("code_412")
-    real = und._solves
+    real = und.RestrictionSolve
+    solves = []
 
-    def lying(s, size):
+    class Lying(real):
         # flip the batched verdict for the traced set (1, 2)
-        for batch, solve in real(s, size):
-            if (1, 2) in batch:
-                solve.equal[batch.index((1, 2))] ^= True
-            yield batch, solve
+        def __init__(self, group, rep, traced):
+            super().__init__(group, rep, traced)
+            self.equal[list(traced).index(0b11)] ^= True
+            solves.append(len(traced))
 
-    monkeypatch.setattr(und, "_solves", lying)
-    with pytest.raises(RuntimeError, match="disagreement"):
+    monkeypatch.setattr(und, "RestrictionSolve", Lying)
+    with pytest.raises(RuntimeError, match=r"disagreement on code_412 traced \(1, 2\)"):
         analyze_code(spec, oracle=True)
+    # one solve decides every traced subset
+    assert solves == [2 ** spec.n - 2]
 
 
-@pytest.mark.parametrize("name,n", [("ghz", 8), ("code_422", None)])
+@pytest.mark.parametrize("name,n", [("ghz", 8), ("code_422", None), ("code_513", None)])
 def test_oracle_sweep_compares_each_subset_once(monkeypatch, name, n):
     # the benchmark counts comparisons through the module global, and
-    # checks for one per traced subset
+    # checks for one per traced subset; a subset and its complement share
+    # a cut, so each must still be compared once, whether or not the
+    # other is requested
     calls = []
     real = dense.frobenius_distance
 
@@ -347,11 +353,27 @@ def test_oracle_sweep_compares_each_subset_once(monkeypatch, name, n):
 
     monkeypatch.setattr(dense, "frobenius_distance", counted)
     spec = catalog(name, n=n)
-    assert oracle_sweep(spec) == len(calls) == 2 ** spec.n - 2
+    cases = [(None, 2 ** spec.n - 2)]
+    if name == "code_513":
+        # odd n: no size is its own complement's
+        cases += [((2,), 10), ((2, 3), 20), ((3, 2, 3), 20)]
+    for sizes, want in cases:
+        calls.clear()
+        assert oracle_sweep(spec, sizes) == len(calls) == want
+
+
+def test_oracle_sweep_rejects_sizes_outside_the_range():
+    spec = catalog("code_513")
+    for sizes in [(0,), (5,), (6,), (2, 6)]:
+        bad = [size for size in sizes if size not in range(1, 5)]
+        with pytest.raises(ValueError, match=re.escape(f"traced sizes {bad} outside 1..4")):
+            oracle_sweep(spec, sizes)
+    # a repeated size is compared once
+    assert oracle_sweep(spec, (2, 2)) == 10
 
 
 @settings(max_examples=60, deadline=None)
-@given(helpers.random_codes())
+@given(helpers.random_codes(max_n=8))
 def test_random_codes_agree_with_oracle(spec):
     assert validate(spec).ok
     assert oracle_sweep(spec) == 2 ** spec.n - 2
