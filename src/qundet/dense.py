@@ -30,8 +30,9 @@ is an integer, 0 exactly when they are equal, so no tolerance is
 needed.  The products run in single precision, exact since every entry
 and partial sum is an integer of at most 2^n < 2^24; the squares are
 summed in float64, exact while the numerator's terms, at most
-2^(4n+4), stay below 2^53 (n <= 12).  One cut serves a traced set of at
-most n/2 qubits and its complement (see :func:`reduced_distances`), at
+2^(4n+4), stay below 2^53 (n <= 12).  Other stacks run in exact
+rationals (see :func:`_exact`).  One cut serves a traced set of at most
+n/2 qubits and its complement (see :func:`reduced_distances`), at
 O(2^n (m 2^|T|)^2) each.  Sizes are capped at n <= ``ORACLE_MAX_N``,
 which bounds ``pauli_matrix``'s 4^n entries; the state vectors take
 O(2^n) memory.
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -175,14 +177,12 @@ def _cut(states: np.ndarray, traced: list[tuple[int, ...]], n: int) -> np.ndarra
     return cuts.reshape(len(traced), m << t, -1)
 
 
-def _scaled(states: np.ndarray) -> tuple[np.ndarray, float]:
-    """``states`` scaled to amplitudes of modulus at most 1, and its squared norm.
-
-    A stabilizer state's amplitudes are then 0, +-1 or +-i, so its
-    squared norm is an integer, and so is every Gram entry of its cuts.
-    """
-    scaled = states / np.abs(states).max()
-    return scaled, float(np.vdot(scaled, scaled).real)
+def _exact(stack: np.ndarray) -> np.ndarray:
+    """``stack`` in exact rationals, each amplitude z the real block [[Re z,
+    -Im z], [Im z, Re z]] over a new last stack bit and a new last, kept,
+    qubit; each Gram entry becomes its block too, doubling every sum."""
+    x, y = (np.frompyfunc(Fraction, 1, 1)(part) for part in (stack.real, stack.imag))
+    return np.stack([np.stack([x, -y], -1), np.stack([y, x], -1)], 1).reshape(2 * len(stack), -1)
 
 
 def build_density(spec: CodeSpec, logical_bit: int) -> np.ndarray:
@@ -211,13 +211,9 @@ def partial_trace(m: np.ndarray, traced_out: Iterable[int], n: int | None = None
     if traced and not (1 <= traced[-1] and traced[0] <= n):
         raise ValueError(f"traced qubits out of range 1..{n}")
     t = m.reshape((2,) * (2 * n))
-    remaining = n
-    for q in traced:
-        ax = q - 1
-        t = np.trace(t, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    dim = 1 << remaining
-    return t.reshape(dim, dim)
+    for done, q in enumerate(traced):  # descending: lower qubits keep their axes
+        t = np.trace(t, axis1=q - 1, axis2=q - 1 + n - done)
+    return t.reshape(1 << (n - len(traced)), -1)
 
 
 def frobenius_distance(grams: Sequence[float], norms: Sequence[float]) -> float:
@@ -234,9 +230,9 @@ def frobenius_distance(grams: Sequence[float], norms: Sequence[float]) -> float:
 
 
 def _inner(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Re <x_s, y_s> for each leading index s, as re * re + im * im summed in float64."""
-    x = np.asarray(x.view(x.real.dtype), dtype=np.float64)
-    y = x if y is None else np.asarray(y.view(y.real.dtype), dtype=np.float64)
+    """Re <x_s, y_s> per leading index s: re * re + im * im, summed in float64 or exactly."""
+    x = np.asarray(x.view(x.real.dtype), dtype=np.result_type(x.real, np.float64))
+    y = x if y is None else np.asarray(y.view(y.real.dtype), dtype=x.dtype)
     return np.einsum("sij,sij->s", x, y)
 
 
@@ -256,14 +252,19 @@ def reduced_distances(
     """
     n = states0.shape[1].bit_length() - 1
     traced = _traced_sets(subsets, n)
-    (scaled0, norm0), (scaled1, norm1) = _scaled(states0), _scaled(states1)
-    both = np.concatenate([scaled0, scaled1])
+    m0, m1 = len(states0), len(states1)
+    # scaled to modulus 1: a stabilizer state's amplitudes are 0, +-1 or +-i
+    both = np.concatenate([s / np.abs(s).max() for s in (states0, states1)])
     if not both.imag.any():
         both = both.real
-    # Gram entries of Gaussian integers are integers of at most 2^n, exact
-    # in single precision
+    # then every Gram entry is an integer of at most 2^n, exact in float32
     if np.array_equal(both, np.round(both)):
         both = both.astype(np.complex64 if np.iscomplexobj(both) else np.float32)
+    else:
+        both = _exact(both)
+    # rows per state, 2 after _exact, whose doubled sums are halved back
+    per = len(both) // (m0 + m1)
+    norms = [_inner(h[None]).item() / per for h in np.split(both, [per * m0])]
     # cut set -> {0: subset read on the traced side, 1: on the kept side}
     sides: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
     qubits = frozenset(range(1, n + 1))
@@ -271,29 +272,28 @@ def reduced_distances(
         small = 2 * len(t) < n or (2 * len(t) == n and t[0] == 1)
         cut_set = t if small else tuple(sorted(qubits.difference(t)))
         sides.setdefault(cut_set, {})[not small] = t
-    m0, m1 = len(states0), len(states1)
     step = max(1, _CHUNK // max(states0.size, states1.size))
     dist = {}
     for size, group in itertools.groupby(sorted(sides, key=len), key=len):
         cut_sets = list(group)
-        split = m0 << size
+        split, block = (per * m0) << size, per << size
         for at in range(0, len(cut_sets), step):
             chunk = cut_sets[at:at + step]
-            cut = _cut(both, chunk, n)
+            cut = _cut(both, chunk, both.shape[1].bit_length() - 1)
             # A = a^T and B = b^T; [A^dagger A | A^dagger B] in one product
             a, b = cut[:, :split], cut[:, split:]
             g0 = a.conj() @ cut.swapaxes(1, 2)
             g00, g01 = g0[..., :split], g0[..., split:]
             g11 = b.conj() @ b.swapaxes(1, 2)
             # the sums of the m x m diagonal blocks
-            r0 = np.einsum("sjajb->sab", g00.reshape(-1, m0, 1 << size, m0, 1 << size))
-            r1 = np.einsum("sjajb->sab", g11.reshape(-1, m1, 1 << size, m1, 1 << size))
+            r0 = np.einsum("sjajb->sab", g00.reshape(-1, m0, block, m0, block))
+            r1 = np.einsum("sjajb->sab", g11.reshape(-1, m1, block, m1, block))
             # [side][set] -> its three Gram sums
-            grams = np.array([
+            grams = (np.array([
                 [_inner(g00), _inner(g11), _inner(g01)],
                 [_inner(r0), _inner(r1), _inner(r0, r1)],
-            ]).transpose(0, 2, 1).tolist()
+            ]) / per).transpose(0, 2, 1).tolist()
             for j, cut_set in enumerate(chunk):
                 for side, subset in sides[cut_set].items():
-                    dist[subset] = frobenius_distance(grams[side][j], (norm0, norm1))
+                    dist[subset] = frobenius_distance(grams[side][j], norms)
     return [dist[t] for t in traced]

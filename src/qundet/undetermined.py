@@ -114,10 +114,10 @@ def reduced_equal_on(
     return bool(solve.equal[0]), solve.witness(0)
 
 
-def _solves(spec: CodeSpec, size: int) -> Iterator[tuple[list[tuple[int, ...]], RestrictionSolve]]:
-    """Every size-``size`` traced subset, lexicographic, in batches with their solves."""
+def _solves(spec: CodeSpec, *sizes: int) -> Iterator[tuple[list[tuple[int, ...]], RestrictionSolve]]:
+    """Every traced subset of each size, lexicographic per size, in batches with their solves."""
     group, rep = _group_of(spec), _difference_rep(spec)
-    subsets = itertools.combinations(range(1, spec.n + 1), size)
+    subsets = (s for size in sizes for s in itertools.combinations(range(1, spec.n + 1), size))
     while batch := list(itertools.islice(subsets, _BATCH)):
         yield batch, RestrictionSolve(group, rep, [_subset_mask(s, spec.n) for s in batch])
 
@@ -493,26 +493,26 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
     Builds the codeword state vectors once (two per codeword for the
     k=2 equal mixtures) and, for every lexicographic traced subset of
     each distinct size in ``sizes`` (default 1..n-1), compares the
-    symbolic verdict (one batched solve for all of them, the rule behind
-    ``reduced_equal_on``) with the distance of the dense reduced states,
-    which is exactly 0 for equal ones.  A size outside 1..n-1 raises
-    ValueError; any disagreement raises RuntimeError.
+    symbolic verdict (the rule behind ``reduced_equal_on``, one solve and
+    one ``reduced_distances`` call per ``_BATCH`` subsets, so one under
+    the n <= 10 cap) with the dense distance, exactly 0 for equal ones.
+    A size outside 1..n-1 raises ValueError, a disagreement RuntimeError.
     """
-    sizes = sorted(set(range(1, spec.n) if sizes is None else sizes))
-    if bad := [size for size in sizes if not 1 <= size <= spec.n - 1]:
+    sizes = set(range(1, spec.n) if sizes is None else sizes)
+    if bad := sorted(size for size in sizes if not 1 <= size <= spec.n - 1):
         raise ValueError(f"traced sizes {bad} outside 1..{spec.n - 1}")
+    # complementary sizes side by side, so most pairs share a batch and a cut
+    sizes = sorted(sizes, key=lambda size: min(size, spec.n - size))
     states0, states1 = dense.codeword_states(spec)
-    subsets = [s for size in sizes for s in itertools.combinations(range(1, spec.n + 1), size)]
-    masks = [_subset_mask(s, spec.n) for s in subsets]
-    solve = RestrictionSolve(_group_of(spec), _difference_rep(spec), masks)
-    devs = dense.reduced_distances(states0, states1, subsets)
-    for subset, symbolic, dev in zip(subsets, solve.equal.tolist(), devs):
-        if symbolic != (dev == 0):
-            raise RuntimeError(
-                f"symbolic/oracle disagreement on {spec.name} traced {subset}: "
-                f"symbolic={symbolic}, dense deviation={dev:.3e}"
-            )
-    return len(subsets)
+    for batch, solve in _solves(spec, *sizes):
+        devs = dense.reduced_distances(states0, states1, batch)
+        for subset, symbolic, dev in zip(batch, solve.equal.tolist(), devs):
+            if symbolic != (dev == 0):
+                raise RuntimeError(
+                    f"symbolic/oracle disagreement on {spec.name} traced {subset}: "
+                    f"symbolic={symbolic}, dense deviation={dev:.3e}"
+                )
+    return sum(math.comb(spec.n, size) for size in sizes)
 
 
 def scan_cyclic(lo: int, hi: int) -> list[dict]:
