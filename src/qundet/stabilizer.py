@@ -27,19 +27,28 @@ over distinct unsigned Paulis, not cosets modulo the group.
 
 Cosets are scanned as numpy blocks (``CosetTable``): bit-packed uint64
 x/z rows, as in Aaronson-Gottesman (quant-ph/0406196), formed as the
-XOR of two half-rank factors, each doubled once per generator, so a
-scan takes O(2^rank) time and O(2^(rank/2) + block) memory.  The
-minimum-weight scan skips every block whose forced letters (those no
-low-factor generator can change) already weigh as much as the best row
-found.  Kept-set queries enumerate nothing: a ``RestrictionSolve``
-decides them by GF(2) elimination over the same bit-packed rows, for
-any n up to 64, and stops once no generator row is left to pivot on.
+XOR of two half-rank factors, each doubled once per generator on first
+use, so a scan takes O(2^rank) time and O(2^(rank/2) + block) memory.
+The minimum weight first counts the per-qubit floor, the qubits where
+every entry has a letter; when the reduced rep, the least-letters
+entry, weighs that much it is the answer and no factor is built.  That
+settles GHZ (floor n), whose cold verdicts at n = 17..19 no longer
+form a block; the cyclic and small catalog codes read floor 0 and are
+scanned as before.  The scan skips every block whose forced letters
+(those no low-factor generator can change) already weigh as much as
+the best row found.  A two-information-set stop costs more than the
+scan it saves, and preallocated or 32-bit block buffers gave no gain
+(see docs/method.md).  Kept-set queries enumerate nothing: a
+``RestrictionSolve`` decides them by GF(2) elimination over the same
+bit-packed rows, for any n up to 64, and stops once no generator row
+is left to pivot on.
 The centralizer is read as one coset table per logical class L * S
 (``logical_classes``).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -366,10 +375,15 @@ class CosetTable:
     factor rep * span(rows[:a]) and the high factor span(rows[a:]),
     with a = ceil(rank / 2).  Entry hi << a | lo is high row hi XOR low
     row lo, so a scan in blocks of about ``_BLOCK_ROWS`` rows holds
-    O(2^(rank/2) + block) words, never the whole coset.  Each entry's
-    generator combo is the XOR of its rows' combos, and only the
-    entries that are asked for get a sign, by one product of at most
-    rank generators.
+    O(2^(rank/2) + block) words, never the whole coset.  The factors
+    are built on first use and shared by ``blocks`` and the scan:
+    ``min_weight`` needs none when entry 0 weighs the per-qubit floor
+    (``_floor``), as on GHZ, where a table built and read at n = 17..19
+    takes about 15-20 us against 205-225 us with the scan (2-vCPU Xeon
+    VM).
+    Cyclic codes read floor 0 and are scanned.  Each entry's generator
+    combo is the XOR of its rows' combos, and only the entries that are
+    asked for get a sign, by one product of at most rank generators.
     """
 
     def __init__(self, group: StabilizerGroup, rep: PauliOperator):
@@ -385,13 +399,25 @@ class CosetTable:
         # the reduced rep first, then the group's rows
         rows = [_reduce(_letter_key(rep) << r, group._rows), *group._rows]
         self._combos = [b & (1 << r) - 1 for b in rows]
-        words = np.array([_key_bits(b >> r, n) for b in rows], dtype=np.uint64)
-        a = (r + 1) // 2
-        self._low = _span(words[0], words[1 : a + 1])
-        self._high = _span(np.zeros(2, dtype=np.uint64), words[a + 1 :])
-        # qubits where some low-factor row has an x, and a z, bit
-        self._low_support = np.bitwise_or.reduce(words[1 : a + 1], axis=0, initial=0)
+        self._keys = [b >> r for b in rows]
+        self._a = (r + 1) // 2
+        # the low bit of every two-bit digit of a letter key
+        self._digits = (1 << 2 * n) // 3
         self._min: tuple[int, PauliOperator] | None = None
+
+    @cached_property
+    def _words(self) -> np.ndarray:
+        return np.array([_key_bits(key, self.n) for key in self._keys], dtype=np.uint64)
+
+    @cached_property
+    def _low(self) -> np.ndarray:
+        """The low factor: the reduced rep times span(rows[:a])."""
+        return _span(self._words[0], self._words[1 : self._a + 1])
+
+    @cached_property
+    def _high(self) -> np.ndarray:
+        """The high factor: span(rows[a:])."""
+        return _span(np.zeros(2, dtype=np.uint64), self._words[self._a + 1 :])
 
     def _step(self) -> int:
         """High rows per block."""
@@ -425,32 +451,63 @@ class CosetTable:
         so forced count toward every entry's weight.
         """
         (lx, lz), (hx, hz) = self._low, self._high
-        free_x, free_z = self._low_support
+        # qubits where some low-factor row has an x, and a z, bit
+        free_x, free_z = np.bitwise_or.reduce(self._words[1 : self._a + 1], axis=0, initial=0)
         return np.bitwise_count(((hx ^ lx[0]) & ~free_x) | ((hz ^ lz[0]) & ~free_z))
+
+    def _floor(self) -> int:
+        """The number of qubits where every entry has a letter.
+
+        Restricted to qubit q, the coset is rep|_q times the span of the
+        rows' letters there.  That span is I alone, I and one letter, or
+        all four, and every entry has a letter on q unless the span holds
+        rep|_q: so q counts when the rows hold at most one distinct letter
+        on q and rep's is neither I nor it.  A key digit's (low, high)
+        bits read X as (1, 0), Y as (0, 1) and Z as (1, 1).
+        """
+        digits = self._digits
+        xs = ys = zs = 0
+        for key in self._keys[1:]:
+            low, high = key & digits, key >> 1 & digits
+            xs |= low & ~high
+            ys |= high & ~low
+            zs |= low & high
+        low, high = self._keys[0] & digits, self._keys[0] >> 1 & digits
+        two_letters = xs & ys | xs & zs | ys & zs
+        same = low & ~high & xs | high & ~low & ys | low & high & zs
+        return ((low | high) & ~two_letters & ~same).bit_count()
 
     def min_weight(self) -> tuple[int, PauliOperator]:
         """Minimum weight and the least-letters entry of that weight.
 
-        A block is scanned only if some high row in it has a forced
-        weight below the best weight found so far.  The blocks run in
-        index order, so a skipped block could at most tie, and a tie
-        goes to the earlier entry.
+        Entry 0, the reduced rep, is the least-letters entry, and no
+        entry weighs less than the floor: when the two meet, entry 0 is
+        the answer and no factor is built.  Otherwise the blocks are
+        scanned, each only if some high row in it has a forced weight
+        below the best weight found so far.  The blocks run in index
+        order, so a skipped block could at most tie, and a tie goes to
+        the earlier entry.
         """
         if self._min is None:
-            step, size = self._step(), self._low.shape[1]
-            starts = range(0, self._high.shape[1], step)
-            floors = np.minimum.reduceat(self._forced_weights(), starts).tolist()
-            best, at = self.n + 1, 0
-            for s, floor in zip(starts, floors):
-                if floor >= best:
-                    continue
-                x, z = self._block(s, step)
-                weight = np.bitwise_count(x | z)
-                w = int(weight.min())
-                if w < best:
-                    best, at = w, s * size + int(np.argmax(weight == w))
-            self._min = best, self.element(at)
+            first = ((self._keys[0] | self._keys[0] >> 1) & self._digits).bit_count()
+            self._min = (first, self.element(0)) if first == self._floor() else self._scan()
         return self._min
+
+    def _scan(self) -> tuple[int, PauliOperator]:
+        """The block scan of ``min_weight``."""
+        step, size = self._step(), self._low.shape[1]
+        starts = range(0, self._high.shape[1], step)
+        floors = np.minimum.reduceat(self._forced_weights(), starts).tolist()
+        best, at = self.n + 1, 0
+        for s, floor in zip(starts, floors):
+            if floor >= best:
+                continue
+            x, z = self._block(s, step)
+            weight = np.bitwise_count(x | z)
+            w = int(weight.min())
+            if w < best:
+                best, at = w, s * size + int(np.argmax(weight == w))
+        return best, self.element(at)
 
 
 def _span(start: np.ndarray, basis: np.ndarray) -> np.ndarray:

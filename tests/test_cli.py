@@ -225,6 +225,8 @@ def test_qss_digest_pinned(capsys, argv, digest):
      "76abdaff7278996bf90c7fe8564122fdc53aaa83c14f2448de5b0a6622b06f60"),
     (["scan-cyclic", "--from", "7", "--to", "23"],
      "17ab12ea24de6f5d84e62d23e067db59862a96d110ee55ecf207b1310bf33c09"),
+    (["analyze", "--catalog", "ghz", "--n", "19"],
+     "f8a807cfa8ef5944edb570ea92abe625e56880c58ffe723a6636eca618c01dff"),
 ])
 def test_symbolic_digest_pinned(capsys, argv, digest):
     # symbolic reports hold no floats: thresholds, witnesses, distances

@@ -235,24 +235,46 @@ def test_pruned_scan_matches_least_signed_element(case, block_rows):
         assert CosetTable(group, rep).min_weight() == (best.weight, best)
 
 
-def test_ghz_scan_forms_only_its_first_block(monkeypatch):
-    spec = codes.catalog("ghz", n=19)
-    group, rep = spec.group(), spec.logical_z_ops()[0]
-    formed = []
-    block = CosetTable._block
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_cosets(), z_type_cosets()))
+def test_floor_counts_the_qubits_every_entry_covers(case):
+    group, rep = case
+    coset = helpers.signed_coset(group, rep)
+    covered = ~0
+    for p in coset:
+        covered &= p.x_bits | p.z_bits
+    floor = CosetTable(group, rep)._floor()
+    assert floor == covered.bit_count()
+    assert floor <= _least(coset).weight
 
-    def counted(self, s, step):
+
+def test_ghz_min_weight_forms_no_factor(monkeypatch):
+    formed, spans = [], []
+    block, span = CosetTable._block, stabilizer._span
+
+    def counted_block(self, s, step):
         formed.append(s)
         return block(self, s, step)
 
-    monkeypatch.setattr(CosetTable, "_block", counted)
-    table = CosetTable(group, rep)
-    # every entry has an x on every qubit, so weight 19 is forced everywhere
-    w, witness = table.min_weight()
-    assert formed == [0]
+    def counted_span(start, basis):
+        spans.append(len(basis))
+        return span(start, basis)
+
+    monkeypatch.setattr(CosetTable, "_block", counted_block)
+    monkeypatch.setattr(stabilizer, "_span", counted_span)
+    for n in (17, 18, 19):
+        spec = codes.catalog("ghz", n=n)
+        group, rep = spec.group(), spec.logical_z_ops()[0]
+        table = CosetTable(group, rep)
+        # every entry has an x on every qubit, so the floor is n, and
+        # entry 0, the least-letters entry, weighs n
+        w, witness = table.min_weight()
+        assert formed == spans == []
+        x, z, phase = helpers.sorted_coset(group, rep)
+        assert (w, witness) == (n, PauliOperator(n, int(x[0]), int(z[0]), int(phase[0])))
+    # the factors are still there when the blocks are asked for
     assert len(list(table.blocks())) == 16
-    x, z, phase = helpers.sorted_coset(group, rep)
-    assert (w, witness) == (19, PauliOperator(19, int(x[0]), int(z[0]), int(phase[0])))
+    assert len(formed) == 16 and len(spans) == 2
 
 
 @settings(max_examples=40, deadline=None)
