@@ -79,10 +79,10 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
     raise ValueError(f"unsupported k={spec.k}")
 
 
-# a table holds its rows' generator combos, two half-rank factors once a
-# scan or blocks() needs them (2 * 2^10 rows of x and z words at the rank
-# cap, 32 KB) and its minimum weight once read; the coset itself is
-# scanned in blocks and never held
+# a table holds its rows' generator combos, two factors once a scan or
+# blocks() needs them (2^12 + 2^8 rows of x and z words at the rank cap,
+# 34 KB in the uint32 words of n <= 32, 68 KB past it) and its minimum
+# weight once read; the coset itself is scanned in blocks and never held
 @lru_cache(maxsize=4)
 def _table_of(spec: CodeSpec) -> CosetTable:
     return CosetTable(_group_of(spec), _difference_rep(spec))

@@ -79,10 +79,12 @@ def doubling(ops, start):
 
     One doubling per operator, in the given order: the first 2^i rows
     times ops[i] give the next 2^i, with the phase advanced by the
-    Pauli product rule, g.phase + 2 * popcount(z & g.x) (mod 4).
+    Pauli product rule, g.phase + 2 * popcount(z & g.x) (mod 4).  Keys
+    are Python ints, which hold the 2n bits of any n up to 64.
     """
     size = 1 << len(ops)
-    x, z, key = (np.zeros(size, dtype=np.uint64) for _ in range(3))
+    x, z = (np.zeros(size, dtype=np.uint64) for _ in range(2))
+    key = np.zeros(size, dtype=object)
     phase = np.zeros(size, dtype=np.int64)
     x[0], z[0], phase[0], key[0] = start.x_bits, start.z_bits, start.phase_exp, _letter_key(start)
     for i, g in enumerate(ops):
@@ -91,7 +93,7 @@ def doubling(ops, start):
         phase[h : 2 * h] = (phase[:h] + g.phase_exp + 2 * np.bitwise_count(z[:h] & gx)) % 4
         x[h : 2 * h] = x[:h] ^ gx
         z[h : 2 * h] = z[:h] ^ gz
-        key[h : 2 * h] = key[:h] ^ np.uint64(_letter_key(g))
+        key[h : 2 * h] = key[:h] ^ _letter_key(g)
     return x, z, phase, key
 
 

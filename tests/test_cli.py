@@ -227,6 +227,9 @@ def test_qss_digest_pinned(capsys, argv, digest):
      "17ab12ea24de6f5d84e62d23e067db59862a96d110ee55ecf207b1310bf33c09"),
     (["analyze", "--catalog", "ghz", "--n", "19"],
      "f8a807cfa8ef5944edb570ea92abe625e56880c58ffe723a6636eca618c01dff"),
+    # rank 18, whose w_min and E_D histogram read every block of its tables
+    (["analyze", "--catalog", "cyclic", "--n", "19"],
+     "8c476a6ec5c5fc3d86e91cec8cb1c667cbd188baf24e47b5d60eb4934ea026c3"),
 ])
 def test_symbolic_digest_pinned(capsys, argv, digest):
     # symbolic reports hold no floats: thresholds, witnesses, distances

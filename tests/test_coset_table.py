@@ -150,7 +150,8 @@ def test_blocks_match_whole_coset_doubling(name):
 
 
 def test_scans_at_the_rank_cap_stay_small():
-    # the whole coset at rank 20 is 2^20 rows of x and z words, 16 MB
+    # the whole coset at rank 20 is 2^20 rows of x and z words, 8 MB in
+    # the uint32 words of n = 21
     def peak(call, spec):
         group, rep = spec.group(), spec.logical_z_ops()[0]
         tracemalloc.start()
@@ -184,7 +185,7 @@ def test_queries_run_to_the_row_cap():
 
 
 def test_table_cache_stays_small():
-    # a cached table holds its two factors, 2 * 2^10 rows of x and z
+    # a cached table holds its two factors, 2^12 + 2^8 rows of x and z
     # words at the rank cap, its rows' combos and its memoized minimum weight
     assert und._table_of.cache_info().maxsize <= 8
 
@@ -235,6 +236,60 @@ def test_pruned_scan_matches_least_signed_element(case, block_rows):
         assert CosetTable(group, rep).min_weight() == (best.weight, best)
 
 
+@st.composite
+def wide_cosets(draw):
+    """Up to 10 generators on 32, 33, 40 or 64 qubits, on both sides of the
+    32-bit word, and any signed Pauli as the rep.
+
+    The generators start as Z on qubits 1..r and a random H/S/CNOT
+    circuit spreads them over every qubit; it keeps them commuting and
+    independent, so with any signs they generate a group without -I.
+    """
+    n = draw(st.sampled_from((32, 33, 40, 64)))
+    rows = [[0, 1 << q] for q in range(draw(st.integers(1, 10)))]
+    rnd = draw(st.randoms(use_true_random=True))
+    for _ in range(16 * n):
+        gate, a, b = rnd.choice("HSC"), rnd.randrange(n), rnd.randrange(n)
+        for row in rows:
+            x, z = row
+            if gate == "H" and (x ^ z) >> a & 1:
+                x, z = x ^ 1 << a, z ^ 1 << a
+            elif gate == "S":
+                z ^= x & 1 << a
+            elif gate == "C" and a != b:  # CNOT, control a, target b
+                x ^= (x >> a & 1) << b
+                z ^= (z >> b & 1) << a
+            row[:] = x, z
+    signs = st.sampled_from((0, 2))
+    group = StabilizerGroup(
+        [PauliOperator(n, x, z, ((x & z).bit_count() + draw(signs)) % 4) for x, z in rows]
+    )
+    rep = PauliOperator(n, draw(bits_of(n)), draw(bits_of(n)), draw(signs))
+    return group, rep
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_cosets(), st.sampled_from((1, 12, 24, 48, 96, stabilizer._BLOCK_ROWS)))
+def test_word_widths_match_the_signed_coset(case, block_rows):
+    # 32-bit words up to n = 32 and 64-bit words past it; three times a
+    # power of two makes blocks of 3 * 2^j high rows, so on tables of rank
+    # 4 and more some sizes leave a partial last block
+    group, rep = case
+    coset = helpers.signed_coset(group, rep)
+    best = _least(coset)
+    x, z, _ = helpers.sorted_coset(group, rep)
+    with patch.object(stabilizer, "_BLOCK_ROWS", block_rows):
+        table = CosetTable(group, rep)
+        assert table.min_weight() == (best.weight, best)
+        offsets, xs, zs = zip(*table.blocks())
+        assert xs[0].dtype == (np.uint32 if group.n <= 32 else np.uint64)
+        assert offsets == tuple(itertools.accumulate((len(b) for b in xs[:-1]), initial=0))
+        assert np.array_equal(np.concatenate(xs), x)
+        assert np.array_equal(np.concatenate(zs), z)
+        counts = np.bincount([p.weight for p in coset], minlength=group.n + 1)
+        assert table.weight_counts().tolist() == counts.tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(random_cosets(), z_type_cosets()))
 def test_floor_counts_the_qubits_every_entry_covers(case):
@@ -250,17 +305,18 @@ def test_floor_counts_the_qubits_every_entry_covers(case):
 
 def test_ghz_min_weight_forms_no_factor(monkeypatch):
     formed, spans = [], []
-    block, span = CosetTable._block, stabilizer._span
+    form, span = CosetTable._formed, stabilizer._span
 
-    def counted_block(self, s, step):
-        formed.append(s)
-        return block(self, s, step)
+    def counted_formed(self, starts):
+        for block in form(self, starts):
+            formed.append(block[0])
+            yield block
 
     def counted_span(start, basis):
         spans.append(len(basis))
         return span(start, basis)
 
-    monkeypatch.setattr(CosetTable, "_block", counted_block)
+    monkeypatch.setattr(CosetTable, "_formed", counted_formed)
     monkeypatch.setattr(stabilizer, "_span", counted_span)
     for n in (17, 18, 19):
         spec = codes.catalog("ghz", n=n)
@@ -272,9 +328,12 @@ def test_ghz_min_weight_forms_no_factor(monkeypatch):
         assert formed == spans == []
         x, z, phase = helpers.sorted_coset(group, rep)
         assert (w, witness) == (n, PauliOperator(n, int(x[0]), int(z[0]), int(phase[0])))
-    # the factors are still there when the blocks are asked for
-    assert len(list(table.blocks())) == 16
-    assert len(formed) == 16 and len(spans) == 2
+    # the factors are still there when the blocks are asked for: each
+    # block is a run of whole high rows against the whole low factor
+    low, high = 1 << table._a, 1 << table.rank - table._a
+    step = max(1, stabilizer._BLOCK_ROWS // low)
+    assert len(list(table.blocks())) == len(formed) == -(-high // step) > 1
+    assert len(spans) == 2
 
 
 @settings(max_examples=40, deadline=None)
