@@ -11,14 +11,15 @@ Two demos built on the same physics as the analysis modules:
   unitary on a singlet half is invisible to the receiver yet lets the
   sender open either bit value later.
 
-All sampling distributions are checked against dense state vectors in
-Tier-1, and every run is deterministic given its seed.
+``qss_run`` draws each run as one multinomial of the closed-form round
+law.  All laws are checked against dense state vectors in Tier-1, and
+every run is deterministic given its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, ldexp, sqrt
+from math import ldexp, sqrt
 from typing import Mapping
 
 import numpy as np
@@ -28,15 +29,6 @@ STRATEGIES = ("honest", "delay_discriminate")
 
 # a run aborts when more than this share of its check rounds disagree
 _ABORT_THRESHOLD = 0.05
-
-# rounds per chunk: the per-chunk temporaries of qss_run stay a few MB
-# at any party count and round count
-_CHUNK_ROUNDS = 1 << 16
-
-# each round is one raw 64-bit word; the bits above the round's own
-# 2n + 1 (honest) or n + 4 (delaying receiver) decide its check, and at
-# least this many must remain, so honest runs take at most 15 parties
-_CHECK_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -59,13 +51,8 @@ class QssConfig:
             raise ValueError("need at least 3 parties (dealer + 2 receivers)")
         if self.strategy == "delay_discriminate" and self.parties != 3:
             raise ValueError("delay_discriminate is defined for 3 parties")
-        if self.strategy == "honest" and 2 * self.parties + 1 > 64 - _CHECK_BITS:
-            raise ValueError(
-                f"{self.parties} honest parties take {2 * self.parties + 1} bits of a "
-                f"round's 64-bit word and leave fewer than {_CHECK_BITS} check bits; "
-                f"at most {(63 - _CHECK_BITS) // 2} parties")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if not 1 <= self.rounds < 2**63:
+            raise ValueError("rounds must be >= 1 and below 2^63 (an int64 count)")
         if not 0 < self.check_fraction < 1:
             raise ValueError("check_fraction must be strictly between 0 and 1")
 
@@ -157,34 +144,22 @@ def _key_table(honest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return o_dealer, o_dealer ^ o_second ^ o_third, v == o_dealer
 
 
-def _round_keys(words: np.ndarray, n: int, s_mask: int, honest: bool) -> np.ndarray:
-    """Each round's 6-bit key (see ``_key_table``) from its raw word, as uint8.
+def _round_law(config: QssConfig) -> np.ndarray:
+    """P(cell) for the 128 cells of a round: bits 0-5 the key of
+    ``_key_table``, bit 6 set when the round is checked.
 
-    A word holds the basis combo in bits 0..n-1 (party 1 most
-    significant, 0 = X, 1 = Y), the codeword s in bit n (read only when
-    s_mask is 1, for the modified variant), then the uniform string u in
-    bits n+1..2n (honest; the dealer's bit is bit 2n) or the delaying
-    receiver's three bits.  Every field lies in the low 32 bits.
+    y counts the Y's of n fair bases, so P(y mod 4 = r), the binomial
+    sum over y = r (mod 4), is by the fourth roots of unity
+    1/4 + 2^(-n/2-1) cos(pi (n - 2r) / 4).  The codeword s is fair for
+    the modified variant and 0 for the original, the round's own bits a
+    are uniform (the honest table ignores bit 5), and P(check) = p.
     """
-    fields = words.astype(np.uint32)
-    key = np.bitwise_count(fields & np.uint32((1 << n) - 1))
-    key &= 3
-    # in place from here on: fewer chunk-sized temporaries measured
-    # faster
-    fields >>= np.uint32(n)
-    if honest:
-        parity = np.bitwise_count(fields & np.uint32(((1 << n) - 1) << 1))
-        parity &= 1
-        key |= parity << 4
-        # s stays at bit 0 and the dealer's bit moves from bit n to bit 1
-        dealer = fields >> np.uint32(n - 1)
-        dealer &= np.uint32(2)
-        fields &= np.uint32(s_mask)
-        fields |= dealer
-    else:
-        fields &= np.uint32(14 | s_mask)
-    key |= fields.astype(np.uint8) << 2
-    return key
+    n, p = config.parties, config.check_fraction
+    # an int phase and an exact power of two: no float overflow at any n
+    phase = np.array([(n - 2 * r) % 8 for r in range(4)])
+    y_mod_4 = 0.25 + sqrt(ldexp(1.0, -n - 2)) * np.cos(np.pi * phase / 4)
+    s = [0.5, 0.5] if config.variant == "modified" else [1.0, 0.0]
+    return np.outer(np.outer([1.0 - p, p], np.full(8, 1 / 8)), np.outer(s, y_mod_4)).ravel()
 
 
 def qss_run(config: QssConfig) -> QssStats:
@@ -198,32 +173,17 @@ def qss_run(config: QssConfig) -> QssStats:
     was sent; the dealer's codeword choice is what the modified variant
     hides, and it is exactly the bit the readout is missing.
 
-    Each round is one raw word of the seed's bit generator, laid out as
-    in ``_round_keys``, taken a chunk of rounds at a time; raw words
-    carry no buffered state, so a chunked draw equals a whole one.  With
-    ``low`` round bits below them, the top 64 - low bits decide the
-    check: a round is checked iff ``word >> low < ceil(p * 2^(64 -
-    low))``.  Every statistic of a round depends only on its 6-bit key
-    and this check flag, so a chunk is counted by one 128-cell
-    histogram, and the law is evaluated once per key.  Every sign is
-    kept as a bit (1 for -1), so a product of signs is an XOR and
-    agreement is a parity.
+    Every statistic of a round depends only on its 6-bit key and check
+    flag, and rounds are i.i.d., so a run's 128-cell histogram is a
+    sufficient statistic, drawn as one multinomial of ``_round_law``.
+    Signs are kept as bits (1 for -1), so a product of signs is an XOR
+    and agreement is a parity.
     """
-    n = config.parties
     honest = config.strategy == "honest"
-    low = n + 1 + (n if honest else 3)
-    # word >> low < t is word <= t * 2^low - 1, which fits a uint64
-    # even when t reaches 2^(64 - low)
-    check_limit = np.uint64((ceil(ldexp(config.check_fraction, 64 - low)) << low) - 1)
-    s_mask = int(config.variant == "modified")
     rounds = config.rounds
-    bits = np.random.default_rng(config.seed).bit_generator
-    hist = np.zeros(128, dtype=np.int64)
-    for start in range(0, rounds, _CHUNK_ROUNDS):
-        words = bits.random_raw(min(_CHUNK_ROUNDS, rounds - start))
-        keys = _round_keys(words, n, s_mask, honest)
-        keys |= (words <= check_limit).view(np.uint8) << 6
-        hist += np.bincount(keys, minlength=128)
+    # numpy gives the last cell what the others leave, float error included;
+    # drawn backwards, that is cell 0, which every run reaches (cell 127 is s = 1)
+    hist = np.random.default_rng(config.seed).multinomial(rounds, _round_law(config)[::-1])[::-1]
 
     dealer_minus, parity, solo_hit = _key_table(honest)
     key = np.arange(64)

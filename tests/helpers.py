@@ -14,8 +14,12 @@ plain state vectors, the reference for the fact behind the oracle's
 verdicts: a unitary on the traced qubits maps one codeword to the other
 exactly when the kept qubits' reduced states agree.
 ``qss_outcome_tables`` contracts the GHZ state once per basis combo,
-the reference for the secret-sharing outcome law.
+the reference for the secret-sharing outcome law, and
+``qss_reference_counts`` plays a secret-sharing run one round at a
+time from those tables, the reference for the run's multinomial draw.
 """
+
+import random
 
 import numpy as np
 from hypothesis import strategies as st
@@ -197,6 +201,49 @@ def qss_outcome_tables(n):
                 t = np.moveaxis(t, 0, axis)
             tables[s, combo] = np.abs(t.reshape(-1)) ** 2
     return tables
+
+
+def qss_reference_counts(config):
+    """Counts of a secret-sharing run played one round at a time with
+    ``random.Random(config.seed)``: (kept, checked, agreeing, check
+    errors, solo-correct, dealer +1).
+
+    Each round draws every party's basis, the codeword (the original
+    variant always sends 0), the outcomes and the check in plain
+    Python.  Honest outcomes are drawn from ``qss_outcome_tables``.
+    The delaying receiver forwards a fresh qubit, so the dealer's and
+    the second party's outcomes are fair coins, and it guesses the
+    second one; its readout of the held pair, (-1)^(y/2) o (1 - 2s),
+    names the dealer's outcome up to the codeword it does not know.
+    """
+    n, honest = config.parties, config.strategy == "honest"
+    rng = random.Random(config.seed)
+    cumulative = np.cumsum(qss_outcome_tables(n), axis=-1).tolist() if honest else None
+    outcomes = range(1 << n)
+    kept = checked = agreeing = errors = solo = plus = 0
+    for _ in range(config.rounds):
+        bases = [rng.randrange(2) for _ in range(n)]  # party 1 first, 1 = Y
+        s = rng.randrange(2) if config.variant == "modified" else 0
+        y = sum(bases)
+        if honest:
+            combo = int("".join(map(str, bases)), 2)
+            o = rng.choices(outcomes, cum_weights=cumulative[s][combo])[0]
+            dealer, reported, solo_hit = o >> (n - 1), o.bit_count() % 2, False
+        else:
+            dealer, second, guess = rng.randrange(2), rng.randrange(2), rng.randrange(2)
+            readout = dealer ^ s
+            third = (y // 2 + readout + guess) % 2
+            reported, solo_hit = dealer ^ second ^ third, readout == dealer
+        check = rng.random() < config.check_fraction
+        plus += dealer == 0
+        if y % 2 == 0:
+            agrees = reported == (s + y // 2) % 2
+            kept += 1
+            checked += check
+            agreeing += agrees
+            errors += check and not agrees
+            solo += solo_hit
+    return kept, checked, agreeing, errors, solo, plus
 
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}

@@ -3,19 +3,20 @@
 import itertools
 import json
 import tracemalloc
-from math import ceil, sqrt
+from fractions import Fraction
+from math import comb, sqrt
 
 import numpy as np
 import pytest
 
-from helpers import I2, X2, Y2, kron_all, qss_outcome_tables
+from helpers import I2, X2, Y2, kron_all, qss_outcome_tables, qss_reference_counts
 from qundet import protocols
 from qundet.protocols import (
     BcDemoResult,
     QssConfig,
     QssStats,
     _key_table,
-    _round_keys,
+    _round_law,
     bc_demo,
     qss_run,
 )
@@ -32,6 +33,9 @@ def test_config_validation():
         QssConfig(parties=4, strategy="delay_discriminate")
     with pytest.raises(ValueError):
         QssConfig(rounds=0)
+    # numpy's multinomial draws an int64 count
+    with pytest.raises(ValueError):
+        QssConfig(rounds=2**63)
     with pytest.raises(ValueError):
         QssConfig(check_fraction=0.0)
     with pytest.raises(ValueError):
@@ -72,16 +76,9 @@ def test_fifteen_honest_parties_agree():
     assert abs(stats.dealer_plus_rate - 0.5) <= stats.radii["dealer_plus_rate"]
 
 
-def test_honest_table_cap():
-    # the cap comes from the word layout: 2 * 16 + 1 round bits would
-    # leave 31 bits of the word for the check
-    with pytest.raises(ValueError, match="32 check bits"):
-        QssConfig(parties=16)
-
-
 def test_largest_check_fraction_checks_every_kept_round():
-    # at 6 parties ceil((1 - 2^-53) * 2^51) * 2^13 is 2^64: the threshold
-    # must not overflow a uint64, and every kept round is checked
+    # the check cell has probability p exactly, so at p = 1 - 2^-53 a
+    # run of 5000 rounds checks every kept round
     stats = qss_run(QssConfig(parties=6, rounds=5000, check_fraction=1 - 2**-53, seed=4))
     assert stats.checked == stats.kept > 0
 
@@ -135,107 +132,73 @@ def test_outcome_tables_match_per_combo_reference(n):
     assert np.abs(closed - qss_outcome_tables(n)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_key_table_law_is_the_dense_marginal(n):
-    # every honest word of every (s, combo) group goes through the
-    # production keys and the key table; over the 2^n uniform strings u
-    # the (dealer bit, outcome parity) law must be the dense marginal.
-    # The law is in quarters and the dense sums lie within 1e-14 of
-    # them, so rounding the dense side to quarters makes the match exact
-    dim = 1 << n
-    s, combo, u = np.meshgrid(np.arange(2), np.arange(dim), np.arange(dim), indexing="ij")
-    words = (combo | s << n | u << (n + 1)).astype(np.uint64)
-    keys = _round_keys(words.ravel(), n, 1, honest=True)
+def test_y_mod_4_law_is_the_binomial_sum():
+    # the roots-of-unity closed form against exact sums of C(n, y) / 2^n
+    # over y = r (mod 4), summed out of the whole law
+    for n in [*range(3, 65), 1000]:
+        law = _round_law(QssConfig(parties=n)).reshape(16, 2, 4).sum(axis=(0, 1))
+        exact = [float(Fraction(sum(comb(n, y) for y in range(r, n + 1, 4)), 2**n))
+                 for r in range(4)]
+        assert np.abs(law - exact).max() <= 1e-15, n
+    # past float range the cosine term vanishes and the law stays finite
+    huge = _round_law(QssConfig(parties=10**400)).reshape(16, 2, 4).sum(axis=(0, 1))
+    assert np.abs(huge - 0.25).max() <= 1e-15
+
+
+def _law_marginal(variant, n):
+    """P(s, y mod 4, dealer bit, outcome parity) of a round, from the
+    production law through the honest key table, shape (2, 4, 2, 2)."""
+    law = _round_law(QssConfig(variant=variant, parties=n)).reshape(2, 64).sum(axis=0)
     dealer, parity, _ = _key_table(True)
-    cell = (dealer[keys] * 2 + parity[keys]).reshape(2 * dim, dim)
-    law = np.stack([np.bincount(row, minlength=4) for row in cell]) / dim
-    dense = _dense_marginals(n).reshape(2 * dim, 4)
-    assert np.abs(law - dense).max() < 1e-14
-    np.testing.assert_array_equal(law, np.round(dense * 4) / 4)
+    key = np.arange(64)
+    marginal = np.zeros((2, 4, 2, 2))
+    np.add.at(marginal, (key >> 2 & 1, key & 3, dealer, parity), law)
+    return marginal
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_largest_draw_lands_on_a_possible_outcome(n):
-    # the largest raw word of every (s, combo) group has u and every
-    # check bit set; the word 2^64 - 1 is the last of them.  Its key
-    # must stay inside the 64-row table, and the (dealer bit, outcome
-    # parity) it lands on must have nonzero dense probability
-    groups = np.arange(2 << n, dtype=np.uint64)
-    words = groups | np.uint64(((1 << 64) - 1) ^ ((2 << n) - 1))
-    assert words[-1] == np.uint64((1 << 64) - 1)
-    keys = _round_keys(words, n, 1, honest=True)
-    assert keys.max() < 64
-    dealer, parity, _ = _key_table(True)
-    probs = _dense_marginals(n).reshape(2 << n, 2, 2)[
-        groups.astype(np.intp), dealer[keys], parity[keys]]
-    assert np.all(probs > 1e-12)
-
-
-def _honest_outcome(word, n, s):
-    """The joint outcome index of an honest round, party 1 most
-    significant, built from its word in plain Python: the uniform
-    string u, except that on even-y rounds the last party's bit (bit 0)
-    fixes the parity to s + y/2."""
-    y = (word & ((1 << n) - 1)).bit_count()
-    u = word >> (n + 1) & ((1 << n) - 1)
-    if y % 2:
-        return u
-    return (u & ~1) | ((u >> 1).bit_count() + s + y // 2) % 2
+def _dense_by_y_mod_4(n):
+    """The dense marginals summed over the basis combos of each y mod 4,
+    shape (2, 4, 2, 2), and the number of combos of each y mod 4."""
+    y = np.bitwise_count(np.arange(1 << n)) % 4
+    tables = _dense_marginals(n)
+    return np.stack([tables[:, y == r].sum(axis=1) for r in range(4)], axis=1), np.bincount(y)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_sample_outcomes_matches_row_gather(n):
-    # the key table's rows, gathered at the production keys, give word
-    # for word the dealer bit and outcome parity of the outcome built
-    # per round in plain Python.  Per (s, combo) group the words take
-    # the edge strings u = 0, 1, 2^(n-1) and 2^n - 1, with no check bit
-    # and with every check bit set; seeded raw words come on top.  The
-    # original variant must ignore the s bit
-    dim = 1 << n
-    s_combo, u, top = np.meshgrid(
-        np.arange(2 * dim, dtype=np.uint64),
-        np.array([0, 1, dim >> 1, dim - 1], dtype=np.uint64),
-        np.array([0, ((1 << 64) - 1) >> (2 * n + 1) << (2 * n + 1)], dtype=np.uint64),
-        indexing="ij")
-    seeded = np.random.default_rng(n).bit_generator.random_raw(5000)
-    words = np.concatenate([(s_combo | u << np.uint64(n + 1) | top).ravel(), seeded])
-    dealer, parity, _ = _key_table(True)
-    for s_mask in (0, 1):
-        keys = _round_keys(words, n, s_mask, honest=True)
-        s = [w >> n & s_mask for w in words.tolist()]
-        outcome = [_honest_outcome(w, n, b) for w, b in zip(words.tolist(), s)]
-        np.testing.assert_array_equal(keys & 3, np.bitwise_count(words & np.uint64(dim - 1)) % 4)
-        np.testing.assert_array_equal(keys >> 2 & 1, s)
-        np.testing.assert_array_equal(dealer[keys], [o >> (n - 1) for o in outcome])
-        np.testing.assert_array_equal(parity[keys], [o.bit_count() % 2 for o in outcome])
+def test_key_table_law_is_the_dense_marginal(n):
+    # the same marginal from the dense tables, with fair bases and the
+    # variant's codeword law, for both variants
+    sums, _ = _dense_by_y_mod_4(n)
+    for variant, p_s in (("modified", [0.5, 0.5]), ("original", [1.0, 0.0])):
+        dense = sums * np.array(p_s)[:, None, None, None] / 2**n
+        assert np.abs(_law_marginal(variant, n) - dense).max() < 1e-14
 
 
 @pytest.mark.parametrize("n", [3, 6, 8])
 def test_sampled_outcomes_follow_the_dense_tables(n):
-    # 2 * 10^5 seeded raw words through the production keys and key
-    # table against the dense tables, per (codeword, basis) group,
-    # within 5 sigma: the dealer's +1 rate, and for even-Y bases the
-    # rate of an even outcome parity, which the law makes 0 or 1, so
-    # there the match is exact.  A wrong row or a shifted field is off
-    # by a whole interval and fails
-    rounds, dim = 200_000, 1 << n
-    words = np.random.default_rng(20 + n).bit_generator.random_raw(rounds)
-    keys = _round_keys(words, n, 1, honest=True)
+    # 10^6 rounds drawn from the production law, read through the key
+    # table, against the dense tables per (codeword, y mod 4) group
+    # within 5 sigma: the dealer's +1 rate, and for even y the rate of
+    # an even outcome parity, which the law makes 0 or 1, so there the
+    # match is exact.  A wrong cell or a shifted field is off by a
+    # whole interval and fails
+    hist = np.random.default_rng(20 + n).multinomial(1_000_000, _round_law(QssConfig(parties=n)))
+    per_key = hist[:64] + hist[64:]
+    group = np.arange(64) & 7  # s * 4 + y mod 4
+    counts = np.bincount(group, per_key, minlength=8)
+    assert counts.min() > 1000
+    sums, combos = _dense_by_y_mod_4(n)
+    dense = (sums / combos[None, :, None, None]).reshape(8, 2, 2)
     dealer, parity, _ = _key_table(True)
-    group = (words & np.uint64(2 * dim - 1)).astype(np.intp)
-    dense = _dense_marginals(n).reshape(2 * dim, 2, 2)
-    counts = np.bincount(group, minlength=2 * dim)
-    assert counts.min() > 100
 
-    def within_5_sigma(hit_round, p, rows):
+    def within_5_sigma(hit_key, p, rows):
         p = p[rows]
-        rate = np.bincount(group[hit_round], minlength=2 * dim)[rows] / counts[rows]
+        rate = np.bincount(group, per_key * hit_key, minlength=8)[rows] / counts[rows]
         radius = 5.0 * np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / counts[rows]) + 1e-12
         assert np.all(np.abs(rate - p) <= radius)
 
-    within_5_sigma(dealer[keys] == 0, dense[:, 0, :].sum(axis=1), np.arange(2 * dim))
-    even_y = np.flatnonzero(np.bitwise_count(np.arange(2 * dim) & (dim - 1)) % 2 == 0)
-    within_5_sigma(parity[keys] == 0, dense[:, :, 0].sum(axis=1), even_y)
+    within_5_sigma(dealer == 0, dense[:, 0, :].sum(axis=1), np.arange(8))
+    within_5_sigma(parity == 0, dense[:, :, 0].sum(axis=1), np.array([0, 2, 4, 6]))
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -259,77 +222,38 @@ def test_delay_discriminate_readout_is_dense(s, bases, o):
     assert np.allclose(expectation, (-1) ** (sum(bases) // 2) * v, atol=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 4096])
-@pytest.mark.parametrize("variant,strategy,parties", [
-    ("modified", "honest", 3),
-    ("original", "honest", 6),
-    ("modified", "honest", 8),
-    ("modified", "honest", 15),
-    ("original", "delay_discriminate", 3),
-    ("modified", "delay_discriminate", 3),
-])
-def test_stats_independent_of_chunk_size(monkeypatch, chunk, variant, strategy, parties):
-    # 5003 rounds is not a multiple of any chunk size here, so the last
-    # chunk is a partial one
-    config = QssConfig(variant=variant, strategy=strategy, parties=parties,
-                       rounds=5003, check_fraction=0.5, seed=17)
-    whole = qss_run(config).as_dict()
-    monkeypatch.setattr(protocols, "_CHUNK_ROUNDS", chunk)
-    assert qss_run(config).as_dict() == whole
-
-
-def _replay(config):
-    """Counts from a plain per-round evaluation of the law on the run's
-    raw words: (kept, checked, agreeing, check errors, solo-correct,
-    dealer +1)."""
-    n = config.parties
-    honest = config.strategy == "honest"
-    low = n + 1 + (n if honest else 3)
-    threshold = ceil(config.check_fraction * 2 ** (64 - low))
-    words = np.random.default_rng(config.seed).bit_generator.random_raw(config.rounds)
-    kept = checked = agreeing = errors = solo = plus = 0
-    for w in words.tolist():
-        combo = w & ((1 << n) - 1)
-        s = w >> n & 1 if config.variant == "modified" else 0
-        y = combo.bit_count()
-        stabilizer = (s + y // 2) % 2
-        if honest:
-            o = _honest_outcome(w, n, s)
-            dealer, reported, solo_hit = o >> (n - 1), o.bit_count() % 2, False
-        else:
-            o_dealer, o_second, guess = w >> (n + 1) & 1, w >> (n + 2) & 1, w >> (n + 3) & 1
-            readout = o_dealer ^ s
-            o_third = (y // 2 + readout + guess) % 2
-            dealer, reported = o_dealer, (o_dealer + o_second + o_third) % 2
-            solo_hit = readout == o_dealer
-        plus += dealer == 0
-        if y % 2 == 0:
-            check = w >> low < threshold
-            kept += 1
-            checked += check
-            agreeing += reported == stabilizer
-            errors += check and reported != stabilizer
-            solo += solo_hit
-    return kept, checked, agreeing, errors, solo, plus
+def _agree_within_5_sigma(ours, theirs):
+    """Two (hits, trials) pairs whose rates agree within 5 pooled sigma."""
+    (x1, n1), (x2, n2) = ours, theirs
+    p = (x1 + x2) / (n1 + n2)
+    radius = 5.0 * sqrt(p * (1.0 - p) * (1 / n1 + 1 / n2))
+    return abs(x1 / n1 - x2 / n2) <= radius
 
 
 @pytest.mark.parametrize("variant", ["original", "modified"])
-@pytest.mark.parametrize("strategy,parties", [
-    ("honest", 3), ("honest", 6), ("honest", 8), ("honest", 15), ("delay_discriminate", 3),
-])
-def test_counts_replay_the_documented_stream(variant, strategy, parties):
-    # one raw word per round, in the documented layout; 70,001 rounds
-    # span two chunks
-    config = QssConfig(variant=variant, strategy=strategy, parties=parties, rounds=70_001,
-                       check_fraction=0.3, seed=29)
-    kept, checked, agreeing, errors, solo, plus = _replay(config)
+@pytest.mark.parametrize("strategy,parties", [("honest", 5), ("delay_discriminate", 3)])
+def test_rates_match_the_per_round_reference(variant, strategy, parties):
+    # the plain-Python run, one round at a time, against the one draw;
+    # a rate of 0 or 1 on both sides has radius 0 and must match exactly
+    config = QssConfig(variant=variant, strategy=strategy, parties=parties, rounds=20_000,
+                       check_fraction=0.3, seed=31)
+    kept, checked, agreeing, errors, solo, plus = qss_reference_counts(config)
     stats = qss_run(config)
-    assert (stats.kept, stats.checked) == (kept, checked)
-    assert stats.honest_key_agreement == agreeing / kept
-    assert stats.check_error_rate == errors / checked
-    assert stats.dealer_plus_rate == plus / config.rounds
+    rounds = config.rounds
+    pairs = {
+        "keep_rate": ((stats.kept, rounds), (kept, rounds)),
+        "dealer_plus_rate": ((round(stats.dealer_plus_rate * rounds), rounds), (plus, rounds)),
+        "checked share": ((stats.checked, stats.kept), (checked, kept)),
+        "honest_key_agreement": (
+            (round(stats.honest_key_agreement * stats.kept), stats.kept), (agreeing, kept)),
+        "check_error_rate": (
+            (round(stats.check_error_rate * stats.checked), stats.checked), (errors, checked)),
+    }
     if strategy == "delay_discriminate":
-        assert stats.attacker_solo_accuracy == solo / kept
+        pairs["attacker_solo_accuracy"] = (
+            (round(stats.attacker_solo_accuracy * stats.kept), stats.kept), (solo, kept))
+    for name, (ours, theirs) in pairs.items():
+        assert _agree_within_5_sigma(ours, theirs), (name, ours, theirs)
 
 
 @pytest.mark.parametrize("variant", ["original", "modified"])
@@ -354,25 +278,15 @@ def test_dealer_plus_rate_sees_a_biased_sampler(monkeypatch, variant, parties):
     assert abs(biased.dealer_plus_rate - 0.5) > fair.radii["dealer_plus_rate"]
 
 
-def test_million_round_peak_is_chunk_bounded():
+def test_forty_parties_for_a_trillion_rounds_in_constant_memory():
+    # a run is one draw over 128 cells, whatever its rounds and parties
     tracemalloc.start()
-    qss_run(QssConfig(parties=6, rounds=1_000_000, seed=3))
+    stats = qss_run(QssConfig(parties=40, rounds=10**12, seed=3))
     _, top = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert top < 16 * 2**20
-
-
-def test_honest_memory_is_independent_of_parties():
-    def peak(parties):
-        tracemalloc.start()
-        qss_run(QssConfig(parties=parties, rounds=200_000, seed=3))
-        _, top = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return top
-
-    three, eight = peak(3), peak(8)
-    assert eight < 64 * 2**20
-    assert eight < 1.5 * three
+    assert stats.honest_key_agreement == 1.0
+    assert abs(stats.dealer_plus_rate - 0.5) <= stats.radii["dealer_plus_rate"]
+    assert top < 2**20
 
 
 def test_radii_keys():
