@@ -73,7 +73,7 @@ def claim_1() -> ClaimResult:
 def claim_2() -> ClaimResult:
     def run():
         spec = codes.catalog("code_412")
-        r = und.unconditional_D(spec)
+        r = und.unconditional_D(spec, cross_check=True)
         if r.d_min != 2:
             return False, f"d_min={r.d_min}, expected 2"
         listed = ["YYII", "IYYI", "IIYY", "YIIY", "ZIZI", "IXIX"]
@@ -91,7 +91,7 @@ def claim_3() -> ClaimResult:
     def run():
         spec = codes.catalog("code_513")
         d = code_distance(spec.group())
-        r = und.unconditional_D(spec)
+        r = und.unconditional_D(spec, cross_check=True)
         if (d, r.d_min) != (3, 3):
             return False, f"d={d}, d_min={r.d_min}, expected 3, 3"
         base_a = parse_pauli("IYYIX")  # one listed pattern; others are its rotations
@@ -148,7 +148,7 @@ def claim_5() -> ClaimResult:
         (dist,) = dense.reduced_distances(*dense.codeword_states(spec), [(2, 3, 4)])
         if dist == 0:
             return False, "oracle reads the reductions equal"
-        r = und.unconditional_D(spec)
+        r = und.unconditional_D(spec, cross_check=True)
         if r.d_min != 5:
             return False, f"d_min={r.d_min}, expected 5"
         d = code_distance(spec.group())
@@ -230,7 +230,7 @@ _QSS_SEED = 20260819
 def claim_9() -> ClaimResult:
     def run():
         stats = qss_run(
-            QssConfig(variant="modified", strategy="honest", rounds=100_000, seed=_QSS_SEED)
+            QssConfig(variant="modified", strategy="honest", rounds=10**9, seed=_QSS_SEED)
         )
         if abs(stats.keep_rate - 0.5) > 0.005:
             return False, f"keep_rate={stats.keep_rate}"
@@ -250,7 +250,7 @@ def claim_10() -> ClaimResult:
     def run():
         mod = qss_run(
             QssConfig(
-                variant="modified", strategy="delay_discriminate", rounds=100_000, seed=_QSS_SEED
+                variant="modified", strategy="delay_discriminate", rounds=10**9, seed=_QSS_SEED
             )
         )
         if abs(mod.attacker_solo_accuracy - 0.5) > 0.01:
@@ -259,7 +259,7 @@ def claim_10() -> ClaimResult:
             return False, f"modified detection {mod.per_forged_round_detection}"
         orig = qss_run(
             QssConfig(
-                variant="original", strategy="delay_discriminate", rounds=100_000, seed=_QSS_SEED
+                variant="original", strategy="delay_discriminate", rounds=10**9, seed=_QSS_SEED
             )
         )
         if orig.attacker_solo_accuracy < 0.99:

@@ -113,6 +113,8 @@ def _render_analysis(rep: und.UndeterminedReport) -> str:
     for d, ed in rep.e_d_table:
         verdict = "pass" if ed.passed else "fail"
         lines.append(f"  E_{d} = {ed.e_d} vs C(n,{d}) = {ed.binomial}: {verdict}")
+    for d_prime in rep.conditional_capped:
+        lines.append(f"  conditional D'={d_prime}: not computed")
     for scan in rep.conditional:
         lines.append(
             f"  conditional D'={scan.d_prime}: {len(scan.undetermined)} undetermined, "

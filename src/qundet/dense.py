@@ -30,19 +30,18 @@ is an integer, 0 exactly when they are equal, so no tolerance is
 needed.  The products run in single precision, exact since every entry
 and partial sum is an integer of at most 2^n < 2^24; the squares are
 summed in float64, exact while the numerator's terms, at most
-2^(4n+4), stay below 2^53 (n <= 12).  Other stacks run in exact
-rationals (see :func:`_exact`).  One cut serves a traced set of at most
-n/2 qubits and its complement (see :func:`reduced_distances`), at
-O(2^n (m 2^|T|)^2) each.  Sizes are capped at n <= ``ORACLE_MAX_N``,
-which bounds ``pauli_matrix``'s 4^n entries; the state vectors take
-O(2^n) memory.
+2^(4n+4), stay below 2^53 (n <= 12).  A stack whose amplitudes are
+not Gaussian integers once scaled is no stabilizer stack and raises.
+One cut serves a traced set of at most n/2 qubits and its complement
+(see :func:`reduced_distances`), at O(2^n (m 2^|T|)^2) each.  Sizes
+are capped at n <= ``ORACLE_MAX_N``, which bounds ``pauli_matrix``'s
+4^n entries; the state vectors take O(2^n) memory.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,14 +176,6 @@ def _cut(states: np.ndarray, traced: list[tuple[int, ...]], n: int) -> np.ndarra
     return cuts.reshape(len(traced), m << t, -1)
 
 
-def _exact(stack: np.ndarray) -> np.ndarray:
-    """``stack`` in exact rationals, each amplitude z the real block [[Re z,
-    -Im z], [Im z, Re z]] over a new last stack bit and a new last, kept,
-    qubit; each Gram entry becomes its block too, doubling every sum."""
-    x, y = (np.frompyfunc(Fraction, 1, 1)(part) for part in (stack.real, stack.imag))
-    return np.stack([np.stack([x, -y], -1), np.stack([y, x], -1)], 1).reshape(2 * len(stack), -1)
-
-
 def build_density(spec: CodeSpec, logical_bit: int) -> np.ndarray:
     """Density matrix of codeword ``logical_bit`` of a k=1 code."""
     if spec.k != 1:
@@ -230,8 +221,8 @@ def frobenius_distance(grams: Sequence[float], norms: Sequence[float]) -> float:
 
 
 def _inner(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Re <x_s, y_s> per leading index s: re * re + im * im, summed in float64 or exactly."""
-    x = np.asarray(x.view(x.real.dtype), dtype=np.result_type(x.real, np.float64))
+    """Re <x_s, y_s> per leading index s: re * re + im * im, summed in float64."""
+    x = np.asarray(x.view(x.real.dtype), dtype=np.float64)
     y = x if y is None else np.asarray(y.view(y.real.dtype), dtype=x.dtype)
     return np.einsum("sij,sij->s", x, y)
 
@@ -248,7 +239,9 @@ def reduced_distances(
     and A^dagger B of that cut (see :func:`_cut`) give the distance after
     tracing the cut set; the sums of their diagonal stack blocks are the
     reduced states on the cut set, up to conjugation and scale, and give
-    the distance after tracing its complement.
+    the distance after tracing its complement.  Each stack, scaled so its
+    largest amplitude has modulus 1, must hold only Gaussian integers, as
+    a stabilizer stack does; any other raises ValueError.
     """
     n = states0.shape[1].bit_length() - 1
     traced = _traced_sets(subsets, n)
@@ -257,14 +250,11 @@ def reduced_distances(
     both = np.concatenate([s / np.abs(s).max() for s in (states0, states1)])
     if not both.imag.any():
         both = both.real
+    if not np.array_equal(both, np.round(both)):
+        raise ValueError("stacks are not Gaussian integers once scaled: not stabilizer states")
     # then every Gram entry is an integer of at most 2^n, exact in float32
-    if np.array_equal(both, np.round(both)):
-        both = both.astype(np.complex64 if np.iscomplexobj(both) else np.float32)
-    else:
-        both = _exact(both)
-    # rows per state, 2 after _exact, whose doubled sums are halved back
-    per = len(both) // (m0 + m1)
-    norms = [_inner(h[None]).item() / per for h in np.split(both, [per * m0])]
+    both = both.astype(np.complex64 if np.iscomplexobj(both) else np.float32)
+    norms = [_inner(h[None]).item() for h in np.split(both, [m0])]
     # cut set -> {0: subset read on the traced side, 1: on the kept side}
     sides: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
     qubits = frozenset(range(1, n + 1))
@@ -276,10 +266,10 @@ def reduced_distances(
     dist = {}
     for size, group in itertools.groupby(sorted(sides, key=len), key=len):
         cut_sets = list(group)
-        split, block = (per * m0) << size, per << size
+        split, block = m0 << size, 1 << size
         for at in range(0, len(cut_sets), step):
             chunk = cut_sets[at:at + step]
-            cut = _cut(both, chunk, both.shape[1].bit_length() - 1)
+            cut = _cut(both, chunk, n)
             # A = a^T and B = b^T; [A^dagger A | A^dagger B] in one product
             a, b = cut[:, :split], cut[:, split:]
             g0 = a.conj() @ cut.swapaxes(1, 2)
@@ -289,10 +279,10 @@ def reduced_distances(
             r0 = np.einsum("sjajb->sab", g00.reshape(-1, m0, block, m0, block))
             r1 = np.einsum("sjajb->sab", g11.reshape(-1, m1, block, m1, block))
             # [side][set] -> its three Gram sums
-            grams = (np.array([
+            grams = np.array([
                 [_inner(g00), _inner(g11), _inner(g01)],
                 [_inner(r0), _inner(r1), _inner(r0, r1)],
-            ]) / per).transpose(0, 2, 1).tolist()
+            ]).transpose(0, 2, 1).tolist()
             for j, cut_set in enumerate(chunk):
                 for side, subset in sides[cut_set].items():
                     dist[subset] = frobenius_distance(grams[side][j], norms)

@@ -34,15 +34,15 @@ reused buffers and counts its letters in place.  With 32-bit words and
 a low factor of at least 2^12 rows, a cold cyclic 19 (rank 18) scan,
 factors included, takes about 0.46 ms against 0.95 ms for 64-bit words
 over an even split with fresh arrays per block (see docs/method.md).
-The minimum weight first counts the per-qubit floor, the qubits where
-every entry has a letter; when the reduced rep, the least-letters
-entry, weighs that much it is the answer and no factor is built.  That
-settles GHZ (floor n), whose cold verdicts at n = 17..19 no longer
-form a block; the cyclic and small catalog codes read floor 0 and are
-scanned.  The scan skips every block whose forced letters (those no
-low-factor generator can change) already weigh as much as the best row
-found.  A two-information-set stop costs more than the scan it saves
-(see docs/method.md).  Kept-set queries enumerate nothing: a
+The minimum weight has one exact lower bound: the per-qubit floor (the
+qubits where every entry has a letter), and at least 1 unless entry 0
+is I.  When the reduced rep, the least-letters entry, weighs the bound
+it is the answer and no factor is built.  That settles every logical
+class of GHZ, whose cold verdicts at n = 17..19 form no block; the
+cyclic and small catalog codes read floor 0 and are scanned, in index
+order, up to the first block that holds a row of the bound's weight.
+A two-information-set stop costs more than the scan it saves (see
+docs/method.md).  Kept-set queries enumerate nothing: a
 ``RestrictionSolve`` decides them by GF(2) elimination over the same
 bit-packed rows, for any n up to 64, and stops once no generator row
 is left to pivot on.
@@ -53,7 +53,7 @@ The centralizer is read as one coset table per logical class L * S
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -384,10 +384,9 @@ class CosetTable:
     row lo, so a scan in blocks of about ``_BLOCK_ROWS`` rows holds
     O(2^(rank/2) + block) words, never the whole coset.  The factors
     are built on first use and shared by ``blocks`` and the scan:
-    ``min_weight`` needs none when entry 0 weighs the per-qubit floor
-    (``_floor``), as on GHZ, where a table built and read at n = 17..19
-    takes about 15-20 us against 205-225 us with the scan (2-vCPU Xeon
-    VM).
+    ``min_weight`` needs none when entry 0 weighs its lower bound, as on
+    GHZ, where a table built and read at n = 17..19 takes about 15-20 us
+    against 205-225 us with the scan (2-vCPU Xeon VM).
     Cyclic codes read floor 0 and are scanned.  Each entry's generator
     combo is the XOR of its rows' combos, and only the entries that are
     asked for get a sign, by one product of at most rank generators.
@@ -433,15 +432,11 @@ class CosetTable:
         """High rows per block."""
         return min(self._high.shape[1], max(1, _BLOCK_ROWS // self._low.shape[1]))
 
-    def _starts(self) -> range:
-        """The first high row of every block."""
-        return range(0, self._high.shape[1], self._step())
-
-    def _formed(self, starts: Iterable[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(offset, x, z) of the block at each start: its high rows, each XOR every low row.
+    def _formed(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(offset, x, z) of every block in index order: its high rows, each XOR every low row.
 
         x and z are views of two buffers that the next block overwrites,
-        and a start is read only once the block before it is consumed.
+        and a block is formed only once the block before it is consumed.
         The XOR broadcasts each high row over the whole low factor.  On
         numpy 2.4 it runs about three times faster per element once the
         low factor has 2^12 rows than over the 2^9 of an even split at
@@ -451,33 +446,33 @@ class CosetTable:
         (lx, lz), (hx, hz) = self._low, self._high
         step, size = self._step(), len(lx)
         x, z = np.empty((2, step, size), dtype=lx.dtype)
-        for s in starts:
+        for s in range(0, len(hx), step):
             rows = min(step, len(hx) - s)
             bx, bz = x[:rows], z[:rows]
             np.bitwise_xor(hx[s : s + rows, None], lx, out=bx)
             np.bitwise_xor(hz[s : s + rows, None], lz, out=bz)
             yield s * size, bx.ravel(), bz.ravel()
 
-    def _weights(self, starts: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-        """(offset, weight) of the block at each start, the letters of each row counted.
+    def _weights(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(offset, weight) of every block in index order, the letters of each row counted.
 
         x | z overwrites the block's x, and weight is a view of a uint8
         buffer that the next block overwrites.
         """
         weight = np.empty(self._step() * self._low.shape[1], dtype=np.uint8)
-        for offset, x, z in self._formed(starts):
+        for offset, x, z in self._formed():
             np.bitwise_or(x, z, out=x)
             yield offset, np.bitwise_count(x, out=weight[: x.size])
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """(offset, x, z) for consecutive runs of rows, in index order, as fresh arrays."""
-        for offset, x, z in self._formed(self._starts()):
+        for offset, x, z in self._formed():
             yield offset, x.copy(), z.copy()
 
     def weight_counts(self) -> np.ndarray:
         """counts[w] = number of entries of weight w, w = 0..n."""
         counts = np.zeros(self.n + 1, dtype=np.int64)
-        for _, weight in self._weights(self._starts()):
+        for _, weight in self._weights():
             counts += np.bincount(weight, minlength=self.n + 1)
         return counts
 
@@ -489,18 +484,6 @@ class CosetTable:
                 combo ^= c
             pos >>= 1
         return _product(self._rep, self._generators, combo)
-
-    def _forced_weights(self) -> np.ndarray:
-        """Per high row, a lower bound on the weight of every entry built on it.
-
-        Where no low-factor row has an x bit, an entry's x is its high
-        row's x XOR the reduced rep's, and likewise for z; the letters
-        so forced count toward every entry's weight.
-        """
-        (lx, lz), (hx, hz) = self._low, self._high
-        # qubits where some low-factor row has an x, and a z, bit
-        free_x, free_z = np.bitwise_or.reduce(self._words[1 : self._a + 1], axis=0, initial=0)
-        return np.bitwise_count(((hx ^ lx[0]) & ~free_x) | ((hz ^ lz[0]) & ~free_z))
 
     def _floor(self) -> int:
         """The number of qubits where every entry has a letter.
@@ -527,30 +510,30 @@ class CosetTable:
     def min_weight(self) -> tuple[int, PauliOperator]:
         """Minimum weight and the least-letters entry of that weight.
 
-        Entry 0, the reduced rep, is the least-letters entry, and no
-        entry weighs less than the floor: when the two meet, entry 0 is
-        the answer and no factor is built.  Otherwise the blocks are
-        scanned, each only if some high row in it has a forced weight
-        below the best weight found so far.  The blocks run in index
-        order, so a skipped block could at most tie, and a tie goes to
-        the earlier entry.
+        No entry weighs less than the bound max(floor, 1 if entry 0 is
+        not I).  The bound is exact: entry 0, the reduced rep, is the
+        least-letters entry, so a coset that holds I holds it at entry 0
+        and every other entry has a letter.  When entry 0 weighs the
+        bound it is the answer and no factor is built.  Otherwise the
+        blocks are scanned in index order up to the first whose least
+        weight reaches the bound; a later block could at most tie, and a
+        tie goes to the earlier entry.
         """
         if self._min is None:
             first = ((self._keys[0] | self._keys[0] >> 1) & self._digits).bit_count()
-            self._min = (first, self.element(0)) if first == self._floor() else self._scan()
+            bound = max(self._floor(), int(self._keys[0] != 0))
+            self._min = (first, self.element(0)) if first == bound else self._scan(bound)
         return self._min
 
-    def _scan(self) -> tuple[int, PauliOperator]:
-        """The block scan of ``min_weight``."""
-        starts = self._starts()
-        floors = np.minimum.reduceat(self._forced_weights(), starts).tolist()
+    def _scan(self, bound: int) -> tuple[int, PauliOperator]:
+        """The block scan of ``min_weight``, stopped once a row weighs ``bound``."""
         best, at = self.n + 1, 0
-        # lazy: each block is checked against the best weight of the blocks before it
-        wanted = (s for s, floor in zip(starts, floors) if floor < best)
-        for offset, weight in self._weights(wanted):
+        for offset, weight in self._weights():
             i = int(weight.argmin())  # the first least-weight row
             if weight[i] < best:
                 best, at = int(weight[i]), offset + i
+            if best == bound:
+                break
         return best, self.element(at)
 
 

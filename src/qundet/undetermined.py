@@ -17,8 +17,9 @@ entirely inside the kept set.  Consequences used throughout:
     (Z-bar_1 Z-bar_2) * S.
 
 Each spec's difference coset has one ``stabilizer.CosetTable``, which
-finds w_min by one blockwise scan that skips the blocks whose forced
-letters already weigh too much.  Kept-set queries need no
+finds w_min from entry 0 when it meets the table's exact lower bound,
+and otherwise by one blockwise scan that stops at the first row of the
+bound's weight.  Kept-set queries need no
 enumeration: some coset element avoids the traced set T iff Z-bar
 restricted to T lies in the span of the generators restricted to T,
 which ``stabilizer.RestrictionSolve`` decides for a batch of traced
@@ -51,9 +52,6 @@ from qundet.stabilizer import (
     logical_x_weights,
 )
 
-# cost ceiling (subset count * rank, the batched elimination work) for
-# automatic scan cross-checks
-_AUTO_SCAN_BUDGET = 4_000_000
 # traced sets per elimination batch: at n = 64 a batch holds 64 rows of
 # three uint64 words per set, about 6 MB
 _BATCH = 4096
@@ -129,23 +127,16 @@ class UnconditionalResult(NamedTuple):
     witness: PauliOperator
 
 
-def unconditional_D(spec: CodeSpec, cross_check: bool | None = None) -> UnconditionalResult:
+def unconditional_D(spec: CodeSpec, cross_check: bool = False) -> UnconditionalResult:
     """Smallest D with equality after tracing ANY D qubits, via w_min.
 
     d_min = n - w_min + 1, undefined (None) when w_min <= 1 because no
-    feasible trace (at most n - 1 qubits) reaches equality.  When the
-    subset-scan cost is affordable (or cross_check=True) the formula is
-    re-derived by scanning all subsets at d_min and d_min - 1.
+    feasible trace (at most n - 1 qubits) reaches equality.  With
+    cross_check the formula is re-derived by scanning all subsets at
+    d_min and d_min - 1.
     """
-    group = _group_of(spec)
     w_min, witness = _table_of(spec).min_weight()
     d_min = spec.n - w_min + 1 if w_min > 1 else None
-    if cross_check is None:
-        cost = group.rank * sum(
-            math.comb(spec.n, d) for d in ((d_min, d_min - 1) if d_min else (spec.n - 1,))
-            if d and 1 <= d <= spec.n - 1
-        )
-        cross_check = cost <= _AUTO_SCAN_BUDGET
     if cross_check:
         _assert_scan_agreement(spec, d_min)
     return UnconditionalResult(d_min, w_min, witness)
@@ -390,6 +381,8 @@ class UndeterminedReport:
     x_set_size: int
     e_d_table: tuple[tuple[int, EDResult], ...]
     conditional: tuple[ConditionalScan, ...]
+    # the requested sizes D' past the bit-packed row cap, reported as null
+    conditional_capped: tuple[int, ...]
     mixed: MixedPairResult | None
     methods: tuple[str, ...]
     notes: tuple[str, ...] = field(default=(X_SET_COUNTING_NOTE,))
@@ -409,7 +402,10 @@ class UndeterminedReport:
                 str(d): {"count": r.e_d, "binomial": r.binomial, "pass": r.passed}
                 for d, r in self.e_d_table
             },
-            "conditional": {str(c.d_prime): c.as_dict() for c in self.conditional},
+            "conditional": {
+                **{str(d): None for d in self.conditional_capped},
+                **{str(c.d_prime): c.as_dict() for c in self.conditional},
+            },
             "mixed": self.mixed.as_dict() if self.mixed else None,
             "methods": list(self.methods),
             "notes": list(self.notes),
@@ -430,8 +426,9 @@ def analyze_code(
     against dense reduced states; any disagreement raises.  The distance,
     w_min and E_D table read coset tables, so past the rank cap
     (``MAX_ENUM_RANK``) w_min, d_min, the distance and the mixed pair are
-    None and the E_D table empty, each with a reason in ``notes``; the
-    other fields still compute.
+    None and the E_D table empty, each with a reason in ``notes``; past
+    the row cap (``MAX_ROW_N`` qubits) so is each conditional scan.  The
+    other fields still compute, and a D' outside 1..n-1 still raises.
     """
     if max_trace is not None and max_trace < 1:
         raise ValueError(f"max_trace must be at least 1, got {max_trace}")
@@ -463,7 +460,13 @@ def analyze_code(
     except EnumerationCapError as exc:
         e_d_table = ()
         notes.append(f"e_d_table not computed: {exc}")
-    scans = tuple(conditional_scan(spec, dp) for dp in sorted(set(conditional)))
+    scans, capped = [], []
+    for dp in sorted(set(conditional)):
+        try:
+            scans.append(conditional_scan(spec, dp))
+        except EnumerationCapError as exc:
+            capped.append(dp)
+            notes.append(f"conditional {dp} not computed: {exc}")
     mixed = mixed_pair_n2(spec) if spec.k == 2 and w_min is not None else None
     methods = ["symbolic"]
     if oracle:
@@ -481,7 +484,8 @@ def analyze_code(
         threshold_shares=w_min if d_min is not None else None,
         x_set_size=logical_x_count(group),
         e_d_table=e_d_table,
-        conditional=scans,
+        conditional=tuple(scans),
+        conditional_capped=tuple(capped),
         mixed=mixed,
         methods=tuple(methods),
         notes=tuple(notes),

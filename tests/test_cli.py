@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +339,26 @@ def test_analyze_conditional_past_coset_rank_cap(capsys):
     assert scan["undetermined"] == [[q] for q in range(1, 23)]
     assert scan["determined"] == []
     assert "conditional D'=1: 22 undetermined, 0 determined" in captured.err
+
+
+def test_analyze_conditional_past_row_cap(capsys):
+    # n 65 is past the bit-packed row cap: each D' is null with its
+    # reason in notes, and the rest of the report still computes
+    jsonschema = pytest.importorskip("jsonschema")
+    rc = run(["analyze", "--catalog", "ghz", "--n", "65", "--conditional", "1", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    doc = json.loads(captured.out)
+    result = doc["result"]
+    assert result["conditional"] == {"1": None}
+    assert "conditional 1 not computed: n 65 exceeds bit-packed row cap 64" in result["notes"]
+    assert "conditional D'=1: not computed" in captured.err
+    schema = json.loads((Path(__file__).resolve().parent.parent / "docs"
+                         / "undetermined_report.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+    # a D' outside 1..n-1 is still an input error
+    assert run(["analyze", "--catalog", "ghz", "--n", "65", "--conditional", "65"]) == 1
+    capsys.readouterr()
 
 
 def test_analyze_mixed_pair_past_coset_rank_cap(tmp_path, capsys):

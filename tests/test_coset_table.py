@@ -216,20 +216,26 @@ def z_type_cosets(draw):
 
 @st.composite
 def random_cosets(draw):
-    """Some of a random code's generators, with its difference rep or any
-    signed Pauli as the rep (one that anticommutes with some of them too)."""
+    """Some of a random code's generators, with its difference rep, any
+    signed Pauli (one that anticommutes with some of them too), or a
+    signed element of the group itself as the rep."""
     spec = draw(helpers.random_codes(max_n=8))
     gens = spec.stabilizer_ops()
     group = StabilizerGroup(gens[: draw(st.integers(1, len(gens)))])
     n = spec.n
     any_rep = st.builds(PauliOperator, st.just(n), bits_of(n), bits_of(n), st.sampled_from((0, 2)))
-    return group, draw(st.one_of(st.just(_difference_rep(spec)), any_rep))
+    inside = st.builds(
+        lambda combo, sign: stabilizer._product(
+            PauliOperator(n, 0, 0, sign), group.generators, combo),
+        st.integers(0, (1 << group.rank) - 1), st.sampled_from((0, 2)))
+    return group, draw(st.one_of(st.just(_difference_rep(spec)), any_rep, inside))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(random_cosets(), z_type_cosets()), st.sampled_from((1, 2, 4, 16)))
 def test_pruned_scan_matches_least_signed_element(case, block_rows):
-    # small blocks split even these small tables, so whole blocks get skipped
+    # small blocks split even these small tables, so a scan that meets
+    # its bound stops partway through; a rep inside the group has bound 0
     group, rep = case
     with patch.object(stabilizer, "_BLOCK_ROWS", block_rows):
         best = _least(helpers.signed_coset(group, rep))
@@ -307,8 +313,8 @@ def test_ghz_min_weight_forms_no_factor(monkeypatch):
     formed, spans = [], []
     form, span = CosetTable._formed, stabilizer._span
 
-    def counted_formed(self, starts):
-        for block in form(self, starts):
+    def counted_formed(self):
+        for block in form(self):
             formed.append(block[0])
             yield block
 
@@ -334,6 +340,38 @@ def test_ghz_min_weight_forms_no_factor(monkeypatch):
     step = max(1, stabilizer._BLOCK_ROWS // low)
     assert len(list(table.blocks())) == len(formed) == -(-high // step) > 1
     assert len(spans) == 2
+
+
+def test_ghz_code_distance_forms_no_factor(monkeypatch):
+    # the Z_1 class has floor 0, but entry 0 is not I and weighs 1, its
+    # bound; the other two classes have floor n, which entry 0 weighs
+    spans = []
+    span = stabilizer._span
+    monkeypatch.setattr(stabilizer, "_span", lambda *args: spans.append(args) or span(*args))
+    for n in (17, 18, 19):
+        assert stabilizer.code_distance(codes.catalog("ghz", n=n).group()) == 1
+    assert spans == []
+
+
+@pytest.mark.parametrize("gens,rep,witness,formed", [
+    # entry 0 is IXX, and the first block's other entry, XII, weighs the
+    # bound of 1 (floor 0), so the second block is never formed
+    (("ZZI", "XXX"), "IXX", "XII", [0]),
+    # the first block, IYY and IZZ, weighs one above the bound, and
+    # ZII, of weight 1, is in the second block
+    (("IXX", "ZZZ"), "ZII", "ZII", [0, 2]),
+])
+def test_scan_stops_at_the_first_block_that_meets_the_bound(gens, rep, witness, formed):
+    group = StabilizerGroup([parse_pauli(g) for g in gens])
+    with patch.object(stabilizer, "_BLOCK_ROWS", 1):
+        table = CosetTable(group, parse_pauli(rep))
+        assert table._floor() == 0
+        assert len(list(table.blocks())) == 2
+        offsets = []
+        form = table._formed
+        table._formed = lambda: (offsets.append(block[0]) or block for block in form())
+        assert table.min_weight() == (1, parse_pauli(witness))
+        assert offsets == formed
 
 
 @settings(max_examples=40, deadline=None)

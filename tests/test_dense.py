@@ -248,26 +248,6 @@ def test_reduced_distances_are_exact_on_gaussian_integers(monkeypatch, seed):
             assert abs(dist - np.linalg.norm(want[traced])) < 1e-12, traced
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_reduced_distances_are_exact_off_the_gaussian_integers(seed):
-    # random amplitudes, complex for odd seeds, run in exact rationals; a
-    # random unitary on qubits 1 and 2 acts inside any traced set that
-    # holds both, so those reductions differ only by the rounding of
-    # applying it, far below the square root of a float64 Gram's ulp
-    rng = np.random.default_rng(seed)
-    n, m = 5 - seed // 2, 1 + seed // 2
-    s0 = rng.normal(size=(m, 1 << n)) + seed % 2 * 1j * rng.normal(size=(m, 1 << n))
-    u = np.linalg.qr(rng.normal(size=(4, 4)) + seed % 2 * 1j * rng.normal(size=(4, 4)))[0]
-    s1 = (u @ s0.reshape(m, 4, -1)).reshape(m, -1)
-    rho0, rho1 = (s.T @ s.conj() / np.vdot(s, s).real for s in (s0, s1))
-    want = {t: np.linalg.norm(d) for t, d in _partial_traces(rho0 - rho1, n)}
-    subsets = sorted(want, key=lambda t: (len(t), t))
-    for traced, dist in zip(subsets, reduced_distances(s0, s1, subsets)):
-        assert abs(dist - want[traced]) < 1e-12, traced
-        if {1, 2} <= set(traced):
-            assert dist < 1e-14, traced
-
-
 @pytest.mark.parametrize("name,n", SWEEP_CODES)
 def test_reduced_distances_separate_the_verdicts(name, n):
     spec = catalog(name, n=n)
@@ -631,19 +611,37 @@ def test_steane_frozen_distance():
     assert abs(np.linalg.norm(r0 - r1) - 0.5) < 1e-9
 
 
+# alpha|0..0> + beta|1..1> against alpha|0..0> + beta e^{i theta}|1..1>
+PHASE_FAMILY = [(3, 1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 3), (4, 0.6, 0.8, 1.0)]
+
+
+def _phase_pair(n, alpha, beta, theta):
+    v0 = np.zeros((1, 1 << n), dtype=complex)
+    v1 = np.zeros((1, 1 << n), dtype=complex)
+    v0[0, 0] = v1[0, 0] = alpha
+    v0[0, -1] = beta
+    v1[0, -1] = beta * np.exp(1j * theta)
+    return v0, v1
+
+
 def test_phase_family_check():
-    # alpha|0..0> + beta|1..1> against alpha|0..0> + beta e^{i theta}|1..1>:
     # no stabilizer states, yet tracing any one qubit leaves equal
     # reductions, while the whole states differ
-    for n, alpha, beta, theta in [(3, 1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 3), (4, 0.6, 0.8, 1.0)]:
-        v0 = np.zeros((1, 1 << n), dtype=complex)
-        v1 = np.zeros((1, 1 << n), dtype=complex)
-        v0[0, 0] = v1[0, 0] = alpha
-        v0[0, -1] = beta
-        v1[0, -1] = beta * np.exp(1j * theta)
-        assert all(d < 1e-9 for d in reduced_distances(v0, v1, _subsets(n, 1)))
-        (whole,) = reduced_distances(v0, v1, [()])
+    for n, alpha, beta, theta in PHASE_FAMILY:
+        rho0, rho1 = (v.T @ v.conj() for v in _phase_pair(n, alpha, beta, theta))
+        for traced in _subsets(n, 1):
+            assert np.linalg.norm(
+                partial_trace(rho0, traced, n) - partial_trace(rho1, traced, n)) < 1e-9
+        whole = np.linalg.norm(rho0 - rho1)
         assert abs(whole - np.sqrt(2) * abs(alpha * beta * (1 - np.exp(1j * theta)))) < 1e-12
+
+
+def test_reduced_distances_reject_non_stabilizer_stacks():
+    # the phase family's amplitudes are no Gaussian integers once scaled
+    for case in PHASE_FAMILY:
+        v0, v1 = _phase_pair(*case)
+        with pytest.raises(ValueError, match="Gaussian integers"):
+            reduced_distances(v0, v1, _subsets(case[0], 1))
 
 
 def test_oracle_cap():

@@ -83,14 +83,17 @@ def test_unconditional_none_when_w_min_one():
     assert str(r.witness) == "IZ"
 
 
-def test_auto_cross_check_runs_at_cyclic_13(monkeypatch):
-    # priced at subset count * rank, cyclic 13's scans fit the budget
+def test_cross_check_scans_only_when_asked(monkeypatch):
+    # the default runs no subset scan; cross_check=True scans d_min and d_min - 1
     scanned = []
-    real = und._assert_scan_agreement
-    monkeypatch.setattr(und, "_assert_scan_agreement",
-                        lambda spec, d_min: scanned.append(d_min) or real(spec, d_min))
-    r = unconditional_D(catalog("cyclic", n=13))
-    assert scanned == [r.d_min]
+    real = und._scan_equal_all
+    monkeypatch.setattr(und, "_scan_equal_all",
+                        lambda spec, size: scanned.append(size) or real(spec, size))
+    spec = catalog("cyclic", n=13)
+    r = unconditional_D(spec)
+    assert scanned == []
+    assert unconditional_D(spec, cross_check=True) == r
+    assert scanned == [r.d_min, r.d_min - 1]
 
 
 @pytest.mark.parametrize("name,d_prime,n_undet,n_det", [
