@@ -145,7 +145,7 @@ def claim_5() -> ClaimResult:
         eq, witness = und.reduced_equal_on(spec, [2, 3, 4])
         if eq or witness is None:
             return False, "tracing {2,3,4} did not distinguish the codewords"
-        (dist,) = dense.reduced_distances(*dense.codeword_states(spec), [(2, 3, 4)])
+        (dist,) = dense.reduced_distances(*dense.codeword_states(spec), [0b1110])  # qubits 2-4
         if dist == 0:
             return False, "oracle reads the reductions equal"
         r = und.unconditional_D(spec, cross_check=True)

@@ -6,7 +6,8 @@ Pauli's dense realization is a generalized permutation matrix,
     P |b> = i**phase_exp * (-1)**(z.b) |b XOR x>,
 
 with qubit 1 the most significant bit of the basis index, matching the
-leftmost letter of the string form.
+leftmost letter of the string form.  A traced set is an int mask, bit
+q-1 for qubit q as in the symbolic engine; ``_cut`` maps it onto the index.
 
 A codeword is a 2^n state vector: a seeded start vector projected
 through (I + g)/2 for each stabilizer g, split into the sign sectors of
@@ -32,7 +33,7 @@ and partial sum is an integer of at most 2^n < 2^24; the squares are
 summed in float64, exact while the numerator's terms, at most
 2^(4n+4), stay below 2^53 (n <= 12).  A stack whose amplitudes are
 not Gaussian integers once scaled is no stabilizer stack and raises.
-One cut serves a traced set of at most n/2 qubits and its complement
+One cut serves a traced mask of at most n/2 qubits and its complement
 (see :func:`reduced_distances`), at O(2^n (m 2^|T|)^2) each.  Sizes
 are capped at n <= ``ORACLE_MAX_N``, which bounds ``pauli_matrix``'s
 4^n entries; the state vectors take O(2^n) memory.
@@ -148,31 +149,24 @@ def codeword_states(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     return states0, states1
 
 
-def _traced_sets(subsets: Iterable[Iterable[int]], n: int) -> list[tuple[int, ...]]:
-    """The 1-based traced subsets, each sorted."""
-    traced = [tuple(sorted(set(s))) for s in subsets]
-    if any(t and not (1 <= t[0] and t[-1] <= n) for t in traced):
-        raise ValueError(f"traced qubits out of range 1..{n}")
-    return traced
-
-
-def _cut(states: np.ndarray, traced: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """The stack ``states`` cut traced x kept for each traced set.
+def _cut(states: np.ndarray, traced: list[int], n: int) -> np.ndarray:
+    """The stack ``states`` cut traced x kept for each traced mask.
 
     Returns shape (len(traced), m 2^|T|, 2^|K|): row bits are the stack
     index then the traced qubits, and column bits the kept qubits, each
     most significant first in ascending qubit order.  The stack is viewed
-    as (m, 2, ..., 2), with qubit q on axis q, and each set's axes are
-    transposed into that order and copied into one buffer for the chunk;
-    the kept qubits come last, as the more of them, so the copy's inner
-    run is most often contiguous.
+    as (m, 2, ..., 2), with qubit q on axis q, and each mask's axes are
+    transposed into that order, read from its bits (bit q-1 is qubit q),
+    and copied into one buffer for the chunk; the kept qubits come last,
+    as the more of them, so the copy's inner run is most often contiguous.
     """
-    m, t = len(states), len(traced[0])
+    m, t = len(states), traced[0].bit_count()
     tensor = states.reshape((m,) + (2,) * n)
     cuts = np.empty((len(traced), m) + (2,) * n, dtype=states.dtype)
-    qubits = frozenset(range(1, n + 1))
-    for cut, ts in zip(cuts, traced):
-        cut[...] = tensor.transpose([0, *ts, *sorted(qubits.difference(ts))])
+    for cut, mask in zip(cuts, traced):
+        # a stable sort puts the traced qubits first, then the kept ones
+        order = sorted(range(1, n + 1), key=lambda q: ~mask >> (q - 1) & 1)
+        cut[...] = tensor.transpose([0, *order])
     return cuts.reshape(len(traced), m << t, -1)
 
 
@@ -228,23 +222,27 @@ def _inner(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
 
 
 def reduced_distances(
-    states0: np.ndarray, states1: np.ndarray, subsets: Iterable[Iterable[int]]
+    states0: np.ndarray, states1: np.ndarray, traced: Sequence[int]
 ) -> list[float]:
-    """Frobenius distance of two stacks' reduced states, one per traced subset.
+    """Frobenius distance of two stacks' reduced states, one per traced mask.
 
-    ``subsets`` may mix sizes; the distances come in their order, from
-    one :func:`frobenius_distance` call per distinct subset.  A subset
-    and its complement share the cut of the one with at most n/2 qubits
-    (at n/2, the one holding qubit 1).  The Grams A^dagger A, B^dagger B
-    and A^dagger B of that cut (see :func:`_cut`) give the distance after
-    tracing the cut set; the sums of their diagonal stack blocks are the
-    reduced states on the cut set, up to conjugation and scale, and give
-    the distance after tracing its complement.  Each stack, scaled so its
-    largest amplitude has modulus 1, must hold only Gaussian integers, as
-    a stabilizer stack does; any other raises ValueError.
+    Bit q-1 of a mask is qubit q; one outside 0..2^n - 1 raises
+    ValueError.  ``traced`` may mix sizes; the distances come in its
+    order, from one :func:`frobenius_distance` call per distinct mask.
+    A mask and its complement ``full ^ mask`` share the cut of the one
+    with at most n/2 qubits (at n/2, the one holding qubit 1).  The Grams
+    A^dagger A, B^dagger B and A^dagger B of that cut (see :func:`_cut`)
+    give the distance after tracing the cut set; the sums of their
+    diagonal stack blocks are the reduced states on the cut set, up to
+    conjugation and scale, and give the distance after tracing its
+    complement.  Each stack, scaled so its largest amplitude has modulus
+    1, must hold only Gaussian integers, as a stabilizer stack does; any
+    other raises ValueError.
     """
     n = states0.shape[1].bit_length() - 1
-    traced = _traced_sets(subsets, n)
+    full = (1 << n) - 1
+    if any(not 0 <= t <= full for t in traced):
+        raise ValueError(f"traced masks out of range 0..{full}")
     m0, m1 = len(states0), len(states1)
     # scaled to modulus 1: a stabilizer state's amplitudes are 0, +-1 or +-i
     both = np.concatenate([s / np.abs(s).max() for s in (states0, states1)])
@@ -255,16 +253,14 @@ def reduced_distances(
     # then every Gram entry is an integer of at most 2^n, exact in float32
     both = both.astype(np.complex64 if np.iscomplexobj(both) else np.float32)
     norms = [_inner(h[None]).item() for h in np.split(both, [m0])]
-    # cut set -> {0: subset read on the traced side, 1: on the kept side}
-    sides: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-    qubits = frozenset(range(1, n + 1))
+    # cut mask -> {0: mask read on the traced side, 1: on the kept side}
+    sides: dict[int, dict[int, int]] = {}
     for t in dict.fromkeys(traced):
-        small = 2 * len(t) < n or (2 * len(t) == n and t[0] == 1)
-        cut_set = t if small else tuple(sorted(qubits.difference(t)))
-        sides.setdefault(cut_set, {})[not small] = t
+        small = 2 * t.bit_count() < n or 2 * t.bit_count() == n and t & 1
+        sides.setdefault(t if small else full ^ t, {})[not small] = t
     step = max(1, _CHUNK // max(states0.size, states1.size))
     dist = {}
-    for size, group in itertools.groupby(sorted(sides, key=len), key=len):
+    for size, group in itertools.groupby(sorted(sides, key=int.bit_count), key=int.bit_count):
         cut_sets = list(group)
         split, block = m0 << size, 1 << size
         for at in range(0, len(cut_sets), step):
@@ -284,6 +280,6 @@ def reduced_distances(
                 [_inner(r0), _inner(r1), _inner(r0, r1)],
             ]).transpose(0, 2, 1).tolist()
             for j, cut_set in enumerate(chunk):
-                for side, subset in sides[cut_set].items():
-                    dist[subset] = frobenius_distance(grams[side][j], norms)
+                for side, mask in sides[cut_set].items():
+                    dist[mask] = frobenius_distance(grams[side][j], norms)
     return [dist[t] for t in traced]

@@ -86,13 +86,16 @@ def _table_of(spec: CodeSpec) -> CosetTable:
     return CosetTable(_group_of(spec), _difference_rep(spec))
 
 
-def _subset_mask(subset: Iterable[int], n: int) -> int:
-    mask = 0
-    for q in subset:
-        if not 1 <= q <= n:
-            raise ValueError(f"qubit {q} outside 1..{n}")
-        mask |= 1 << (q - 1)
-    return mask
+def _subset_mask(subset: Sequence[int], n: int) -> int:
+    """The traced mask of 1-based qubits: bit q-1 is qubit q."""
+    if bad := [q for q in subset if not 1 <= q <= n]:
+        raise ValueError(f"qubit {bad[0]} outside 1..{n}")
+    return sum(1 << (q - 1) for q in set(subset))
+
+
+def _qubits(mask: int) -> tuple[int, ...]:
+    """The 1-based qubits of a traced mask, ascending."""
+    return tuple(q for q in range(1, mask.bit_length() + 1) if mask >> (q - 1) & 1)
 
 
 def reduced_equal_on(
@@ -108,17 +111,18 @@ def reduced_equal_on(
     traced = sorted(set(traced_out))
     if not 1 <= len(traced) <= spec.n - 1:
         raise ValueError(f"traced set must have 1..{spec.n - 1} qubits, got {traced}")
-    mask = _subset_mask(traced, spec.n)
-    solve = RestrictionSolve(_group_of(spec), _difference_rep(spec), [mask])
+    solve = RestrictionSolve(_group_of(spec), _difference_rep(spec), [_subset_mask(traced, spec.n)])
     return bool(solve.equal[0]), solve.witness(0)
 
 
-def _solves(spec: CodeSpec, *sizes: int) -> Iterator[tuple[list[tuple[int, ...]], RestrictionSolve]]:
-    """Every traced subset of each size, lexicographic per size, in batches with their solves."""
+def _solves(spec: CodeSpec, *sizes: int) -> Iterator[tuple[list[int], RestrictionSolve]]:
+    """Every traced mask (bit q-1 is qubit q) of each size, in the lexicographic
+    order of their qubit tuples per size, in batches with their solves."""
     group, rep = _group_of(spec), _difference_rep(spec)
-    subsets = (s for size in sizes for s in itertools.combinations(range(1, spec.n + 1), size))
-    while batch := list(itertools.islice(subsets, _BATCH)):
-        yield batch, RestrictionSolve(group, rep, [_subset_mask(s, spec.n) for s in batch])
+    bits = [1 << q for q in range(spec.n)]
+    masks = (sum(c) for size in sizes for c in itertools.combinations(bits, size))
+    while batch := list(itertools.islice(masks, _BATCH)):
+        yield batch, RestrictionSolve(group, rep, batch)
 
 
 class UnconditionalResult(NamedTuple):
@@ -188,11 +192,11 @@ def conditional_scan(spec: CodeSpec, d_prime: int) -> ConditionalScan:
     undet: list[tuple[int, ...]] = []
     det: list[tuple[tuple[int, ...], PauliOperator]] = []
     for batch, solve in _solves(spec, d_prime):
-        for j, subset in enumerate(batch):
+        for j, mask in enumerate(batch):
             if solve.equal[j]:
-                undet.append(subset)
+                undet.append(_qubits(mask))
             else:
-                det.append((subset, solve.witness(j)))
+                det.append((_qubits(mask), solve.witness(j)))
     return ConditionalScan(d_prime, tuple(undet), tuple(det))
 
 
@@ -319,13 +323,12 @@ def mixed_tracedown_check(
         if len(traced_subset) != d_prime:
             raise ValueError("traced_subset size must equal d_prime")
     d_double = d_pure - d_prime
-    states0, states1 = dense.codeword_states(spec)
-    rest = [q for q in range(1, spec.n + 1) if q not in traced_subset]
-    # rest is ascending, so this is the lexicographic order over 1..n-d_prime
-    subsets = [traced_subset + further for further in itertools.combinations(rest, d_double)]
-    worst = max(dense.reduced_distances(states0, states1, subsets))
+    first = _subset_mask(traced_subset, spec.n)
+    rest = [1 << (q - 1) for q in range(1, spec.n + 1) if q not in traced_subset]
+    masks = [first + sum(further) for further in itertools.combinations(rest, d_double)]
+    worst = max(dense.reduced_distances(*dense.codeword_states(spec), masks))
     return TracedownResult(
-        d_pure, d_prime, d_double, traced_subset, worst == 0, len(subsets), worst
+        d_pure, d_prime, d_double, traced_subset, worst == 0, len(masks), worst
     )
 
 
@@ -496,12 +499,12 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
     """Dense cross-check of the symbolic verdicts; returns the subsets compared.
 
     Builds the codeword state vectors once (two per codeword for the
-    k=2 equal mixtures) and, for every lexicographic traced subset of
-    each distinct size in ``sizes`` (default 1..n-1), compares the
-    symbolic verdict (the rule behind ``reduced_equal_on``, one solve and
-    one ``reduced_distances`` call per ``_BATCH`` subsets, so one under
-    the n <= 10 cap) with the dense distance, exactly 0 for equal ones.
-    A size outside 1..n-1 raises ValueError, a disagreement RuntimeError.
+    k=2 equal mixtures) and, for every traced mask of each distinct size
+    in ``sizes`` (default 1..n-1), compares the symbolic verdicts (the
+    rule behind ``reduced_equal_on``) with the dense distances, exactly
+    0 for equal ones, as two arrays per ``_BATCH`` masks (one batch under
+    the n <= 10 cap).  A size outside 1..n-1 raises ValueError, and a
+    disagreement RuntimeError naming the first disagreeing set's qubits.
     """
     sizes = set(range(1, spec.n) if sizes is None else sizes)
     if bad := sorted(size for size in sizes if not 1 <= size <= spec.n - 1):
@@ -510,13 +513,13 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
     sizes = sorted(sizes, key=lambda size: min(size, spec.n - size))
     states0, states1 = dense.codeword_states(spec)
     for batch, solve in _solves(spec, *sizes):
-        devs = dense.reduced_distances(states0, states1, batch)
-        for subset, symbolic, dev in zip(batch, solve.equal.tolist(), devs):
-            if symbolic != (dev == 0):
-                raise RuntimeError(
-                    f"symbolic/oracle disagreement on {spec.name} traced {subset}: "
-                    f"symbolic={symbolic}, dense deviation={dev:.3e}"
-                )
+        devs = np.array(dense.reduced_distances(states0, states1, batch))
+        if (wrong := np.flatnonzero(solve.equal != (devs == 0))).size:
+            j = wrong[0]
+            raise RuntimeError(
+                f"symbolic/oracle disagreement on {spec.name} traced {_qubits(batch[j])}: "
+                f"symbolic={bool(solve.equal[j])}, dense deviation={devs[j]:.3e}"
+            )
     return sum(math.comb(spec.n, size) for size in sizes)
 
 

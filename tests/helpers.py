@@ -8,8 +8,9 @@ centralizer pair by pair, the reference for the logical-class tables;
 ``doubling`` and ``sorted_coset`` enumerate a whole coset with signs
 in plain numpy, the reference for the factored coset table, and
 ``signed_coset`` multiplies rep into every group element, the
-per-element reference.  ``random_codes`` draws valid codes by random
-Clifford circuits.  ``relating_unitary`` and its checks work on
+per-element reference.  ``masks_of`` turns qubit tuples into the
+traced masks that the engine and the oracle take.  ``random_codes``
+draws valid codes by random Clifford circuits.  ``relating_unitary`` and its checks work on
 plain state vectors, the reference for the fact behind the oracle's
 verdicts: a unitary on the traced qubits maps one codeword to the other
 exactly when the kept qubits' reduced states agree.
@@ -111,6 +112,11 @@ def sorted_coset(group, rep):
 def signed_coset(group, rep):
     """The signed elements {rep * s} in group enumeration order."""
     return [rep * s for s in group.elements()]
+
+
+def masks_of(subsets):
+    """The traced masks of 1-based qubit tuples: bit q - 1 for qubit q."""
+    return [sum(1 << (q - 1) for q in set(s)) for s in subsets]
 
 
 # residual below which a unitary relates two unit vectors

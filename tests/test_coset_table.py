@@ -214,12 +214,38 @@ def z_type_cosets(draw):
     return group, PauliOperator(n, x, draw(st.one_of(st.just(0), st.just(x), bits_of(n))))
 
 
+def _behind_gadget(group, rep):
+    """IXX and ZZZ with rep ZII on three new qubits 1-3, ahead of ``group`` and ``rep``.
+
+    ``rep`` lies in ``group``, of rank r, so that coset holds I.  The
+    gadget's coset, IYY, IZZ, ZII and ZXX in letters order, leads every
+    key, so the table is four runs of 2^r entries, one per gadget
+    letter string.  The floor is 0 and entry 0 is not I, so the bound
+    is 1.  The first two runs weigh at least 2, and the least weight,
+    1, is first at ZII times I, entry 2^(r + 1).  Blocks of at most
+    2^(r + 1) entries, as ``_BLOCK_ROWS`` of 1, 2 and 4 give, put it
+    past block 0, which weighs one above the bound.
+    """
+    n = group.n + 3
+
+    def behind(p, x=0, z=0):
+        # p on qubits 4.., and the x and z bits on qubits 1-3
+        return PauliOperator(n, p.x_bits << 3 | x, p.z_bits << 3 | z, p.phase_exp)
+
+    none = PauliOperator.identity(group.n)
+    gens = [behind(none, x=0b110), behind(none, z=0b111), *map(behind, group.generators)]
+    return StabilizerGroup(gens), behind(rep, z=0b001)
+
+
 @st.composite
 def random_cosets(draw):
     """Some of a random code's generators, with its difference rep, any
     signed Pauli (one that anticommutes with some of them too), or a
-    signed element of the group itself as the rep."""
-    spec = draw(helpers.random_codes(max_n=8))
+    signed element of the group itself as the rep; or such a group and
+    element behind a three-qubit gadget (see ``_behind_gadget``), whose
+    least weight is past block 0 when the blocks are small."""
+    planted = draw(st.booleans())
+    spec = draw(helpers.random_codes(max_n=5 if planted else 8))
     gens = spec.stabilizer_ops()
     group = StabilizerGroup(gens[: draw(st.integers(1, len(gens)))])
     n = spec.n
@@ -228,6 +254,8 @@ def random_cosets(draw):
         lambda combo, sign: stabilizer._product(
             PauliOperator(n, 0, 0, sign), group.generators, combo),
         st.integers(0, (1 << group.rank) - 1), st.sampled_from((0, 2)))
+    if planted:
+        return _behind_gadget(group, draw(inside))
     return group, draw(st.one_of(st.just(_difference_rep(spec)), any_rep, inside))
 
 

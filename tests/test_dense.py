@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_on_subset, matrix_of, relates_codewords, relating_unitary
+from helpers import apply_on_subset, masks_of, matrix_of, relates_codewords, relating_unitary
 import qundet.undetermined as und
 from qundet import dense
 from qundet.codes import CodeSpec, catalog
@@ -53,7 +53,7 @@ def _vectors(spec):
 
 def _equal_after(spec, traced):
     """Does the oracle find equal reductions after tracing ``traced``?"""
-    (dist,) = reduced_distances(*codeword_states(spec), [traced])
+    (dist,) = reduced_distances(*codeword_states(spec), masks_of([traced]))
     return dist == 0
 
 
@@ -175,7 +175,7 @@ def test_reduced_distances_match_partial_trace(name, n):
     rho0, rho1 = _densities(spec)
     for size in range(spec.n + 1):
         subsets = _subsets(spec.n, size)
-        got = list(reduced_distances(s0, s1, subsets))
+        got = list(reduced_distances(s0, s1, masks_of(subsets)))
         assert len(got) == len(subsets)
         for traced, dist in zip(subsets, got):
             want = np.linalg.norm(
@@ -216,7 +216,7 @@ def test_reduced_distances_are_exact(monkeypatch, name, n):
     numerators = _exact_numerators(monkeypatch)
     for phase in (1, 1j):
         numerators.clear()
-        got = reduced_distances(phase * s0, phase * s1, subsets)
+        got = reduced_distances(phase * s0, phase * s1, masks_of(subsets))
         assert len(numerators) == len(subsets) == 2 ** spec.n
         for traced, dist in zip(subsets, got):
             if want[traced] < 1e-12:
@@ -239,7 +239,7 @@ def test_reduced_distances_are_exact_on_gaussian_integers(monkeypatch, seed):
     want = dict(_partial_traces(rho0 - rho1, n))
     subsets = sorted(want, key=lambda t: (len(t), t))
     numerators = _exact_numerators(monkeypatch)
-    got = reduced_distances(s0, s1, subsets)
+    got = reduced_distances(s0, s1, masks_of(subsets))
     assert len(numerators) == len(subsets)
     for traced, dist in zip(subsets, got):
         if {1, n} <= set(traced):
@@ -267,7 +267,7 @@ def test_reduced_distances_separate_the_verdicts(name, n):
 def test_reduced_distances_do_not_depend_on_the_chunk(monkeypatch, name, n):
     spec = catalog(name, n=n)
     s0, s1 = codeword_states(spec)
-    per_size = [_subsets(spec.n, size) for size in range(1, spec.n)]
+    per_size = [masks_of(_subsets(spec.n, size)) for size in range(1, spec.n)]
     default = [list(reduced_distances(s0, s1, subsets)) for subsets in per_size]
     monkeypatch.setattr(dense, "_CHUNK", 1)
     single = [list(reduced_distances(s0, s1, subsets)) for subsets in per_size]
@@ -296,7 +296,7 @@ def test_reduced_distances_do_not_depend_on_the_dtype(monkeypatch, name, n):
     # code_412's codewords have imaginary amplitudes; every other code here is real
     plain_dtype = np.dtype(np.complex64 if name == "code_412" else np.float32)
     for size in range(spec.n + 1):
-        subsets = _subsets(spec.n, size)
+        subsets = masks_of(_subsets(spec.n, size))
         plain, plain_dtypes = run(s0, s1, subsets)
         rotated, rotated_dtypes = run(1j * s0, 1j * s1, subsets)
         assert plain_dtypes == {plain_dtype}
@@ -326,10 +326,10 @@ def test_cut_matches_a_transpose(m):
     n = 5
     rng = np.random.default_rng(m)
     states = rng.normal(size=(m, 1 << n)) + 1j * rng.normal(size=(m, 1 << n))
-    # every size from 0 to n, and an unsorted set with a repeated qubit
-    cases = [_subsets(n, size) for size in range(n + 1)] + [[(4, 2, 4), (5, 1), (3, 2)]]
+    # every size from 0 to n, and sets out of lexicographic order
+    cases = [_subsets(n, size) for size in range(n + 1)] + [[(2, 4), (1, 5), (2, 3)]]
     for subsets in cases:
-        got = dense._cut(states, dense._traced_sets(subsets, n), n)
+        got = dense._cut(states, masks_of(subsets), n)
         want = np.stack([_index_cut(states, s, n) for s in subsets])
         np.testing.assert_array_equal(got, want)
 
@@ -337,13 +337,15 @@ def test_cut_matches_a_transpose(m):
 def test_reduced_distances_take_mixed_sizes():
     spec = catalog("steane_713")
     s0, s1 = codeword_states(spec)
-    with pytest.raises(ValueError, match="out of range"):
-        reduced_distances(s0, s1, [(0, 1)])
+    for bad in (-1, 1 << 7):
+        with pytest.raises(ValueError, match="out of range"):
+            reduced_distances(s0, s1, [bad])
     assert list(reduced_distances(s0, s1, [])) == []
-    # a repeated qubit counts once, as in partial_trace
-    assert list(reduced_distances(s0, s1, [(2, 3, 4), (4, 3, 2, 2)])) == [0.5, 0.5]
-    # subsets of any sizes, with or without their complements, in any order
-    subsets = [(2, 3, 4), (1,), (1, 5, 6, 7), (), (2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7)]
+    # a repeated mask reads the same distance each time
+    assert list(reduced_distances(s0, s1, masks_of([(2, 3, 4)] * 2))) == [0.5, 0.5]
+    # sets of any sizes, with or without their complements, in any order
+    subsets = masks_of(
+        [(2, 3, 4), (1,), (1, 5, 6, 7), (), (2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7)])
     alone = [reduced_distances(s0, s1, [t])[0] for t in subsets]
     assert reduced_distances(s0, s1, subsets) == alone
     assert reduced_distances(s0, s1, subsets[::-1]) == alone[::-1]
@@ -556,7 +558,7 @@ def test_relating_unitary_exists_iff_reductions_agree(name, n):
     psi0, psi1 = s0[0], s1[0]
     for size in range(1, spec.n):
         subsets = _subsets(spec.n, size)
-        for traced, dist in zip(subsets, reduced_distances(s0, s1, subsets)):
+        for traced, dist in zip(subsets, reduced_distances(s0, s1, masks_of(subsets))):
             if dist != 0:
                 with pytest.raises(ValueError, match="does not relate"):
                     relating_unitary(psi0, psi1, traced)
@@ -597,7 +599,7 @@ def test_trace_and_frobenius_distance():
     # |0> against |1>, nothing traced: each Gram is 1 x 1, and the
     # states are orthogonal, so the cross sum is 0
     assert abs(frobenius_distance((1.0, 1.0, 0.0), (1.0, 1.0)) - np.sqrt(2)) < 1e-12
-    (whole,) = reduced_distances(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), [()])
+    (whole,) = reduced_distances(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), [0])
     assert abs(whole - np.sqrt(2)) < 1e-12
     # an equal pair reads exactly 0, whatever the norms
     assert frobenius_distance((1.0, 1.0, 1.0), (1.0, 1.0)) == 0.0
@@ -641,7 +643,7 @@ def test_reduced_distances_reject_non_stabilizer_stacks():
     for case in PHASE_FAMILY:
         v0, v1 = _phase_pair(*case)
         with pytest.raises(ValueError, match="Gaussian integers"):
-            reduced_distances(v0, v1, _subsets(case[0], 1))
+            reduced_distances(v0, v1, masks_of(_subsets(case[0], 1)))
 
 
 def test_oracle_cap():

@@ -389,8 +389,8 @@ def test_random_codes_agree_with_oracle(spec):
     for size in range(1, spec.n):
         for batch, solve in und._solves(spec, size):
             equal.update(zip(batch, solve.equal.tolist()))
-    qubits = range(1, spec.n + 1)
-    for traced, eq in equal.items():
-        if eq and len(traced) < spec.n - 1:
-            for q in set(qubits) - set(traced):
-                assert equal[tuple(sorted(traced + (q,)))]
+    for mask, eq in equal.items():
+        if eq and mask.bit_count() < spec.n - 1:
+            for q in range(spec.n):
+                if not mask >> q & 1:
+                    assert equal[mask | 1 << q]
