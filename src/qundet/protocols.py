@@ -12,13 +12,15 @@ Two demos built on the same physics as the analysis modules:
   sender open either bit value later.
 
 ``qss_run`` draws each run as one multinomial of the closed-form round
-law.  All laws are checked against dense state vectors in Tier-1, and
-every run is deterministic given its seed.
+law and reads its six counts as one product of the histogram with a
+constant count matrix.  All laws are checked against dense state
+vectors in Tier-1, and every run is deterministic given its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import ldexp, sqrt
 from typing import Mapping
 
@@ -144,6 +146,52 @@ def _key_table(honest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return o_dealer, o_dealer ^ o_second ^ o_third, v == o_dealer
 
 
+def _count_matrix(table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Read-only (128, 6) int64 matrix whose product with a run's 128-cell
+    histogram gives the run's counts of kept, checked, agreeing,
+    check-error, solo-correct and dealer-+1 rounds, in that order.
+
+    ``table`` is a ``_key_table``.  A round is kept iff its basis string
+    has an even number of Y's, and a kept round agrees iff its reported
+    parity is the stabilizer's sign bit s ^ y/2; only the checked half of
+    the cells (bit 6 set) counts as checked or as a check error.
+    """
+    dealer_minus, parity, solo_hit = table
+    key = np.arange(64)
+    kept = key & 1 == 0
+    agree = (parity ^ key >> 2 ^ key >> 1) & 1 == 0
+    per_key = np.array(
+        [kept, kept, kept & agree, kept & ~agree, kept & solo_hit, dealer_minus == 0])
+    # the unchecked half of the cells, then the checked half
+    in_half = np.array([[1, 0, 1, 0, 1, 1], [1, 1, 1, 1, 1, 1]], dtype=np.int64)
+    counts = (in_half[:, None] * per_key.T).reshape(128, 6)
+    counts.flags.writeable = False
+    return counts
+
+
+@cache
+def _counts(honest: bool) -> np.ndarray:
+    """The strategy's count matrix, built from its key table on first use
+    rather than at import."""
+    return _count_matrix(_key_table(honest))
+
+
+@cache
+def _cosines(residue: int) -> np.ndarray:
+    """Read-only cos(pi k / 4) at the phases k = (n - 2r) mod 8 of
+    r = 0..3, for any n = residue (mod 8); built on first use."""
+    # an int phase: no float overflow at any n
+    cosines = np.cos(np.pi * np.array([(residue - 2 * r) % 8 for r in range(4)]) / 4)
+    cosines.flags.writeable = False
+    return cosines
+
+
+# the law's factors that no config changes: P(a), uniform over the round's
+# own bits, and each variant's P(s) as a column
+_KEY_BASE = np.full((1, 8, 1, 1), 1 / 8)
+_CODEWORD = {"modified": np.array([[0.5], [0.5]]), "original": np.array([[1.0], [0.0]])}
+
+
 def _round_law(config: QssConfig) -> np.ndarray:
     """P(cell) for the 128 cells of a round: bits 0-5 the key of
     ``_key_table``, bit 6 set when the round is checked.
@@ -155,11 +203,12 @@ def _round_law(config: QssConfig) -> np.ndarray:
     are uniform (the honest table ignores bit 5), and P(check) = p.
     """
     n, p = config.parties, config.check_fraction
-    # an int phase and an exact power of two: no float overflow at any n
-    phase = np.array([(n - 2 * r) % 8 for r in range(4)])
-    y_mod_4 = 0.25 + sqrt(ldexp(1.0, -n - 2)) * np.cos(np.pi * phase / 4)
-    s = [0.5, 0.5] if config.variant == "modified" else [1.0, 0.0]
-    return np.outer(np.outer([1.0 - p, p], np.full(8, 1 / 8)), np.outer(s, y_mod_4)).ravel()
+    # the amplitude is an exact power of two: no float overflow at any n
+    y_mod_4 = 0.25 + sqrt(ldexp(1.0, -n - 2)) * _cosines(n % 8)
+    # (P(check) P(a)) (P(s) P(y mod 4)), the order of the outer products
+    # that every pinned digest was drawn from, so each cell keeps its bits
+    check_key = np.array([1.0 - p, p]).reshape(2, 1, 1, 1) * _KEY_BASE
+    return (check_key * (_CODEWORD[config.variant] * y_mod_4)).ravel()
 
 
 def qss_run(config: QssConfig) -> QssStats:
@@ -176,8 +225,10 @@ def qss_run(config: QssConfig) -> QssStats:
     Every statistic of a round depends only on its 6-bit key and check
     flag, and rounds are i.i.d., so a run's 128-cell histogram is a
     sufficient statistic, drawn as one multinomial of ``_round_law``.
-    Signs are kept as bits (1 for -1), so a product of signs is an XOR
-    and agreement is a parity.
+    Each of the six counts is a sum of histogram cells, so all six are
+    one product with the strategy's constant ``_count_matrix``.  Signs
+    are kept as bits (1 for -1), so a product of signs is an XOR and
+    agreement is a parity.
     """
     honest = config.strategy == "honest"
     rounds = config.rounds
@@ -185,19 +236,7 @@ def qss_run(config: QssConfig) -> QssStats:
     # drawn backwards, that is cell 0, which every run reaches (cell 127 is s = 1)
     hist = np.random.default_rng(config.seed).multinomial(rounds, _round_law(config)[::-1])[::-1]
 
-    dealer_minus, parity, solo_hit = _key_table(honest)
-    key = np.arange(64)
-    # kept iff the basis string has an even number of Y's; a kept round
-    # agrees iff its reported parity is the stabilizer's sign bit s ^ y/2
-    kept = key & 1 == 0
-    agree = (parity ^ key >> 2 ^ key >> 1) & 1 == 0
-    per_key, checked_per_key = hist[:64] + hist[64:], hist[64:]
-    kept_n = int(per_key[kept].sum())
-    checked_n = int(checked_per_key[kept].sum())
-    agree_n = int(per_key[kept & agree].sum())
-    check_errors = int(checked_per_key[kept & ~agree].sum())
-    solo_n = int(per_key[kept & solo_hit].sum())
-    plus_n = int(per_key[dealer_minus == 0].sum())
+    kept_n, checked_n, agree_n, check_errors, solo_n, plus_n = (hist @ _counts(honest)).tolist()
 
     agreement = agree_n / kept_n if kept_n else 0.0
     check_error_rate = check_errors / checked_n if checked_n else 0.0

@@ -199,6 +199,9 @@ def test_reports_refuse_non_finite_floats():
      "e1287eb3fea9f7b4499607ad9fd52ff3195c87b41ea9958b1344ddd13dc5e30b"),
     (["analyze", "--catalog", "steane_713", "--conditional", "3", "--oracle"],
      "05bc8a748aa29f72d28134c7f4ac07c4685b9cd9ac67a01b3e21649bf89acec8"),
+    (["qss", "--variant", "original", "--strategy", "delay_discriminate", "--rounds", "50000",
+      "--seed", "2"],
+     "57b971dfd11652e2c6d5986bcc2c53b5cf292f249b37da5f7e7d00b9384c504c"),
 ])
 def test_qss_digest_pinned(capsys, argv, digest):
     # the seeded samples are part of the answer: a change to the sampler

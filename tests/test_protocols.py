@@ -4,7 +4,7 @@ import itertools
 import json
 import tracemalloc
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, ldexp, sqrt
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from qundet.protocols import (
     BcDemoResult,
     QssConfig,
     QssStats,
+    _count_matrix,
     _key_table,
     _round_law,
     bc_demo,
@@ -271,11 +272,67 @@ def test_dealer_plus_rate_sees_a_biased_sampler(monkeypatch, variant, parties):
     config = QssConfig(variant=variant, parties=parties, rounds=20_000, seed=7)
     fair = qss_run(config)
     assert abs(fair.dealer_plus_rate - 0.5) <= fair.radii["dealer_plus_rate"]
-    monkeypatch.setattr(protocols, "_key_table", dealer_always_plus)
+    # qss_run reads the key table only through its cached count matrix
+    biased_counts = _count_matrix(dealer_always_plus(True))
+    monkeypatch.setattr(protocols, "_counts", lambda honest: biased_counts)
     biased = qss_run(config)
     assert biased.honest_key_agreement == 1.0
     assert biased.check_error_rate == 0.0
     assert abs(biased.dealer_plus_rate - 0.5) > fair.radii["dealer_plus_rate"]
+
+
+def _masked_sums(hist, honest):
+    """The six counts of a histogram as per-key masked sums over the key
+    table: kept, checked, agreeing, check errors, solo-correct, dealer +1."""
+    dealer_minus, parity, solo_hit = _key_table(honest)
+    key = np.arange(64)
+    kept = key & 1 == 0
+    agree = (parity ^ key >> 2 ^ key >> 1) & 1 == 0
+    per_key, checked_per_key = hist[:64] + hist[64:], hist[64:]
+    return [
+        int(per_key[kept].sum()),
+        int(checked_per_key[kept].sum()),
+        int(per_key[kept & agree].sum()),
+        int(checked_per_key[kept & ~agree].sum()),
+        int(per_key[kept & solo_hit].sum()),
+        int(per_key[dealer_minus == 0].sum()),
+    ]
+
+
+@pytest.mark.parametrize("honest", [False, True])
+def test_count_matrix_gives_the_masked_sums(honest):
+    # one product with the cached matrix against the six masked
+    # sums it replaces, on a zero histogram and on random ones whose
+    # cells reach 2^40, so a row or column read from the wrong half or
+    # the wrong keys is off by many counts
+    counts = protocols._counts(honest)
+    assert counts.shape == (128, 6) and counts.dtype == np.int64
+    assert not counts.flags.writeable
+    assert np.array_equal(counts, _count_matrix(_key_table(honest)))
+    hists = np.random.default_rng(17).integers(0, 2**40, size=(20, 128))
+    for hist in [np.zeros(128, dtype=np.int64), *hists]:
+        assert (hist @ counts).tolist() == _masked_sums(hist, honest)
+
+
+def _outer_law(config):
+    """The round law as nested outer products of per-call arrays."""
+    n, p = config.parties, config.check_fraction
+    phase = np.array([(n - 2 * r) % 8 for r in range(4)])
+    y_mod_4 = 0.25 + sqrt(ldexp(1.0, -n - 2)) * np.cos(np.pi * phase / 4)
+    s = [0.5, 0.5] if config.variant == "modified" else [1.0, 0.0]
+    return np.outer(np.outer([1.0 - p, p], np.full(8, 1 / 8)), np.outer(s, y_mod_4)).ravel()
+
+
+@pytest.mark.parametrize("variant", ["original", "modified"])
+@pytest.mark.parametrize("check_fraction", [1e-9, 0.2, 0.5, 1 - 2**-53])
+def test_round_law_is_the_outer_product_bit_for_bit(variant, check_fraction):
+    # every seeded histogram, and so every pinned qss digest, reads
+    # these exact floats; a cosine taken another way, such as
+    # sin(pi (k + 2) / 4), passes the pins and the 1e-15 closed-form
+    # test but moves the last bits that this test compares
+    for parties in [*range(3, 71), 1000, 10**400]:
+        config = QssConfig(variant=variant, parties=parties, check_fraction=check_fraction)
+        assert np.array_equal(_round_law(config), _outer_law(config)), parties
 
 
 def test_forty_parties_for_a_trillion_rounds_in_constant_memory():
