@@ -21,7 +21,7 @@ from typing import Sequence
 from qundet import claims, codes, report, undetermined as und
 from qundet.codes import CodeValidationError, SchemaError
 from qundet.protocols import QssConfig, bc_demo, qss_run
-from qundet.stabilizer import EnumerationCapError, GroupValidationError
+from qundet.stabilizer import GroupValidationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,8 +113,6 @@ def _render_analysis(rep: und.UndeterminedReport) -> str:
     for d, ed in rep.e_d_table:
         verdict = "pass" if ed.passed else "fail"
         lines.append(f"  E_{d} = {ed.e_d} vs C(n,{d}) = {ed.binomial}: {verdict}")
-    for d_prime in rep.conditional_capped:
-        lines.append(f"  conditional D'={d_prime}: not computed")
     for scan in rep.conditional:
         lines.append(
             f"  conditional D'={scan.d_prime}: {len(scan.undetermined)} undetermined, "
@@ -255,7 +253,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         SchemaError,
         CodeValidationError,
         GroupValidationError,
-        EnumerationCapError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,10 +17,13 @@ the reduced rows are the echelon that membership, the logical classes
 and every coset table reduce against.  Rows carry no sign: an operator
 that is returned gets one, from one product rep * g_i over its combo.
 
-Enumeration-based operations (group elements, cosets, logical X sets,
-code distance) fail loudly past one cap, rank ``MAX_ENUM_RANK``, instead
-of sampling; witnesses are chosen by (weight, letters), the unsigned
-string (a sign prefix plays no part), so reruns agree byte-for-byte.
+Enumeration (group elements, coset blocks, logical X sets, and any
+minimum weight the bound below does not settle) fails loudly past one
+cap, rank ``MAX_ENUM_RANK``, instead of sampling.  A coset table checks
+it, and the 64-qubit word, only when it builds its factors, so the bound
+answers at any rank and n.  Witnesses are chosen by (weight, letters),
+the unsigned string (a sign prefix plays no part), so reruns agree
+byte-for-byte.
 An "unsigned" Pauli here means the phase is normalized to make the
 operator Hermitian with + sign; logical X sets and distance counts are
 over distinct unsigned Paulis, not cosets modulo the group.
@@ -44,8 +47,8 @@ order, up to the first block that holds a row of the bound's weight.
 A two-information-set stop costs more than the scan it saves (see
 docs/method.md).  Kept-set queries enumerate nothing: a
 ``RestrictionSolve`` decides them by GF(2) elimination over the same
-bit-packed rows, for any n up to 64, and stops once no generator row
-is left to pivot on.
+bit-packed rows, ``uint64`` up to n = 64 and Python ints past it, and
+stops once no generator row is left to pivot on.
 The centralizer is read as one coset table per logical class L * S
 (``logical_classes``).
 """
@@ -60,7 +63,7 @@ import numpy as np
 from qundet.pauli import PauliOperator
 
 MAX_ENUM_RANK = 20
-# x and z rows are bit-packed into one word each, at most a uint64
+# the widest n whose x and z rows pack into one uint64 word each
 MAX_ROW_N = 64
 # rows per CosetTable block: 2^15 rows of x and z words, 256 KB in the
 # uint32 words of n <= 32 (512 KB past it), and 32 KB of uint8 weights
@@ -313,21 +316,22 @@ class RestrictionSolve:
     of x, or of z when x is zero, so a batch costs O(rank) array steps.
     A row that starts at zero on every mask is never hit, so it gets no
     step, and the elimination stops once every generator row left is
-    zero: nothing changes after that.
+    zero: nothing changes after that.  Rows are ``uint64`` up to
+    ``MAX_ROW_N`` qubits and object arrays of Python ints past it, which
+    run the same steps 6-16 times slower on a batch of 4,096 masks.
     """
 
     def __init__(self, group: StabilizerGroup, rep: PauliOperator, traced: Sequence[int]):
         if rep.n != group.n:
             raise ValueError("qubit count mismatch")
-        if group.n > MAX_ROW_N:
-            raise EnumerationCapError(f"n {group.n} exceeds bit-packed row cap {MAX_ROW_N}")
         self.group, self.rep = group, rep
-        masks = np.array(traced, dtype=np.uint64)
+        dtype = np.uint64 if group.n <= MAX_ROW_N else object
+        masks = np.array(traced, dtype=dtype)
         ops = [*group.generators, rep]
-        rows = np.empty((len(ops), 3, len(masks)), dtype=np.uint64)
-        rows[:, 0] = np.array([p.x_bits for p in ops], dtype=np.uint64)[:, None] & masks
-        rows[:, 1] = np.array([p.z_bits for p in ops], dtype=np.uint64)[:, None] & masks
-        rows[:, 2] = np.array([1 << i for i in range(group.rank)] + [0], dtype=np.uint64)[:, None]
+        rows = np.empty((len(ops), 3, len(masks)), dtype=dtype)
+        rows[:, 0] = np.array([p.x_bits for p in ops], dtype=dtype)[:, None] & masks
+        rows[:, 1] = np.array([p.z_bits for p in ops], dtype=dtype)[:, None] & masks
+        rows[:, 2] = np.array([1 << i for i in range(group.rank)] + [0], dtype=dtype)[:, None]
         union = int(np.bitwise_or.reduce(masks))
         for i, g in enumerate(group.generators):
             if not (g.x_bits | g.z_bits) & union:
@@ -386,7 +390,8 @@ class CosetTable:
     are built on first use and shared by ``blocks`` and the scan:
     ``min_weight`` needs none when entry 0 weighs its lower bound, as on
     GHZ, where a table built and read at n = 17..19 takes about 15-20 us
-    against 205-225 us with the scan (2-vCPU Xeon VM).
+    against 205-225 us with the scan (2-vCPU Xeon VM).  The caps bind
+    only the factor build, so that exit answers at any rank and n.
     Cyclic codes read floor 0 and are scanned.  Each entry's generator
     combo is the XOR of its rows' combos, and only the entries that are
     asked for get a sign, by one product of at most rank generators.
@@ -395,10 +400,6 @@ class CosetTable:
     def __init__(self, group: StabilizerGroup, rep: PauliOperator):
         if rep.n != group.n:
             raise ValueError("qubit count mismatch")
-        if group.rank > MAX_ENUM_RANK:
-            raise EnumerationCapError(f"rank {group.rank} exceeds enumeration cap {MAX_ENUM_RANK}")
-        if group.n > MAX_ROW_N:
-            raise EnumerationCapError(f"n {group.n} exceeds bit-packed row cap {MAX_ROW_N}")
         self.n, self.rank = group.n, group.rank
         n, r = self.n, self.rank
         self._generators, self._rep = group.generators, rep
@@ -414,7 +415,14 @@ class CosetTable:
 
     @cached_property
     def _words(self) -> np.ndarray:
-        """(x, z) words of the reduced rep and the rows, in the narrowest word that holds n bits."""
+        """(x, z) words of the reduced rep and the rows, in the narrowest word that holds n bits.
+
+        The first step of the factor build, so the caps are checked here.
+        """
+        if self.rank > MAX_ENUM_RANK:
+            raise EnumerationCapError(f"rank {self.rank} exceeds enumeration cap {MAX_ENUM_RANK}")
+        if self.n > MAX_ROW_N:
+            raise EnumerationCapError(f"n {self.n} exceeds bit-packed row cap {MAX_ROW_N}")
         dtype = np.uint32 if self.n <= 32 else np.uint64
         return np.array([_key_bits(key, self.n) for key in self._keys], dtype=dtype)
 

@@ -34,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,8 +53,12 @@ from qundet.stabilizer import (
 )
 
 # traced sets per elimination batch: at n = 64 a batch holds 64 rows of
-# three uint64 words per set, about 6 MB
+# three uint64 words per set, about 6 MB; past 64 qubits each word is a
+# pointer to a Python int, and a D' = 2 batch of ghz 65, 128 and 200 peaks
+# at 5.7, 22 and 33 MB traced
 _BATCH = 4096
+
+T = TypeVar("T")
 
 X_SET_COUNTING_NOTE = (
     "logical X sets and E_D counts are over distinct unsigned Paulis "
@@ -384,8 +388,6 @@ class UndeterminedReport:
     x_set_size: int
     e_d_table: tuple[tuple[int, EDResult], ...]
     conditional: tuple[ConditionalScan, ...]
-    # the requested sizes D' past the bit-packed row cap, reported as null
-    conditional_capped: tuple[int, ...]
     mixed: MixedPairResult | None
     methods: tuple[str, ...]
     notes: tuple[str, ...] = field(default=(X_SET_COUNTING_NOTE,))
@@ -405,14 +407,20 @@ class UndeterminedReport:
                 str(d): {"count": r.e_d, "binomial": r.binomial, "pass": r.passed}
                 for d, r in self.e_d_table
             },
-            "conditional": {
-                **{str(d): None for d in self.conditional_capped},
-                **{str(c.d_prime): c.as_dict() for c in self.conditional},
-            },
+            "conditional": {str(c.d_prime): c.as_dict() for c in self.conditional},
             "mixed": self.mixed.as_dict() if self.mixed else None,
             "methods": list(self.methods),
             "notes": list(self.notes),
         }
+
+
+def _unless_capped(notes: list[str], name: str, compute: Callable[[], T]) -> T | None:
+    """compute(), or None with the reason in notes when it passes an enumeration cap."""
+    try:
+        return compute()
+    except EnumerationCapError as exc:
+        notes.append(f"{name} not computed: {exc}")
+        return None
 
 
 def analyze_code(
@@ -426,51 +434,31 @@ def analyze_code(
     ``max_trace`` bounds the E_D table (default: just D = d_min when it
     exists); ``conditional`` lists the subset sizes to partition.  With
     ``oracle`` the symbolic verdict for every feasible subset is checked
-    against dense reduced states; any disagreement raises.  The distance,
-    w_min and E_D table read coset tables, so past the rank cap
-    (``MAX_ENUM_RANK``) w_min, d_min, the distance and the mixed pair are
-    None and the E_D table empty, each with a reason in ``notes``; past
-    the row cap (``MAX_ROW_N`` qubits) so is each conditional scan.  The
-    other fields still compute, and a D' outside 1..n-1 still raises.
+    against dense reduced states; any disagreement raises.  w_min, the
+    distance, the E_D table and the mixed pair read coset tables.  Where
+    one needs a scan or blocks past the rank cap (``MAX_ENUM_RANK``) or
+    the row cap (``MAX_ROW_N`` qubits), that field is None (the E_D
+    table empty) with a reason in ``notes``; where the exact bound
+    settles a table, as on GHZ, the field computes at any size.  The
+    conditional scans compute at any n, and a D' outside 1..n-1 raises.
     """
     if max_trace is not None and max_trace < 1:
         raise ValueError(f"max_trace must be at least 1, got {max_trace}")
     group = _group_of(spec)
     notes = [X_SET_COUNTING_NOTE]
-    w_min: int | None
-    d_min: int | None
-    try:
-        d_min, w_min, _ = unconditional_D(spec, cross_check=False)
-    except EnumerationCapError as exc:
-        w_min = d_min = None
-        notes.append(f"w_min and minimal_unconditional_d not computed: {exc}")
-        if spec.k == 2:
-            notes.append(f"mixed not computed: {exc}")
-    try:
-        distance: int | None = code_distance(group)
-    except EnumerationCapError as exc:
-        distance = None
-        notes.append(f"distance not computed: {exc}")
-    ed_ds: list[int]
+    unconditional = _unless_capped(
+        notes, "w_min and minimal_unconditional_d", lambda: unconditional_D(spec)
+    )
+    d_min, w_min = (None, None) if unconditional is None else unconditional[:2]
+    distance = _unless_capped(notes, "distance", lambda: code_distance(group))
+    ed_ds = [d_min] if d_min is not None else []
     if max_trace is not None:
         ed_ds = list(range(1, min(max_trace, spec.n - 1) + 1))
-    elif d_min is not None:
-        ed_ds = [d_min]
-    else:
-        ed_ds = []
-    try:
-        e_d_table = tuple((d, necessary_ED(spec, d)) for d in ed_ds)
-    except EnumerationCapError as exc:
-        e_d_table = ()
-        notes.append(f"e_d_table not computed: {exc}")
-    scans, capped = [], []
-    for dp in sorted(set(conditional)):
-        try:
-            scans.append(conditional_scan(spec, dp))
-        except EnumerationCapError as exc:
-            capped.append(dp)
-            notes.append(f"conditional {dp} not computed: {exc}")
-    mixed = mixed_pair_n2(spec) if spec.k == 2 and w_min is not None else None
+    e_d_table = _unless_capped(
+        notes, "e_d_table", lambda: tuple((d, necessary_ED(spec, d)) for d in ed_ds)
+    )
+    scans = tuple(conditional_scan(spec, dp) for dp in sorted(set(conditional)))
+    mixed = _unless_capped(notes, "mixed", lambda: mixed_pair_n2(spec)) if spec.k == 2 else None
     methods = ["symbolic"]
     if oracle:
         oracle_sweep(spec)
@@ -486,9 +474,8 @@ def analyze_code(
         # n - D_min + 1 is w_min itself whenever D_min exists
         threshold_shares=w_min if d_min is not None else None,
         x_set_size=logical_x_count(group),
-        e_d_table=e_d_table,
-        conditional=tuple(scans),
-        conditional_capped=tuple(capped),
+        e_d_table=e_d_table or (),
+        conditional=scans,
         mixed=mixed,
         methods=tuple(methods),
         notes=tuple(notes),
@@ -528,8 +515,8 @@ def scan_cyclic(lo: int, hi: int) -> list[dict]:
 
     A valid n gives its rank, w_min, d_min and whether d_min <= n - 2;
     an invalid n gives the validation failures.  Past the rank cap
-    (``MAX_ENUM_RANK``) the last three are None, and ``note`` gives the
-    reason.
+    (``MAX_ENUM_RANK``) the difference coset's floor is 0, so w_min needs
+    a scan: the last three are None, and ``note`` gives the reason.
     """
     if lo < 5 or hi < lo:
         raise ValueError("need 5 <= from <= to")

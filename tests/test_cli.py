@@ -315,22 +315,46 @@ def test_analyze_distance_past_n16(capsys):
 
 
 def test_analyze_past_coset_rank_cap(capsys):
-    # rank 21 is past the coset cap: w_min and D become null, the rest computes
+    # rank 21 is past the coset cap, but every GHZ class meets its bound
+    # at entry 0, so only the E_D table, which reads blocks, is left out
     rc = run(["analyze", "--catalog", "ghz", "--n", "22", "--json"])
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     result = json.loads(captured.out)["result"]
     assert result["rank"] == 21
-    assert result["w_min"] is None
-    assert result["minimal_unconditional_d"] is None
-    assert result["threshold_shares"] is None
+    assert result["w_min"] == 22
+    assert result["minimal_unconditional_d"] == 1
+    assert result["threshold_shares"] == 22
     assert result["x_set_size"] == 2 ** 22
+    assert result["distance"] == 1
+    assert result["e_d_table"] == {}
+    assert result["notes"][1:] == ["e_d_table not computed: rank 21 exceeds enumeration cap 20"]
+    assert "difference-coset minimum weight = 22" in captured.err
+    assert "minimal unconditional D = 1" in captured.err
+
+
+def test_analyze_cyclic_past_coset_rank_cap(capsys):
+    # cyclic 22 has rank 21 and floor 0, so w_min and the distance need
+    # a scan past the cap: null, each with its reason
+    jsonschema = pytest.importorskip("jsonschema")
+    rc = run(["analyze", "--catalog", "cyclic", "--n", "22", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    doc = json.loads(captured.out)
+    result = doc["result"]
+    assert result["rank"] == 21
+    assert result["w_min"] is None and result["minimal_unconditional_d"] is None
     assert result["distance"] is None
-    assert any(note.startswith("w_min and minimal_unconditional_d not computed: rank 21")
-               for note in result["notes"])
-    assert "distance not computed: rank 21 exceeds enumeration cap 20" in result["notes"]
+    assert result["e_d_table"] == {}
+    assert result["notes"][1:] == [
+        "w_min and minimal_unconditional_d not computed: rank 21 exceeds enumeration cap 20",
+        "distance not computed: rank 21 exceeds enumeration cap 20",
+    ]
     assert "difference-coset minimum weight = not computed" in captured.err
-    assert "minimal unconditional D = not computed" in captured.err
+    assert "distance d = not computed" in captured.err
+    schema = json.loads((Path(__file__).resolve().parent.parent / "docs"
+                         / "undetermined_report.schema.json").read_text())
+    jsonschema.validate(doc, schema)
 
 
 def test_analyze_conditional_past_coset_rank_cap(capsys):
@@ -345,17 +369,16 @@ def test_analyze_conditional_past_coset_rank_cap(capsys):
 
 
 def test_analyze_conditional_past_row_cap(capsys):
-    # n 65 is past the bit-packed row cap: each D' is null with its
-    # reason in notes, and the rest of the report still computes
+    # past 64 qubits the kept-set solve runs on Python-int rows
     jsonschema = pytest.importorskip("jsonschema")
     rc = run(["analyze", "--catalog", "ghz", "--n", "65", "--conditional", "1", "--json"])
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     doc = json.loads(captured.out)
     result = doc["result"]
-    assert result["conditional"] == {"1": None}
-    assert "conditional 1 not computed: n 65 exceeds bit-packed row cap 64" in result["notes"]
-    assert "conditional D'=1: not computed" in captured.err
+    assert result["conditional"]["1"] == {
+        "d_prime": 1, "undetermined": [[q] for q in range(1, 66)], "determined": []}
+    assert "conditional D'=1: 65 undetermined, 0 determined" in captured.err
     schema = json.loads((Path(__file__).resolve().parent.parent / "docs"
                          / "undetermined_report.schema.json").read_text())
     jsonschema.validate(doc, schema)
@@ -365,7 +388,8 @@ def test_analyze_conditional_past_row_cap(capsys):
 
 
 def test_analyze_mixed_pair_past_coset_rank_cap(tmp_path, capsys):
-    # a k=2 code of rank 21: the mixed pair reads the same capped coset table
+    # a k=2 code of rank 21: entry 0 settles w_min, but the mixed pair's
+    # weight-D members read blocks past the cap, so it is null
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(zz_chain_doc(23)))
     rc = run(["analyze", "--spec", str(path), "--json"])
@@ -373,8 +397,9 @@ def test_analyze_mixed_pair_past_coset_rank_cap(tmp_path, capsys):
     assert rc == 0, captured.err
     result = json.loads(captured.out)["result"]
     assert (result["k"], result["rank"]) == (2, 21)
-    assert result["w_min"] is None and result["mixed"] is None
-    assert any(note.startswith("mixed not computed: rank 21") for note in result["notes"])
+    assert (result["w_min"], result["minimal_unconditional_d"]) == (23, 1)
+    assert result["mixed"] is None
+    assert "mixed not computed: rank 21 exceeds enumeration cap 20" in result["notes"]
 
 
 @pytest.mark.parametrize("extra", [[], ["--oracle"]])

@@ -167,21 +167,41 @@ def test_scans_at_the_rank_cap_stay_small():
 
 
 def test_enumeration_cap_still_fires():
-    past_cap = codes.catalog("ghz", n=MAX_ENUM_RANK + 2)
-    assert past_cap.group().rank == MAX_ENUM_RANK + 1
-    with pytest.raises(EnumerationCapError):
-        coset_min_weight(past_cap.group(), past_cap.logical_z_ops()[0])
+    # cyclic 22 has rank 21 and floor 0, so its minimum weight needs a
+    # scan: the table is built, and the cap fires when its factors are
+    past_cap = codes.catalog("cyclic", n=MAX_ENUM_RANK + 2)
+    group, rep = past_cap.group(), past_cap.logical_z_ops()[0]
+    assert group.rank == MAX_ENUM_RANK + 1
+    table = CosetTable(group, rep)
+    assert table._floor() == 0
+    with pytest.raises(EnumerationCapError, match="rank 21 exceeds enumeration cap 20"):
+        table.min_weight()
     with pytest.raises(EnumerationCapError):
         und.unconditional_D(past_cap, cross_check=False)
     # kept-set queries enumerate nothing, so the rank cap does not bind them
-    assert und.reduced_equal_on(past_cap, [1]) == (True, None)
+    equal, witness = und.reduced_equal_on(past_cap, [1])
+    assert not equal and 1 not in witness.support
+    assert group.contains_unsigned(witness * rep)
 
 
 def test_queries_run_to_the_row_cap():
+    # and past it, on rows of Python ints
     widest = codes.catalog("ghz", n=MAX_ROW_N)
     assert und.reduced_equal_on(widest, [1]) == (True, None)
-    with pytest.raises(EnumerationCapError, match="bit-packed row cap 64"):
-        und.reduced_equal_on(codes.catalog("ghz", n=MAX_ROW_N + 1), [1])
+    assert und.reduced_equal_on(codes.catalog("ghz", n=MAX_ROW_N + 1), [1]) == (True, None)
+
+
+@pytest.mark.parametrize("n", [MAX_ENUM_RANK + 2, MAX_ROW_N, MAX_ROW_N + 1, 200])
+def test_ghz_past_both_caps_forms_no_factor(monkeypatch, n):
+    # every GHZ class meets its bound at entry 0, so neither cap is reached
+    def refuse(start, basis):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(stabilizer, "_span", refuse)
+    spec = codes.catalog("ghz", n=n)
+    d_min, w_min, _ = und.unconditional_D(spec)
+    assert (w_min, d_min) == (n, 1)
+    assert stabilizer.code_distance(spec.group()) == 1
 
 
 def test_table_cache_stays_small():
@@ -422,3 +442,31 @@ def test_restriction_solve_matches_brute_force(case):
         for solve, j in ((batch, mask), (single, 0)):
             assert bool(solve.equal[j]) == (want is None)
             assert solve.witness(j) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_cosets(), wide_cosets()), st.data())
+def test_python_int_rows_match_uint64_rows(case, data):
+    # MAX_ROW_N = 0 forces the rows past 64 qubits onto any n
+    group, rep = case
+    masks = data.draw(st.lists(bits_of(group.n), min_size=1, max_size=16))
+    words = RestrictionSolve(group, rep, masks)
+    with patch.object(stabilizer, "MAX_ROW_N", 0):
+        ints = RestrictionSolve(group, rep, masks)
+    assert (words._rows.dtype, ints._rows.dtype) == (np.uint64, object)
+    assert ints.equal.tolist() == words.equal.tolist()
+    assert [ints.witness(j) for j in range(len(masks))] == [
+        words.witness(j) for j in range(len(masks))
+    ]
+
+
+def test_python_int_rows_witness_every_qubit_of_cyclic_65():
+    # each witness is an element of Z-bar * S that avoids its traced qubit
+    spec = codes.catalog("cyclic", n=MAX_ROW_N + 1)
+    group, rep = spec.group(), spec.logical_z_ops()[0]
+    scan = und.conditional_scan(spec, 1)
+    assert scan.undetermined == ()
+    assert [subset for subset, _ in scan.determined] == [(q,) for q in range(1, 66)]
+    for (q,), witness in scan.determined:
+        assert q not in witness.support
+        assert group.contains_unsigned(witness * rep)

@@ -89,7 +89,7 @@ def test_mixed_pair_past_cap_conforms(tmp_path, capsys, report_schema):
 
 
 def test_mixed_pair_past_coset_cap_conforms(tmp_path, capsys, report_schema):
-    # rank 21: w_min and the whole mixed pair are null
+    # rank 21: w_min computes, and the whole mixed pair is null
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(zz_chain_doc(23)))
     out = tmp_path / "report.json"
