@@ -87,6 +87,8 @@ def build_parser() -> _Parser:
 def _load_target_spec(args) -> codes.CodeSpec:
     if bool(args.catalog) == bool(args.spec):
         raise ValueError("provide exactly one of --catalog or --spec")
+    if args.spec and args.n is not None:
+        raise ValueError("--n sizes a --catalog family; a --spec file gives its own n")
     if args.catalog:
         return codes.catalog(args.catalog, n=args.n)
     spec = codes.load_spec(args.spec)

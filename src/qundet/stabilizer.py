@@ -45,10 +45,10 @@ class of GHZ, whose cold verdicts at n = 17..19 form no block; the
 cyclic and small catalog codes read floor 0 and are scanned, in index
 order, up to the first block that holds a row of the bound's weight.
 A two-information-set stop costs more than the scan it saves (see
-docs/method.md).  Kept-set queries enumerate nothing: a
-``RestrictionSolve`` decides them by GF(2) elimination over the same
-bit-packed rows, ``uint64`` up to n = 64 and Python ints past it, and
-stops once no generator row is left to pivot on.
+docs/method.md).  Kept-set queries enumerate nothing: ``least_kept``
+decides one traced set and finds its witness by one elimination of the
+letter-key rows at any n, and ``restricted_equal`` gives a batch's
+verdicts alone by one numpy elimination of ``uint64`` rows.
 The centralizer is read as one coset table per logical class L * S
 (``logical_classes``).
 """
@@ -141,16 +141,6 @@ def _insert(rows: list[int], v: int) -> None:
         if b & lead:
             rows[i] = b ^ v
     rows.append(v)
-
-
-def _combo_key(keys: Sequence[int], combo: int) -> int:
-    """The letter key of the product of the keyed operators in combo."""
-    key = 0
-    while combo:
-        low = combo & -combo
-        key ^= keys[low.bit_length() - 1]
-        combo ^= low
-    return key
 
 
 def _product(p: PauliOperator, ops: Sequence[PauliOperator], combo: int) -> PauliOperator:
@@ -298,75 +288,71 @@ class StabilizerGroup:
             yield x, z
 
 
-class RestrictionSolve:
-    """Which traced sets leave some element of rep * S inside the kept set.
+def least_kept(group: StabilizerGroup, rep: PauliOperator, traced: int) -> PauliOperator | None:
+    """The least-letters element of rep * S that avoids the traced mask, sign included, or None.
 
-    rep * s avoids a traced set T iff rep restricted to T is the product
-    of the restrictions of the generators in s, so some element lies
-    inside the kept set iff rep|_T is in the GF(2) span of the g|_T.
     Those elements are e0 * S_K, with e0 any one of them and S_K the
-    subgroup supported inside the kept set: the reduced state of a
-    stabilizer state is fixed by its local subgroup (Fattal, Cubitt,
-    Yamamoto, Bravyi and Chuang, quant-ph/0406168).
-
-    One forward elimination decides a whole array of traced masks.  Row
-    i holds (x & T, z & T, combo) of generator i for every mask, where
-    combo records which generators the row is the product of; the last
-    row holds rep with combo 0.  Each mask pivots on the lowest set bit
-    of x, or of z when x is zero, so a batch costs O(rank) array steps.
-    A row that starts at zero on every mask is never hit, so it gets no
-    step, and the elimination stops once every generator row left is
-    zero: nothing changes after that.  Rows are ``uint64`` up to
-    ``MAX_ROW_N`` qubits and object arrays of Python ints past it, which
-    run the same steps 6-16 times slower on a batch of 4,096 masks.
+    subgroup supported inside the kept set (Fattal, Cubitt, Yamamoto,
+    Bravyi and Chuang, quant-ph/0406168).  Each of the group's rows, in
+    ascending order, is lifted by its traced digits and reduced on them
+    by leading bit.  A row whose lifted part cancels, or never had one,
+    lies in S_K and keeps its own leading bit, which no other kept row
+    holds.  rep, lifted the same way, keeps a lifted bit iff no element
+    avoids T; otherwise it reduces to e0, and clearing the kept rows'
+    leading bits leaves the least key in e0 * S_K.
     """
-
-    def __init__(self, group: StabilizerGroup, rep: PauliOperator, traced: Sequence[int]):
-        if rep.n != group.n:
-            raise ValueError("qubit count mismatch")
-        self.group, self.rep = group, rep
-        dtype = np.uint64 if group.n <= MAX_ROW_N else object
-        masks = np.array(traced, dtype=dtype)
-        ops = [*group.generators, rep]
-        rows = np.empty((len(ops), 3, len(masks)), dtype=dtype)
-        rows[:, 0] = np.array([p.x_bits for p in ops], dtype=dtype)[:, None] & masks
-        rows[:, 1] = np.array([p.z_bits for p in ops], dtype=dtype)[:, None] & masks
-        rows[:, 2] = np.array([1 << i for i in range(group.rank)] + [0], dtype=dtype)[:, None]
-        union = int(np.bitwise_or.reduce(masks))
-        for i, g in enumerate(group.generators):
-            if not (g.x_bits | g.z_bits) & union:
-                continue
-            if not rows[i:-1, :2].any():
+    if rep.n != group.n:
+        raise ValueError("qubit count mismatch")
+    r = group.rank
+    digits = _letter_key(PauliOperator(group.n, 0, traced))  # 3 on every traced digit
+    shift = 2 * group.n + r
+    kept: list[int] = []
+    pivots: dict[int, int] = {}
+    for row in group._rows:
+        v = (row >> r & digits) << shift | row
+        while v >> shift:
+            if (p := pivots.get(v.bit_length())) is None:
+                pivots[v.bit_length()] = v
                 break
-            # the lowest set bit of x, or of z where x is zero
-            pivot = rows[i, :2] & -rows[i, :2]
-            pivot[1] *= pivot[0] == 0
-            below = rows[i + 1 :]
-            hit = (below[:, :2] & pivot).any(axis=1)
-            np.bitwise_xor(below, rows[i], out=below, where=hit[:, None])
-        self._rows = rows
-        # True where rep's row survives: no element lies inside the kept set
-        self.equal = (rows[-1, 0] | rows[-1, 1]) != 0
-
-    def witness(self, j: int) -> PauliOperator | None:
-        """The least-letters element inside mask j's kept set, sign included, or None.
-
-        The generator rows that vanished on mask j span S_K.  Reduced on
-        their letter keys, they clear their leading bits from e0's key,
-        which leaves the least key in e0 * S_K.
-        """
-        if self.equal[j]:
+            v ^= p
+        else:
+            kept.append(v)
+    key = _letter_key(rep)
+    v = (key & digits) << shift | key << r
+    while v >> shift:
+        if (p := pivots.get(v.bit_length())) is None:
             return None
-        r, keys = self.group.rank, self.group._keys
-        rows = self._rows[:, :, j].tolist()
-        local: list[int] = []
-        for x, z, combo in rows[:-1]:
-            if x == z == 0:
-                _insert(local, _reduce(_combo_key(keys, combo) << r | combo, local))
-        combo = rows[-1][2]
-        e0 = (_letter_key(self.rep) ^ _combo_key(keys, combo)) << r | combo
-        least = _reduce(e0, local)
-        return _product(self.rep, self.group.generators, least & (1 << r) - 1)
+        v ^= p
+    return _product(rep, group.generators, _reduce(v, kept) & (1 << r) - 1)
+
+
+def restricted_equal(group: StabilizerGroup, rep: PauliOperator, masks: Sequence[int]) -> np.ndarray:
+    """Per traced mask, True when no element of rep * S avoids it: the reductions are equal.
+
+    Some element avoids T iff rep|_T is in the GF(2) span of the g|_T.
+    Row i holds (x & T, z & T) of generator i for every mask, and the
+    last row rep's.  At step i each mask pivots on the lowest set bit of
+    row i's x, or of its z where x is zero, so a batch costs O(rank)
+    array steps.  Past ``MAX_ROW_N`` qubits each mask goes through
+    ``least_kept``.
+    """
+    if rep.n != group.n:
+        raise ValueError("qubit count mismatch")
+    if group.n > MAX_ROW_N:
+        return np.array([least_kept(group, rep, t) is None for t in masks], dtype=bool)
+    masks = np.array(masks, dtype=np.uint64)
+    ops = [*group.generators, rep]
+    rows = np.empty((len(ops), 2, len(masks)), dtype=np.uint64)
+    rows[:, 0] = np.array([p.x_bits for p in ops], dtype=np.uint64)[:, None] & masks
+    rows[:, 1] = np.array([p.z_bits for p in ops], dtype=np.uint64)[:, None] & masks
+    for i in range(group.rank):
+        # the lowest set bit of x, or of z where x is zero
+        pivot = rows[i] & -rows[i]
+        pivot[1] *= pivot[0] == 0
+        below = rows[i + 1 :]
+        hit = (below & pivot).any(axis=1)
+        np.bitwise_xor(below, rows[i], out=below, where=hit[:, None])
+    return (rows[-1, 0] | rows[-1, 1]) != 0
 
 
 class CosetTable:

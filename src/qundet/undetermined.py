@@ -21,9 +21,10 @@ finds w_min from entry 0 when it meets the table's exact lower bound,
 and otherwise by one blockwise scan that stops at the first row of the
 bound's weight.  Kept-set queries need no
 enumeration: some coset element avoids the traced set T iff Z-bar
-restricted to T lies in the span of the generators restricted to T,
-which ``stabilizer.RestrictionSolve`` decides for a batch of traced
-sets at once.
+restricted to T lies in the span of the generators restricted to T.
+``stabilizer.least_kept`` decides one traced set and gives its
+witness; ``stabilizer.restricted_equal`` gives the verdicts alone for
+a batch of traced sets at once.
 Everything here is exact integer/bit work; the dense module provides
 the independent floating-point verification.
 """
@@ -44,18 +45,18 @@ from qundet.pauli import PauliOperator
 from qundet.stabilizer import (
     CosetTable,
     EnumerationCapError,
-    RestrictionSolve,
     StabilizerGroup,
     code_distance,
+    least_kept,
     logical_classes,
     logical_x_count,
     logical_x_weights,
+    restricted_equal,
 )
 
-# traced sets per elimination batch: at n = 64 a batch holds 64 rows of
-# three uint64 words per set, about 6 MB; past 64 qubits each word is a
-# pointer to a Python int, and a D' = 2 batch of ghz 65, 128 and 200 peaks
-# at 5.7, 22 and 33 MB traced
+# traced sets per verdict batch: at n = 64 a batch holds 64 rows of two
+# uint64 words per set, about 4 MB; past 64 qubits the sets are decided
+# one at a time, so a batch holds only its masks and verdicts
 _BATCH = 4096
 
 T = TypeVar("T")
@@ -115,18 +116,18 @@ def reduced_equal_on(
     traced = sorted(set(traced_out))
     if not 1 <= len(traced) <= spec.n - 1:
         raise ValueError(f"traced set must have 1..{spec.n - 1} qubits, got {traced}")
-    solve = RestrictionSolve(_group_of(spec), _difference_rep(spec), [_subset_mask(traced, spec.n)])
-    return bool(solve.equal[0]), solve.witness(0)
+    witness = least_kept(_group_of(spec), _difference_rep(spec), _subset_mask(traced, spec.n))
+    return witness is None, witness
 
 
-def _solves(spec: CodeSpec, *sizes: int) -> Iterator[tuple[list[int], RestrictionSolve]]:
+def _solves(spec: CodeSpec, *sizes: int) -> Iterator[tuple[list[int], np.ndarray]]:
     """Every traced mask (bit q-1 is qubit q) of each size, in the lexicographic
-    order of their qubit tuples per size, in batches with their solves."""
+    order of their qubit tuples per size, in batches with their verdicts."""
     group, rep = _group_of(spec), _difference_rep(spec)
     bits = [1 << q for q in range(spec.n)]
     masks = (sum(c) for size in sizes for c in itertools.combinations(bits, size))
     while batch := list(itertools.islice(masks, _BATCH)):
-        yield batch, RestrictionSolve(group, rep, batch)
+        yield batch, restricted_equal(group, rep, batch)
 
 
 class UnconditionalResult(NamedTuple):
@@ -164,7 +165,7 @@ def _assert_scan_agreement(spec: CodeSpec, d_min: int | None) -> None:
 
 def _scan_equal_all(spec: CodeSpec, size: int) -> bool:
     """Are the reductions equal after tracing out every subset of this size?"""
-    return all(solve.equal.all() for _, solve in _solves(spec, size))
+    return all(equal.all() for _, equal in _solves(spec, size))
 
 
 @dataclass(frozen=True)
@@ -193,21 +194,22 @@ def conditional_scan(spec: CodeSpec, d_prime: int) -> ConditionalScan:
     """
     if not 1 <= d_prime <= spec.n - 1:
         raise ValueError(f"d_prime must be in 1..{spec.n - 1}")
+    group, rep = _group_of(spec), _difference_rep(spec)
     undet: list[tuple[int, ...]] = []
     det: list[tuple[tuple[int, ...], PauliOperator]] = []
-    for batch, solve in _solves(spec, d_prime):
-        for j, mask in enumerate(batch):
-            if solve.equal[j]:
+    for batch, equal in _solves(spec, d_prime):
+        for mask, eq in zip(batch, equal.tolist()):
+            if eq:
                 undet.append(_qubits(mask))
             else:
-                det.append((_qubits(mask), solve.witness(j)))
+                det.append((_qubits(mask), least_kept(group, rep, mask)))
     return ConditionalScan(d_prime, tuple(undet), tuple(det))
 
 
 def minimal_conditional_D(spec: CodeSpec) -> int | None:
     """Smallest subset size with at least one undetermined traced set."""
     for size in range(1, spec.n):
-        if any(solve.equal.any() for _, solve in _solves(spec, size)):
+        if any(equal.any() for _, equal in _solves(spec, size)):
             return size
     return None
 
@@ -499,13 +501,13 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
     # complementary sizes side by side, so most pairs share a batch and a cut
     sizes = sorted(sizes, key=lambda size: min(size, spec.n - size))
     states0, states1 = dense.codeword_states(spec)
-    for batch, solve in _solves(spec, *sizes):
+    for batch, equal in _solves(spec, *sizes):
         devs = np.array(dense.reduced_distances(states0, states1, batch))
-        if (wrong := np.flatnonzero(solve.equal != (devs == 0))).size:
+        if (wrong := np.flatnonzero(equal != (devs == 0))).size:
             j = wrong[0]
             raise RuntimeError(
                 f"symbolic/oracle disagreement on {spec.name} traced {_qubits(batch[j])}: "
-                f"symbolic={bool(solve.equal[j])}, dense deviation={devs[j]:.3e}"
+                f"symbolic={bool(equal[j])}, dense deviation={devs[j]:.3e}"
             )
     return sum(math.comb(spec.n, size) for size in sizes)
 

@@ -94,6 +94,17 @@ def test_input_errors_exit_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_spec_rejects_n(tmp_path, capsys):
+    # the file fixes n; a --n beside it would be recorded in the manifest
+    # while the file's code is analysed
+    path = tmp_path / "spec.json"
+    save_spec(catalog("code_412"), path)
+    assert run(["analyze", "--spec", str(path), "--n", "9", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --n sizes a --catalog family" in captured.err
+
+
 def test_analyze_invalid_spec_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -236,6 +247,12 @@ def test_qss_digest_pinned(capsys, argv, digest):
     # rank 18, whose w_min and E_D histogram read every block of its tables
     (["analyze", "--catalog", "cyclic", "--n", "19"],
      "8c476a6ec5c5fc3d86e91cec8cb1c667cbd188baf24e47b5d60eb4934ea026c3"),
+    # 17,472 witnesses, each from one elimination of its mask
+    (["analyze", "--catalog", "cyclic", "--n", "21", "--conditional", "5"],
+     "1dfa4f31c498df9eb96a74f9abb80bd845a14facda25394f13621cd1568d4efa"),
+    # 2,080 witnesses past 64 qubits, where the verdicts too are decided one mask at a time
+    (["analyze", "--catalog", "cyclic", "--n", "65", "--conditional", "2"],
+     "a615104a1869cbfd47c82c11d3502405ab6f4185b4bc706e67712488963ac389"),
 ])
 def test_symbolic_digest_pinned(capsys, argv, digest):
     # symbolic reports hold no floats: thresholds, witnesses, distances
@@ -369,7 +386,7 @@ def test_analyze_conditional_past_coset_rank_cap(capsys):
 
 
 def test_analyze_conditional_past_row_cap(capsys):
-    # past 64 qubits the kept-set solve runs on Python-int rows
+    # past 64 qubits each traced set is decided by its own Python-int elimination
     jsonschema = pytest.importorskip("jsonschema")
     rc = run(["analyze", "--catalog", "ghz", "--n", "65", "--conditional", "1", "--json"])
     captured = capsys.readouterr()

@@ -26,10 +26,11 @@ from qundet.stabilizer import (
     MAX_ROW_N,
     CosetTable,
     EnumerationCapError,
-    RestrictionSolve,
     StabilizerGroup,
     coset_min_weight,
+    least_kept,
     logical_x_weights,
+    restricted_equal,
 )
 
 SMALL = [
@@ -422,42 +423,42 @@ def test_scan_stops_at_the_first_block_that_meets_the_bound(gens, rep, witness, 
         assert offsets == formed
 
 
+def _least_avoiding(group, rep, masks):
+    """Per mask, the least-letters element of rep * S that avoids it, or None, by whole-coset doubling."""
+    x, z, phase, key = helpers.doubling(group.generators, rep)
+    out = []
+    for mask in masks:
+        inside = np.flatnonzero((x | z) & np.uint64(mask) == 0)
+        at = inside[np.argmin(key[inside])] if len(inside) else None
+        out.append(None if at is None else PauliOperator(group.n, int(x[at]), int(z[at]), int(phase[at])))
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_cosets())
 def test_restriction_solve_matches_brute_force(case):
-    # every traced mask, the empty and the full one included, both in one
-    # batch and one mask at a time, so the early stop is hit at every depth
+    # every traced mask, the empty and the full one included, in one
+    # batch for the verdicts and one mask at a time for the witnesses
     group, rep = case
-    n = group.n
-    x, z, phase, key = helpers.doubling(group.generators, rep)
-    masks = list(range(1 << n))
-    batch = RestrictionSolve(group, rep, masks)
-    for mask in masks:
-        inside = np.flatnonzero((x | z) & np.uint64(mask) == 0)
-        want = None
-        if len(inside):
-            at = inside[np.argmin(key[inside])]
-            want = PauliOperator(n, int(x[at]), int(z[at]), int(phase[at]))
-        single = RestrictionSolve(group, rep, [mask])
-        for solve, j in ((batch, mask), (single, 0)):
-            assert bool(solve.equal[j]) == (want is None)
-            assert solve.witness(j) == want
+    masks = list(range(1 << group.n))
+    want = _least_avoiding(group, rep, masks)
+    assert restricted_equal(group, rep, masks).tolist() == [w is None for w in want]
+    assert [least_kept(group, rep, mask) for mask in masks] == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(random_cosets(), wide_cosets()), st.data())
 def test_python_int_rows_match_uint64_rows(case, data):
-    # MAX_ROW_N = 0 forces the rows past 64 qubits onto any n
+    # MAX_ROW_N = 0 sends every batch to the one-mask Python-int path
     group, rep = case
     masks = data.draw(st.lists(bits_of(group.n), min_size=1, max_size=16))
-    words = RestrictionSolve(group, rep, masks)
+    words = restricted_equal(group, rep, masks)
     with patch.object(stabilizer, "MAX_ROW_N", 0):
-        ints = RestrictionSolve(group, rep, masks)
-    assert (words._rows.dtype, ints._rows.dtype) == (np.uint64, object)
-    assert ints.equal.tolist() == words.equal.tolist()
-    assert [ints.witness(j) for j in range(len(masks))] == [
-        words.witness(j) for j in range(len(masks))
-    ]
+        ints = restricted_equal(group, rep, masks)
+    assert (words.dtype, ints.dtype) == (bool, bool)
+    want = _least_avoiding(group, rep, masks)
+    assert ints.tolist() == words.tolist() == [w is None for w in want]
+    assert [least_kept(group, rep, mask) for mask in masks] == want
 
 
 def test_python_int_rows_witness_every_qubit_of_cyclic_65():

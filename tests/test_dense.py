@@ -254,9 +254,9 @@ def test_reduced_distances_separate_the_verdicts(name, n):
     s0, s1 = codeword_states(spec)
     floor = 2 ** ((3 - spec.n) / 2)
     for size in range(1, spec.n):
-        for batch, solve in und._solves(spec, size):
+        for batch, verdicts in und._solves(spec, size):
             dists = list(reduced_distances(s0, s1, batch))
-            for traced, equal, dist in zip(batch, solve.equal.tolist(), dists):
+            for traced, equal, dist in zip(batch, verdicts.tolist(), dists):
                 if equal:
                     assert dist == 0, f"{spec.name} traced {traced}"
                 else:

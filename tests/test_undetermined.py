@@ -323,17 +323,17 @@ def test_ghz_x_set_size_scaling():
 
 def test_oracle_sweep_catches_disagreement(monkeypatch):
     spec = catalog("code_412")
-    real = und.RestrictionSolve
+    real = und.restricted_equal
     solves = []
 
-    class Lying(real):
+    def lying(group, rep, traced):
         # flip the batched verdict for the traced set (1, 2)
-        def __init__(self, group, rep, traced):
-            super().__init__(group, rep, traced)
-            self.equal[list(traced).index(0b11)] ^= True
-            solves.append(len(traced))
+        equal = real(group, rep, traced)
+        equal[list(traced).index(0b11)] ^= True
+        solves.append(len(traced))
+        return equal
 
-    monkeypatch.setattr(und, "RestrictionSolve", Lying)
+    monkeypatch.setattr(und, "restricted_equal", lying)
     with pytest.raises(RuntimeError, match=r"disagreement on code_412 traced \(1, 2\)"):
         analyze_code(spec, oracle=True)
     # one solve decides every traced subset
@@ -387,8 +387,8 @@ def test_random_codes_agree_with_oracle(spec):
     # batched solve per size decides every subset
     equal = {}
     for size in range(1, spec.n):
-        for batch, solve in und._solves(spec, size):
-            equal.update(zip(batch, solve.equal.tolist()))
+        for batch, verdicts in und._solves(spec, size):
+            equal.update(zip(batch, verdicts.tolist()))
     for mask, eq in equal.items():
         if eq and mask.bit_count() < spec.n - 1:
             for q in range(spec.n):
