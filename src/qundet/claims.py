@@ -81,7 +81,7 @@ def claim_2() -> ClaimResult:
         missing = [s for s in listed if s not in members]
         if missing:
             return False, f"listed operators missing from the X set: {missing}"
-        checked = und.oracle_sweep(spec, sizes=(2,))
+        checked = und.oracle_sweep(spec)
         return True, f"d_min=2; six listed operators present; oracle agrees on all {checked} traces"
 
     return _check(2, "[[4,1,2]] is 2-undetermined", run)
@@ -177,8 +177,8 @@ def claim_6() -> ClaimResult:
         if not listed <= x12:
             return False, f"missing from X12: {sorted(listed - x12)}"
         # the sweep shows reduced_equal_on agrees with the dense oracle on
-        # every 2- and 3-subset, so the verdicts below are oracle-checked
-        und.oracle_sweep(spec, sizes=(2, 3))
+        # every traced set, so the verdicts below are oracle-checked
+        und.oracle_sweep(spec)
         for q in range(1, 5):
             traced = [p for p in range(1, 5) if p != q]
             if not und.reduced_equal_on(spec, traced)[0]:

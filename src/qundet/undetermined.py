@@ -484,24 +484,19 @@ def analyze_code(
     )
 
 
-def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
+def oracle_sweep(spec: CodeSpec) -> int:
     """Dense cross-check of the symbolic verdicts; returns the subsets compared.
 
     Builds the codeword state vectors once (two per codeword for the
-    k=2 equal mixtures) and, for every traced mask of each distinct size
-    in ``sizes`` (default 1..n-1), compares the symbolic verdicts (the
-    rule behind ``reduced_equal_on``) with the dense distances, exactly
-    0 for equal ones, as two arrays per ``_BATCH`` masks (one batch under
-    the n <= 10 cap).  A size outside 1..n-1 raises ValueError, and a
-    disagreement RuntimeError naming the first disagreeing set's qubits.
+    k=2 equal mixtures) and, for every traced mask of 1..n-1 qubits,
+    compares the symbolic verdicts (the rule behind ``reduced_equal_on``)
+    with the dense distances, exactly 0 for equal ones, as two arrays
+    per ``_BATCH`` masks (one batch under the n <= 10 cap).  A
+    disagreement raises RuntimeError naming the first disagreeing set's
+    qubits.
     """
-    sizes = set(range(1, spec.n) if sizes is None else sizes)
-    if bad := sorted(size for size in sizes if not 1 <= size <= spec.n - 1):
-        raise ValueError(f"traced sizes {bad} outside 1..{spec.n - 1}")
-    # complementary sizes side by side, so most pairs share a batch and a cut
-    sizes = sorted(sizes, key=lambda size: min(size, spec.n - size))
     states0, states1 = dense.codeword_states(spec)
-    for batch, equal in _solves(spec, *sizes):
+    for batch, equal in _solves(spec, *range(1, spec.n)):
         devs = np.array(dense.reduced_distances(states0, states1, batch))
         if (wrong := np.flatnonzero(equal != (devs == 0))).size:
             j = wrong[0]
@@ -509,16 +504,18 @@ def oracle_sweep(spec: CodeSpec, sizes: Iterable[int] | None = None) -> int:
                 f"symbolic/oracle disagreement on {spec.name} traced {_qubits(batch[j])}: "
                 f"symbolic={bool(equal[j])}, dense deviation={devs[j]:.3e}"
             )
-    return sum(math.comb(spec.n, size) for size in sizes)
+    return 2 ** spec.n - 2
 
 
 def scan_cyclic(lo: int, hi: int) -> list[dict]:
     """Validity and (n-2)-undeterminedness of the cyclic code, per n in lo..hi.
 
-    A valid n gives its rank, w_min, d_min and whether d_min <= n - 2;
-    an invalid n gives the validation failures.  Past the rank cap
+    A valid n gives its rank, w_min, d_min and whether every (n-2)-qubit
+    trace leaves the reductions equal; an invalid n gives the validation
+    failures.  The verdict comes from the kept-set solve over all
+    C(n, 2) traced sets, so it computes at any n.  Past the rank cap
     (``MAX_ENUM_RANK``) the difference coset's floor is 0, so w_min needs
-    a scan: the last three are None, and ``note`` gives the reason.
+    a scan: w_min and d_min are None, and ``note`` gives the reason.
     """
     if lo < 5 or hi < lo:
         raise ValueError("need 5 <= from <= to")
@@ -529,13 +526,12 @@ def scan_cyclic(lo: int, hi: int) -> list[dict]:
         except codes.CodeValidationError as exc:
             rows.append({"n": n, "valid": False, "failures": list(exc.report.failures)})
             continue
-        row = {"n": n, "valid": True, "rank": spec.n - 1}
-        try:
-            r = unconditional_D(spec, cross_check=False)
-        except EnumerationCapError as exc:
-            row.update(w_min=None, d_min=None, n_minus_2_undetermined=None, note=str(exc))
-        else:
-            row.update(w_min=r.w_min, d_min=r.d_min,
-                       n_minus_2_undetermined=r.d_min is not None and r.d_min <= n - 2)
+        notes: list[str] = []
+        r = _unless_capped(notes, "w_min and d_min", lambda: unconditional_D(spec))
+        w_min, d_min = (None, None) if r is None else (r.w_min, r.d_min)
+        row = {"n": n, "valid": True, "rank": spec.n - 1, "w_min": w_min, "d_min": d_min,
+               "n_minus_2_undetermined": _scan_equal_all(spec, n - 2)}
+        if notes:
+            row["note"] = notes[0]
         rows.append(row)
     return rows

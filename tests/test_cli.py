@@ -150,7 +150,8 @@ def test_scan_cyclic_human(capsys):
 
 def test_scan_cyclic_past_the_cap(capsys):
     # rank n - 1 passes the enumeration cap (20) after n = 21; those rows
-    # are nulls with the reason, and the scan still succeeds
+    # keep w_min and d_min null with the reason, and the (n-2) verdict,
+    # from the kept-set solve, still counts toward the claim
     assert run(["scan-cyclic", "--from", "21", "--to", "23", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     rows = {row["n"]: row for row in doc["result"]["rows"]}
@@ -159,13 +160,25 @@ def test_scan_cyclic_past_the_cap(capsys):
     assert "note" not in rows[21]
     for n in (22, 23):
         assert rows[n]["valid"]
-        assert rows[n]["w_min"] is rows[n]["d_min"] is rows[n]["n_minus_2_undetermined"] is None
-        assert rows[n]["note"] == f"rank {n - 1} exceeds enumeration cap 20"
+        assert rows[n]["n_minus_2_undetermined"] is True
+        assert rows[n]["w_min"] is rows[n]["d_min"] is None
+        assert rows[n]["note"] == (
+            f"w_min and d_min not computed: rank {n - 1} exceeds enumeration cap 20"
+        )
     assert doc["result"]["claim_ok"] is True
     assert run(["scan-cyclic", "--from", "21", "--to", "23"]) == 0
     out = capsys.readouterr().out
-    assert "n=21: valid, w_min=7, D_min=15" in out
-    assert "n=22: valid, w_min and D_min not computed (rank 21 exceeds" in out
+    assert "n=21: valid, w_min=7, D_min=15, (n-2)-undetermined: ok" in out
+    assert ("n=22: valid, w_min and d_min not computed: rank 21 exceeds enumeration cap 20, "
+            "(n-2)-undetermined: ok") in out
+
+
+def test_scan_cyclic_claim_failure_exits_2(capsys):
+    # n = 6 is valid, but D_min = 5 > n - 2
+    assert run(["scan-cyclic", "--from", "5", "--to", "7", "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [row["n_minus_2_undetermined"] for row in doc["result"]["rows"]] == [True, False, True]
+    assert doc["result"]["claim_ok"] is False
 
 
 def test_qss_json(capsys):
@@ -241,7 +254,7 @@ def test_qss_digest_pinned(capsys, argv, digest):
     (["analyze", "--catalog", "cyclic", "--n", "13", "--max-trace", "12", "--conditional", "4"],
      "76abdaff7278996bf90c7fe8564122fdc53aaa83c14f2448de5b0a6622b06f60"),
     (["scan-cyclic", "--from", "7", "--to", "23"],
-     "17ab12ea24de6f5d84e62d23e067db59862a96d110ee55ecf207b1310bf33c09"),
+     "c407fb9a82a8887f7daf0c77af273bba305f197b5593837c37300362774ea86a"),
     (["analyze", "--catalog", "ghz", "--n", "19"],
      "f8a807cfa8ef5944edb570ea92abe625e56880c58ffe723a6636eca618c01dff"),
     # rank 18, whose w_min and E_D histogram read every block of its tables

@@ -434,8 +434,34 @@ def _least_avoiding(group, rep, masks):
     return out
 
 
+@st.composite
+def local_subgroups(draw):
+    """One letter on each of 3-5 leading qubits, each times one tail t on
+    1-3 trailing qubits, and a signed rep on the leading qubits, times t
+    or not.
+
+    Each generator is one of the group's reduced rows, with its leading
+    bit on its own letter.  A traced set that misses the leading qubits
+    and meets t's support meets every row in the same digits, so all but
+    one row cancel in its elimination, and the local subgroup S_K they
+    leave (the even products of the letters) has rank 2 to 4."""
+    a = draw(st.integers(3, 5))
+    n = a + draw(st.integers(1, 3))
+    letters = st.sampled_from(((1, 0), (1, 1), (0, 1)))  # X, Y, Z as (x, z)
+    tx, tz = (bits << a for bits in draw(st.tuples(bits_of(n - a), bits_of(n - a)).filter(any)))
+    signs = st.sampled_from((0, 2))
+    gens = []
+    for q in range(a):
+        x, z = draw(letters)
+        x, z = x << q | tx, z << q | tz
+        gens.append(PauliOperator(n, x, z, ((x & z).bit_count() + draw(signs)) % 4))
+    with_tail = draw(st.booleans())
+    x, z = draw(bits_of(a)) | tx * with_tail, draw(bits_of(a)) | tz * with_tail
+    return StabilizerGroup(gens), PauliOperator(n, x, z, draw(signs))
+
+
 @settings(max_examples=40, deadline=None)
-@given(random_cosets())
+@given(st.one_of(random_cosets(), local_subgroups()))
 def test_restriction_solve_matches_brute_force(case):
     # every traced mask, the empty and the full one included, in one
     # batch for the verdicts and one mask at a time for the witnesses

@@ -1,7 +1,7 @@
 """Symbolic undeterminedness analysis against frozen, oracle-backed values."""
 
+import itertools
 import json
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import qundet.undetermined as und
 from qundet import dense
-from qundet.codes import CodeSpec, catalog, validate
-from qundet.stabilizer import code_distance
+from qundet.codes import CodeSpec, CodeValidationError, catalog, validate
+from qundet.stabilizer import code_distance, logical_classes
 from qundet.undetermined import (
     analyze_code,
     conditional_scan,
@@ -153,6 +153,43 @@ def test_minimal_conditional(name, expected):
 
 def test_minimal_conditional_none():
     assert minimal_conditional_D(CodeSpec("w1", 2, 1, ("ZZ",), ("ZI",))) is None
+
+
+def _least_logical_x_weight(spec):
+    """The least weight over the logical classes that anticommute with the difference rep."""
+    classes = logical_classes(spec.group(), und._difference_rep(spec))
+    return min(table.min_weight()[0] for table in classes)
+
+
+def _catalog_specs():
+    specs = [catalog(name) for name in ("code_412", "code_513", "steane_713", "code_422")]
+    specs += [catalog("ghz", n=n) for n in range(2, 12)]
+    for n in range(5, 14):
+        try:
+            specs.append(catalog("cyclic", n=n))
+        except CodeValidationError:
+            pass  # dependent generators at this n
+    return specs
+
+
+@pytest.mark.parametrize("spec", _catalog_specs(), ids=lambda spec: f"{spec.name}-{spec.n}")
+def test_minimal_conditional_is_the_least_logical_x_weight(spec):
+    # tracing T leaves the reductions equal iff some logical X member is
+    # supported inside T (local duality), so the least such T has the
+    # least weight; a weight of n is no feasible trace
+    w = _least_logical_x_weight(spec)
+    assert minimal_conditional_D(spec) == (w if w < spec.n else None)
+
+
+def test_scan_cyclic_verdict_matches_d_min():
+    # below the rank cap the kept-set verdict agrees with the coset
+    # formula on every valid n, the n = 6 failure included
+    rows = [row for row in und.scan_cyclic(5, 21) if row["valid"]]
+    assert [row["n"] for row in rows] == [5, 6, 7, 9, 11, 13, 14, 17, 19, 21]
+    for row in rows:
+        d_min = row["d_min"]
+        assert row["n_minus_2_undetermined"] == (d_min is not None and d_min <= row["n"] - 2)
+    assert [row["n"] for row in rows if not row["n_minus_2_undetermined"]] == [6]
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,12 +377,9 @@ def test_oracle_sweep_catches_disagreement(monkeypatch):
     assert solves == [2 ** spec.n - 2]
 
 
-@pytest.mark.parametrize("name,n", [("ghz", 8), ("code_422", None), ("code_513", None)])
-def test_oracle_sweep_compares_each_subset_once(monkeypatch, name, n):
-    # the benchmark counts comparisons through the module global, and
-    # checks for one per traced subset; a subset and its complement share
-    # a cut, so each must still be compared once, whether or not the
-    # other is requested
+@pytest.fixture
+def frobenius_calls(monkeypatch):
+    """The frobenius_distance calls made while the test runs."""
     calls = []
     real = dense.frobenius_distance
 
@@ -354,24 +388,29 @@ def test_oracle_sweep_compares_each_subset_once(monkeypatch, name, n):
         return real(a, b)
 
     monkeypatch.setattr(dense, "frobenius_distance", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,n", [("ghz", 8), ("code_422", None), ("code_513", None)])
+def test_oracle_sweep_compares_each_subset_once(frobenius_calls, name, n):
+    # the benchmark counts comparisons through the module global, and
+    # checks for one per traced subset
     spec = catalog(name, n=n)
-    cases = [(None, 2 ** spec.n - 2)]
-    if name == "code_513":
-        # odd n: no size is its own complement's
-        cases += [((2,), 10), ((2, 3), 20), ((3, 2, 3), 20)]
-    for sizes, want in cases:
-        calls.clear()
-        assert oracle_sweep(spec, sizes) == len(calls) == want
+    assert oracle_sweep(spec) == len(frobenius_calls) == 2 ** spec.n - 2
 
 
-def test_oracle_sweep_rejects_sizes_outside_the_range():
+@pytest.mark.parametrize("sizes,want", [((2,), 10), ((2, 3), 20), ((3, 2, 3), 20)])
+def test_reduced_distances_compare_each_mask_once(frobenius_calls, sizes, want):
+    # a subset and its complement share a cut, so each must still be
+    # compared once, whether or not the other is requested; odd n has
+    # no size that is its own complement's, and a repeated mask is
+    # compared once
     spec = catalog("code_513")
-    for sizes in [(0,), (5,), (6,), (2, 6)]:
-        bad = [size for size in sizes if size not in range(1, 5)]
-        with pytest.raises(ValueError, match=re.escape(f"traced sizes {bad} outside 1..4")):
-            oracle_sweep(spec, sizes)
-    # a repeated size is compared once
-    assert oracle_sweep(spec, (2, 2)) == 10
+    bits = [1 << q for q in range(spec.n)]
+    masks = [sum(c) for size in sizes for c in itertools.combinations(bits, size)]
+    distances = dense.reduced_distances(*dense.codeword_states(spec), masks)
+    assert len(frobenius_calls) == want
+    assert len(distances) == len(masks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,6 +420,8 @@ def test_random_codes_agree_with_oracle(spec):
     assert oracle_sweep(spec) == 2 ** spec.n - 2
     # cross_check re-derives d_min by subset scans and raises on disagreement
     unconditional_D(spec, cross_check=True)
+    w = _least_logical_x_weight(spec)
+    assert minimal_conditional_D(spec) == (w if w < spec.n else None)
     group = spec.group()
     assert code_distance(group) == walk_distance(group)
     # an equal trace stays equal when one more qubit is traced; one
