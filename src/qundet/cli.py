@@ -19,9 +19,8 @@ import sys
 from typing import Sequence
 
 from qundet import claims, codes, report, undetermined as und
-from qundet.codes import CodeValidationError, SchemaError
+from qundet.codes import CodeValidationError
 from qundet.protocols import QssConfig, bc_demo, qss_run
-from qundet.stabilizer import GroupValidationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,12 +146,14 @@ def _cmd_analyze(args) -> int:
         },
     )
     spec = _load_target_spec(args)
-    rep = und.analyze_code(
-        spec,
-        conditional=args.conditional,
-        max_trace=args.max_trace,
-        oracle=args.oracle,
-    )
+    try:
+        rep = und.analyze_code(
+            spec, conditional=args.conditional, max_trace=args.max_trace, oracle=args.oracle
+        )
+    except RuntimeError as exc:
+        # two of the engine's computations disagree: a symbolic/oracle mismatch is a claim failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report.emit(manifest.wrap(rep.as_dict()), args.json, _render_analysis(rep))
     return 0
 
@@ -241,13 +242,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        ValueError,
-        OSError,
-        SchemaError,
-        CodeValidationError,
-        GroupValidationError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,21 +1,20 @@
-"""Stabilizer groups over the binary symplectic representation.
+"""Stabilizer groups over letter keys.
 
 A group is given by commuting, independent, Hermitian Pauli generators
-whose generated group avoids -I.  Commutation is the symplectic form on
-packed rows (x_bits | z_bits << n against z_bits | x_bits << n), so the
-centralizer of the group is the kernel of the swapped rows, found by
-the same leading-bit reduction (``_reduce``, ``_insert``) as the letter
-keys below.
+whose generated group avoids -I.  Each generator's *letter key*
+(``_letter_key``) is an integer ordered like its letter string and
+XOR-linear in (x, z).  Two Paulis anticommute iff key_a & swap(key_b)
+has odd parity, where ``_swap`` exchanges the two bits of every digit,
+so commutation reads the keys too.
 
-One elimination of letter keys per group does the rest.  Each generator's
-*letter key* (``_letter_key``) is an integer ordered like its letter
-string and XOR-linear in (x, z).  The group row-reduces the keys once,
-each row packed as key << rank | combo, where the combo names the
-generators the row is the product of.  The first generator that
-vanishes names the dependent subset (or -I), whatever the pivot rule;
-the reduced rows are the echelon that membership, the logical classes
-and every coset table reduce against.  Rows carry no sign: an operator
-that is returned gets one, from one product rep * g_i over its combo.
+One elimination of letter keys per group does the rest.  The group
+row-reduces the keys once, each row packed as key << rank | combo,
+where the combo names the generators the row is the product of.  The
+first generator that vanishes names the dependent subset (or -I),
+whatever the pivot rule; the reduced rows are the echelon that
+membership, the commutant, the logical classes and every coset table
+read.  Rows carry no sign: an operator that is returned gets one, from
+one product rep * g_i over its combo.
 
 Enumeration (group elements, coset blocks, logical X sets, and any
 minimum weight the bound below does not settle) fails loudly past one
@@ -123,6 +122,15 @@ def _key_bits(key: int, n: int) -> tuple[int, int]:
     return int(digits[::-2], 2) ^ z, z
 
 
+def _swap(key: int, n: int) -> int:
+    """An n-qubit letter key with the two bits of every digit exchanged.
+
+    Per qubit, key_a & _swap(key_b) holds (x ^ z) z' + z (x' ^ z') = x z' + z x' (mod 2).
+    """
+    digits = (1 << 2 * n) // 3  # the low bit of every digit
+    return key >> 1 & digits | (key & digits) << 1
+
+
 def _reduce(v: int, rows: Sequence[int]) -> int:
     """v with the leading bit of every row cleared.
 
@@ -185,15 +193,14 @@ class StabilizerGroup:
                     (idx,), f"generator {idx} ({g}) is not Hermitian; its square is -I"
                 )
         self.n = n
-        self._sym = [g.x_bits | g.z_bits << n for g in generators]
-        swapped = [g.z_bits | g.x_bits << n for g in generators]
-        for i, s in enumerate(self._sym):
+        self._keys = [_letter_key(g) for g in generators]
+        swapped = [_swap(key, n) for key in self._keys]
+        for i, key in enumerate(self._keys):
             for j in range(i + 1, len(swapped)):
-                if (s & swapped[j]).bit_count() & 1:
+                if (key & swapped[j]).bit_count() & 1:
                     raise NonCommutingGeneratorsError(i + 1, j + 1, generators[i], generators[j])
         self.generators = tuple(generators)
         self.rank = len(generators)
-        self._keys = [_letter_key(g) for g in generators]
         self._rows = self._eliminate()
 
     def _eliminate(self) -> list[int]:
@@ -227,8 +234,8 @@ class StabilizerGroup:
         """The generators that anticommute with p, in order."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        swapped = p.z_bits | p.x_bits << self.n
-        return [g for g, s in zip(self.generators, self._sym) if (s & swapped).bit_count() & 1]
+        swapped = _swap(_letter_key(p), self.n)
+        return [g for g, key in zip(self.generators, self._keys) if (key & swapped).bit_count() & 1]
 
     def commutes_with_all(self, p: PauliOperator) -> bool:
         return not self.anticommuting(p)
@@ -249,14 +256,12 @@ class StabilizerGroup:
     def centralizer_basis(self) -> list[PauliOperator]:
         """2n - rank unsigned Paulis spanning the commutant of the group.
 
-        The commutant is the kernel of the swapped rows.  Reduced, each
-        row owns its leading bit, so every other column c gives one
-        kernel vector: bit c plus the leading bit of each row holding c.
+        It is the swap of the kernel of the key rows, which ``_eliminate``
+        fully reduced: each owns its leading bit, so every other column c
+        gives one kernel vector, c plus the leading bit of each row holding c.
         """
         n = self.n
-        rows: list[int] = []
-        for g in self.generators:
-            _insert(rows, _reduce(g.z_bits | g.x_bits << n, rows))
+        rows = [b >> self.rank for b in self._rows]
         leads = [b.bit_length() - 1 for b in rows]
         basis = []
         for c in range(2 * n):
@@ -265,7 +270,7 @@ class StabilizerGroup:
             v = 1 << c
             for b, lead in zip(rows, leads):
                 v |= (b >> c & 1) << lead
-            basis.append(PauliOperator(n, v & (1 << n) - 1, v >> n).unsigned())
+            basis.append(PauliOperator(n, *_key_bits(_swap(v, n), n)).unsigned())
         return basis
 
     def normalizer_masks(self) -> Iterator[tuple[int, int]]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qundet import report
+from qundet import report, undetermined as und
 from qundet.cli import main, run
 from qundet.codes import catalog, save_spec
 
@@ -73,6 +73,17 @@ def test_analyze_with_oracle_flag(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["methods"] == ["symbolic", "oracle"]
+
+
+def test_analyze_oracle_disagreement_exits_2(monkeypatch, capsys):
+    # flipped symbolic verdicts make every traced set disagree with the dense oracle
+    restricted_equal = und.restricted_equal
+    monkeypatch.setattr(und, "restricted_equal", lambda *a: ~restricted_equal(*a))
+    assert run(["analyze", "--catalog", "code_412", "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: symbolic/oracle disagreement on code_412 traced (1,)")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

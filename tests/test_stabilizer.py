@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qundet import codes
+from qundet import codes, stabilizer
 from qundet.pauli import PauliOperator, parse_pauli
 from qundet.stabilizer import (
     DependentGeneratorsError,
@@ -51,6 +51,34 @@ def test_noncommuting_error():
     with pytest.raises(NonCommutingGeneratorsError) as exc:
         StabilizerGroup(paulis("XX ZI"))
     assert exc.value.pair == (1, 2)
+    # pairs (1, 4) and (2, 3) anticommute; the first generator's pair is named
+    with pytest.raises(NonCommutingGeneratorsError) as exc:
+        StabilizerGroup(paulis("XI IX IZ ZI"))
+    assert exc.value.pair == (1, 4)
+
+
+@st.composite
+def pauli_pairs(draw):
+    n = draw(st.integers(1, 12))
+    bits = st.integers(0, (1 << n) - 1)
+    return tuple(PauliOperator(n, draw(bits), draw(bits)) for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_pairs())
+def test_swapped_key_parity_is_anticommutation(pair):
+    a, b = pair
+    swapped = stabilizer._swap(stabilizer._letter_key(b), b.n)
+    assert (stabilizer._letter_key(a) & swapped).bit_count() & 1 == a.anticommutes(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.random_codes(max_n=8), st.data())
+def test_anticommuting_lists_the_anticommuting_generators(spec, data):
+    group = spec.group()
+    bits = st.integers(0, (1 << spec.n) - 1)
+    p = PauliOperator(spec.n, data.draw(bits), data.draw(bits))
+    assert group.anticommuting(p) == [g for g in group.generators if g.anticommutes(p)]
 
 
 def test_minus_identity_error():
