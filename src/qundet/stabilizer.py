@@ -44,16 +44,17 @@ class of GHZ, whose cold verdicts at n = 17..19 form no block; the
 cyclic and small catalog codes read floor 0 and are scanned, in index
 order, up to the first block that holds a row of the bound's weight.
 A two-information-set stop costs more than the scan it saves (see
-docs/method.md).  Kept-set queries enumerate nothing: ``least_kept``
-decides one traced set and finds its witness by one elimination of the
-letter-key rows at any n, and ``restricted_equal`` gives a batch's
-verdicts alone by one numpy elimination of ``uint64`` rows.
+docs/method.md).  Kept-set queries enumerate nothing: ``kept_walk``
+visits traced sets depth first from the letter-key rows, one
+elimination step per set at any n, and gives each set's verdict and
+least-letters witness.
 The centralizer is read as one coset table per logical class L * S
 (``logical_classes``).
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -293,71 +294,79 @@ class StabilizerGroup:
             yield x, z
 
 
-def least_kept(group: StabilizerGroup, rep: PauliOperator, traced: int) -> PauliOperator | None:
-    """The least-letters element of rep * S that avoids the traced mask, sign included, or None.
+def _trace(rows: list[int], e: int, s: int) -> tuple[list[int], int | None]:
+    """S_K's rows and e once the qubit whose row digit sits at bit s is traced too.
 
-    Those elements are e0 * S_K, with e0 any one of them and S_K the
-    subgroup supported inside the kept set (Fattal, Cubitt, Yamamoto,
-    Bravyi and Chuang, quant-ph/0406168).  Each of the group's rows, in
-    ascending order, is lifted by its traced digits and reduced on them
-    by leading bit.  A row whose lifted part cancels, or never had one,
-    lies in S_K and keeps its own leading bit, which no other kept row
-    holds.  rep, lifted the same way, keeps a lifted bit iff no element
-    avoids T; otherwise it reduces to e0, and clearing the kept rows'
-    leading bits leaves the least key in e0 * S_K.
+    The rows are fully reduced and ascending, and e is an element of
+    rep * S that avoids the traced set.  Pivot 1 is the lowest row with
+    a nonzero digit, pivot 2 the lowest whose digit is neither 0 nor
+    pivot 1's, and ``span`` maps each digit they reach to their product
+    with that digit.  Every other row takes in the product with its
+    digit, which is lower than the row and holds no other row's leading
+    bit, so the rows stay fully reduced and ascending.  e's digit
+    cancels the same way; if the pivots cannot reach it, e is None.
     """
-    if rep.n != group.n:
-        raise ValueError("qubit count mismatch")
-    r = group.rank
-    digits = _letter_key(PauliOperator(group.n, 0, traced))  # 3 on every traced digit
-    shift = 2 * group.n + r
-    kept: list[int] = []
-    pivots: dict[int, int] = {}
-    for row in group._rows:
-        v = (row >> r & digits) << shift | row
-        while v >> shift:
-            if (p := pivots.get(v.bit_length())) is None:
-                pivots[v.bit_length()] = v
-                break
-            v ^= p
+    span = {0: 0}
+    kept = []
+    for v in rows:
+        d = v >> s & 3
+        if d in span:
+            kept.append(v ^ span[d])
         else:
-            kept.append(v)
-    key = _letter_key(rep)
-    v = (key & digits) << shift | key << r
-    while v >> shift:
-        if (p := pivots.get(v.bit_length())) is None:
-            return None
-        v ^= p
-    return _product(rep, group.generators, _reduce(v, kept) & (1 << r) - 1)
+            for d0, p in list(span.items()):
+                span[d ^ d0] = v ^ p
+    d = e >> s & 3
+    return kept, e ^ span[d] if d in span else None
 
 
-def restricted_equal(group: StabilizerGroup, rep: PauliOperator, masks: Sequence[int]) -> np.ndarray:
-    """Per traced mask, True when no element of rep * S avoids it: the reductions are equal.
+def kept_walk(
+    group: StabilizerGroup,
+    rep: PauliOperator,
+    sizes: range,
+    within: int | None = None,
+    witnesses: bool = True,
+) -> Iterator[tuple[int, PauliOperator | bool | None]]:
+    """Each traced mask inside ``within`` with a size in ``sizes``, and the
+    least-letters element of rep * S that avoids it, sign included, or None.
 
-    Some element avoids T iff rep|_T is in the GF(2) span of the g|_T.
-    Row i holds (x & T, z & T) of generator i for every mask, and the
-    last row rep's.  At step i each mask pivots on the lowest set bit of
-    row i's x, or of its z where x is zero, so a batch costs O(rank)
-    array steps.  Past ``MAX_ROW_N`` qubits each mask goes through
-    ``least_kept``.
+    Bit q - 1 of a mask is qubit q, and the masks come in the
+    lexicographic order of their qubit tuples.  The elements that avoid
+    T are e * S_K, e any one of them and S_K the subgroup supported
+    inside the kept set (Fattal, Cubitt, Yamamoto, Bravyi and Chuang,
+    quant-ph/0406168).  The walk goes depth first from the group's rows
+    and rep at the empty set, and ``_trace`` steps each set once.  Once
+    e is None it is None on every superset, so that subtree is emitted
+    with no step.  Clearing the kept rows' leading bits from e leaves
+    the least key in e * S_K.  With ``witnesses`` false a determined
+    mask yields True, and a childless set whose last qubit has digit 0
+    in e keeps e with no step.
     """
     if rep.n != group.n:
         raise ValueError("qubit count mismatch")
-    if group.n > MAX_ROW_N:
-        return np.array([least_kept(group, rep, t) is None for t in masks], dtype=bool)
-    masks = np.array(masks, dtype=np.uint64)
-    ops = [*group.generators, rep]
-    rows = np.empty((len(ops), 2, len(masks)), dtype=np.uint64)
-    rows[:, 0] = np.array([p.x_bits for p in ops], dtype=np.uint64)[:, None] & masks
-    rows[:, 1] = np.array([p.z_bits for p in ops], dtype=np.uint64)[:, None] & masks
-    for i in range(group.rank):
-        # the lowest set bit of x, or of z where x is zero
-        pivot = rows[i] & -rows[i]
-        pivot[1] *= pivot[0] == 0
-        below = rows[i + 1 :]
-        hit = (below & pivot).any(axis=1)
-        np.bitwise_xor(below, rows[i], out=below, where=hit[:, None])
-    return (rows[-1, 0] | rows[-1, 1]) != 0
+    n, r = group.n, group.rank
+    qubits = [q for q in range(n) if within is None or within >> q & 1]
+    bits, shifts = [1 << q for q in qubits], [2 * (n - 1 - q) + r for q in qubits]
+    lo, hi = sizes.start, sizes.stop - 1
+    # T, the first index into qubits its children may add, the rows and e
+    # of T's parent, and the shift of T's last qubit (none at the root)
+    stack = [(0, 0, group._rows, _letter_key(rep) << r, 0)]
+    while stack:
+        mask, at, rows, e, s = stack.pop()
+        depth = mask.bit_count()
+        if mask and e is not None and (witnesses or depth < hi or e >> s & 3):
+            rows, e = _trace(rows, e, s)
+        if e is None and depth < lo == hi:
+            # T's supersets of the one size asked, in lexicographic order
+            tails = map(sum, itertools.combinations(bits[at:], hi - depth))
+            yield from zip(map(mask.__or__, tails), itertools.repeat(None))
+            continue
+        if depth >= lo and (e is None or not witnesses):
+            yield mask, None if e is None else True
+        elif depth >= lo:
+            yield mask, _product(rep, group.generators, _reduce(e, rows) & (1 << r) - 1)
+        # children up to the last qubit that leaves room for the smallest size still wanted
+        for j in range(len(qubits) + depth - max(lo, depth + 1), at - 1, -1) if depth < hi else ():
+            stack.append((mask | bits[j], j + 1, rows, e, shifts[j]))
 
 
 class CosetTable:

@@ -22,9 +22,8 @@ and otherwise by one blockwise scan that stops at the first row of the
 bound's weight.  Kept-set queries need no
 enumeration: some coset element avoids the traced set T iff Z-bar
 restricted to T lies in the span of the generators restricted to T.
-``stabilizer.least_kept`` decides one traced set and gives its
-witness; ``stabilizer.restricted_equal`` gives the verdicts alone for
-a batch of traced sets at once.
+One ``stabilizer.kept_walk`` decides every traced set of a scan, a
+sweep or a single query, with its witness, in lexicographic order.
 Everything here is exact integer/bit work; the dense module provides
 the independent floating-point verification.
 """
@@ -47,17 +46,11 @@ from qundet.stabilizer import (
     EnumerationCapError,
     StabilizerGroup,
     code_distance,
-    least_kept,
+    kept_walk,
     logical_classes,
     logical_x_count,
     logical_x_weights,
-    restricted_equal,
 )
-
-# traced sets per verdict batch: at n = 64 a batch holds 64 rows of two
-# uint64 words per set, about 4 MB; past 64 qubits the sets are decided
-# one at a time, so a batch holds only its masks and verdicts
-_BATCH = 4096
 
 T = TypeVar("T")
 
@@ -116,18 +109,16 @@ def reduced_equal_on(
     traced = sorted(set(traced_out))
     if not 1 <= len(traced) <= spec.n - 1:
         raise ValueError(f"traced set must have 1..{spec.n - 1} qubits, got {traced}")
-    witness = least_kept(_group_of(spec), _difference_rep(spec), _subset_mask(traced, spec.n))
+    # the walk inside the traced set visits one chain, down to the set itself
+    [(_, witness)] = _walk(spec, range(len(traced), len(traced) + 1), _subset_mask(traced, spec.n))
     return witness is None, witness
 
 
-def _solves(spec: CodeSpec, *sizes: int) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Every traced mask (bit q-1 is qubit q) of each size, in the lexicographic
-    order of their qubit tuples per size, in batches with their verdicts."""
-    group, rep = _group_of(spec), _difference_rep(spec)
-    bits = [1 << q for q in range(spec.n)]
-    masks = (sum(c) for size in sizes for c in itertools.combinations(bits, size))
-    while batch := list(itertools.islice(masks, _BATCH)):
-        yield batch, restricted_equal(group, rep, batch)
+def _walk(
+    spec: CodeSpec, sizes: range, within: int | None = None, witnesses: bool = True
+) -> Iterator[tuple[int, PauliOperator | bool | None]]:
+    """``stabilizer.kept_walk`` on the spec's difference coset."""
+    return kept_walk(_group_of(spec), _difference_rep(spec), sizes, within, witnesses)
 
 
 class UnconditionalResult(NamedTuple):
@@ -165,7 +156,7 @@ def _assert_scan_agreement(spec: CodeSpec, d_min: int | None) -> None:
 
 def _scan_equal_all(spec: CodeSpec, size: int) -> bool:
     """Are the reductions equal after tracing out every subset of this size?"""
-    return all(equal.all() for _, equal in _solves(spec, size))
+    return all(f is None for _, f in _walk(spec, range(size, size + 1), witnesses=False))
 
 
 @dataclass(frozen=True)
@@ -194,22 +185,20 @@ def conditional_scan(spec: CodeSpec, d_prime: int) -> ConditionalScan:
     """
     if not 1 <= d_prime <= spec.n - 1:
         raise ValueError(f"d_prime must be in 1..{spec.n - 1}")
-    group, rep = _group_of(spec), _difference_rep(spec)
     undet: list[tuple[int, ...]] = []
     det: list[tuple[tuple[int, ...], PauliOperator]] = []
-    for batch, equal in _solves(spec, d_prime):
-        for mask, eq in zip(batch, equal.tolist()):
-            if eq:
-                undet.append(_qubits(mask))
-            else:
-                det.append((_qubits(mask), least_kept(group, rep, mask)))
+    for mask, witness in _walk(spec, range(d_prime, d_prime + 1)):
+        if witness is None:
+            undet.append(_qubits(mask))
+        else:
+            det.append((_qubits(mask), witness))
     return ConditionalScan(d_prime, tuple(undet), tuple(det))
 
 
 def minimal_conditional_D(spec: CodeSpec) -> int | None:
     """Smallest subset size with at least one undetermined traced set."""
     for size in range(1, spec.n):
-        if any(equal.any() for _, equal in _solves(spec, size)):
+        if any(f is None for _, f in _walk(spec, range(size, size + 1), witnesses=False)):
             return size
     return None
 
@@ -488,23 +477,23 @@ def oracle_sweep(spec: CodeSpec) -> int:
     """Dense cross-check of the symbolic verdicts; returns the subsets compared.
 
     Builds the codeword state vectors once (two per codeword for the
-    k=2 equal mixtures) and, for every traced mask of 1..n-1 qubits,
-    compares the symbolic verdicts (the rule behind ``reduced_equal_on``)
-    with the dense distances, exactly 0 for equal ones, as two arrays
-    per ``_BATCH`` masks (one batch under the n <= 10 cap).  A
+    k=2 equal mixtures) and compares the symbolic verdicts of every
+    traced mask of 1..n-1 qubits, from one kept-set walk (the rule
+    behind ``reduced_equal_on``), with the dense distances of one
+    ``reduced_distances`` call, exactly 0 for equal ones.  A
     disagreement raises RuntimeError naming the first disagreeing set's
-    qubits.
+    qubits in the walk's lexicographic order.
     """
     states0, states1 = dense.codeword_states(spec)
-    for batch, equal in _solves(spec, *range(1, spec.n)):
-        devs = np.array(dense.reduced_distances(states0, states1, batch))
-        if (wrong := np.flatnonzero(equal != (devs == 0))).size:
-            j = wrong[0]
+    verdicts = list(_walk(spec, range(1, spec.n), witnesses=False))
+    devs = dense.reduced_distances(states0, states1, [mask for mask, _ in verdicts])
+    for (mask, found), dev in zip(verdicts, devs):
+        if (found is None) != (dev == 0):
             raise RuntimeError(
-                f"symbolic/oracle disagreement on {spec.name} traced {_qubits(batch[j])}: "
-                f"symbolic={bool(equal[j])}, dense deviation={devs[j]:.3e}"
+                f"symbolic/oracle disagreement on {spec.name} traced {_qubits(mask)}: "
+                f"symbolic={found is None}, dense deviation={dev:.3e}"
             )
-    return 2 ** spec.n - 2
+    return len(verdicts)
 
 
 def scan_cyclic(lo: int, hi: int) -> list[dict]:
@@ -512,7 +501,7 @@ def scan_cyclic(lo: int, hi: int) -> list[dict]:
 
     A valid n gives its rank, w_min, d_min and whether every (n-2)-qubit
     trace leaves the reductions equal; an invalid n gives the validation
-    failures.  The verdict comes from the kept-set solve over all
+    failures.  The verdict comes from the kept-set walk over all
     C(n, 2) traced sets, so it computes at any n.  Past the rank cap
     (``MAX_ENUM_RANK``) the difference coset's floor is 0, so w_min needs
     a scan: w_min and d_min are None, and ``note`` gives the reason.

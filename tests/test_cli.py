@@ -77,8 +77,10 @@ def test_analyze_with_oracle_flag(capsys):
 
 def test_analyze_oracle_disagreement_exits_2(monkeypatch, capsys):
     # flipped symbolic verdicts make every traced set disagree with the dense oracle
-    restricted_equal = und.restricted_equal
-    monkeypatch.setattr(und, "restricted_equal", lambda *a: ~restricted_equal(*a))
+    kept_walk = und.kept_walk
+    monkeypatch.setattr(
+        und, "kept_walk", lambda *a: ((m, True if f is None else None) for m, f in kept_walk(*a))
+    )
     assert run(["analyze", "--catalog", "code_412", "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -162,7 +164,7 @@ def test_scan_cyclic_human(capsys):
 def test_scan_cyclic_past_the_cap(capsys):
     # rank n - 1 passes the enumeration cap (20) after n = 21; those rows
     # keep w_min and d_min null with the reason, and the (n-2) verdict,
-    # from the kept-set solve, still counts toward the claim
+    # from the kept-set walk, still counts toward the claim
     assert run(["scan-cyclic", "--from", "21", "--to", "23", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     rows = {row["n"]: row for row in doc["result"]["rows"]}

@@ -1,4 +1,4 @@
-"""The coset table and the kept-set solve against a brute-force loop.
+"""The coset table and the kept-set walk against a brute-force loop.
 
 The loop over helpers.signed_coset is the per-element algorithm both
 replaced, kept here as the reference: every verdict, witness (sign
@@ -28,9 +28,8 @@ from qundet.stabilizer import (
     EnumerationCapError,
     StabilizerGroup,
     coset_min_weight,
-    least_kept,
+    kept_walk,
     logical_x_weights,
-    restricted_equal,
 )
 
 SMALL = [
@@ -186,7 +185,7 @@ def test_enumeration_cap_still_fires():
 
 
 def test_queries_run_to_the_row_cap():
-    # and past it, on rows of Python ints
+    # and past it: the kept-set walk's rows are Python ints
     widest = codes.catalog("ghz", n=MAX_ROW_N)
     assert und.reduced_equal_on(widest, [1]) == (True, None)
     assert und.reduced_equal_on(codes.catalog("ghz", n=MAX_ROW_N + 1), [1]) == (True, None)
@@ -463,28 +462,64 @@ def local_subgroups(draw):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(random_cosets(), local_subgroups()))
 def test_restriction_solve_matches_brute_force(case):
-    # every traced mask, the empty and the full one included, in one
-    # batch for the verdicts and one mask at a time for the witnesses
+    # every traced mask, the empty and the full one included, once as
+    # verdicts only and once with the witnesses
     group, rep = case
-    masks = list(range(1 << group.n))
-    want = _least_avoiding(group, rep, masks)
-    assert restricted_equal(group, rep, masks).tolist() == [w is None for w in want]
-    assert [least_kept(group, rep, mask) for mask in masks] == want
+    every = range(group.n + 1)
+    want = dict(zip(range(1 << group.n), _least_avoiding(group, rep, range(1 << group.n))))
+    assert dict(kept_walk(group, rep, every)) == want
+    verdicts = dict(kept_walk(group, rep, every, witnesses=False))
+    assert verdicts == {mask: None if w is None else True for mask, w in want.items()}
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(random_cosets(), wide_cosets()), st.data())
-def test_python_int_rows_match_uint64_rows(case, data):
-    # MAX_ROW_N = 0 sends every batch to the one-mask Python-int path
+@given(st.one_of(random_cosets(), wide_cosets(), local_subgroups()), st.data())
+def test_kept_walk_matches_brute_force(case, data):
+    # every traced mask inside up to 8 qubits (all of them for n <= 8), the
+    # empty and the full one included, in lexicographic order of the qubit
+    # tuples; with witnesses, as verdicts only, and for a range of sizes
     group, rep = case
-    masks = data.draw(st.lists(bits_of(group.n), min_size=1, max_size=16))
-    words = restricted_equal(group, rep, masks)
-    with patch.object(stabilizer, "MAX_ROW_N", 0):
-        ints = restricted_equal(group, rep, masks)
-    assert (words.dtype, ints.dtype) == (bool, bool)
-    want = _least_avoiding(group, rep, masks)
-    assert ints.tolist() == words.tolist() == [w is None for w in want]
-    assert [least_kept(group, rep, mask) for mask in masks] == want
+    qubits = range(group.n)
+    if group.n > 8:
+        qubits = sorted(data.draw(st.sets(st.integers(0, group.n - 1), max_size=8)))
+    bits = [1 << q for q in qubits]
+    within, every = sum(bits), range(len(bits) + 1)
+    masks = [sum(c) for c in sorted(c for size in every for c in itertools.combinations(bits, size))]
+    want = list(zip(masks, _least_avoiding(group, rep, masks)))
+    assert list(kept_walk(group, rep, every, within)) == want
+    verdicts = [(mask, None if w is None else True) for mask, w in want]
+    assert list(kept_walk(group, rep, every, within, witnesses=False)) == verdicts
+    lo = data.draw(st.integers(0, len(qubits)))
+    sizes = range(lo, data.draw(st.integers(lo, len(qubits))) + 1)
+    assert list(kept_walk(group, rep, sizes, within)) == [
+        (mask, w) for mask, w in want if mask.bit_count() in sizes
+    ]
+    assert list(kept_walk(group, rep, sizes, within, witnesses=False)) == [
+        (mask, w) for mask, w in verdicts if mask.bit_count() in sizes
+    ]
+    # one size, as conditional_scan walks it, in itertools.combinations' order
+    size = data.draw(st.integers(0, len(qubits)))
+    witness = dict(want)
+    assert list(kept_walk(group, rep, range(size, size + 1), within)) == [
+        (mask, witness[mask]) for mask in map(sum, itertools.combinations(bits, size))
+    ]
+
+
+def test_cyclic_65_steps_each_traced_set_once(monkeypatch):
+    # D' = 2 on 65 qubits: the 64 singletons with a second qubit to add
+    # and the 2,080 pairs, every one determined, each stepped once
+    steps = []
+    trace = stabilizer._trace
+
+    def counted(rows, e, s):
+        steps.append(s)
+        return trace(rows, e, s)
+
+    monkeypatch.setattr(stabilizer, "_trace", counted)
+    spec = codes.catalog("cyclic", n=MAX_ROW_N + 1)
+    scan = und.conditional_scan(spec, 2)
+    assert len(scan.determined) == 2080 and scan.undetermined == ()
+    assert len(steps) == 64 + 2080
 
 
 def test_python_int_rows_witness_every_qubit_of_cyclic_65():

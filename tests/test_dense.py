@@ -253,14 +253,13 @@ def test_reduced_distances_separate_the_verdicts(name, n):
     spec = catalog(name, n=n)
     s0, s1 = codeword_states(spec)
     floor = 2 ** ((3 - spec.n) / 2)
-    for size in range(1, spec.n):
-        for batch, verdicts in und._solves(spec, size):
-            dists = list(reduced_distances(s0, s1, batch))
-            for traced, equal, dist in zip(batch, verdicts.tolist(), dists):
-                if equal:
-                    assert dist == 0, f"{spec.name} traced {traced}"
-                else:
-                    assert dist >= floor * (1 - 1e-12), f"{spec.name} traced {traced}"
+    verdicts = list(und._walk(spec, range(1, spec.n), witnesses=False))
+    dists = reduced_distances(s0, s1, [traced for traced, _ in verdicts])
+    for (traced, found), dist in zip(verdicts, dists):
+        if found is None:
+            assert dist == 0, f"{spec.name} traced {traced}"
+        else:
+            assert dist >= floor * (1 - 1e-12), f"{spec.name} traced {traced}"
 
 
 @pytest.mark.parametrize("name,n", [("ghz", 9), ("cyclic", 7), ("code_422", None)])

@@ -360,21 +360,23 @@ def test_ghz_x_set_size_scaling():
 
 def test_oracle_sweep_catches_disagreement(monkeypatch):
     spec = catalog("code_412")
-    real = und.restricted_equal
-    solves = []
+    real = und.kept_walk
+    walks = []
 
-    def lying(group, rep, traced):
-        # flip the batched verdict for the traced set (1, 2)
-        equal = real(group, rep, traced)
-        equal[list(traced).index(0b11)] ^= True
-        solves.append(len(traced))
-        return equal
+    def lying(*args):
+        # flip the walk's verdict for the traced set (1, 2)
+        verdicts = [
+            (mask, (True if found is None else None) if mask == 0b11 else found)
+            for mask, found in real(*args)
+        ]
+        walks.append(len(verdicts))
+        return iter(verdicts)
 
-    monkeypatch.setattr(und, "restricted_equal", lying)
+    monkeypatch.setattr(und, "kept_walk", lying)
     with pytest.raises(RuntimeError, match=r"disagreement on code_412 traced \(1, 2\)"):
         analyze_code(spec, oracle=True)
-    # one solve decides every traced subset
-    assert solves == [2 ** spec.n - 2]
+    # one walk decides every traced subset
+    assert walks == [2 ** spec.n - 2]
 
 
 @pytest.fixture
@@ -425,11 +427,9 @@ def test_random_codes_agree_with_oracle(spec):
     group = spec.group()
     assert code_distance(group) == walk_distance(group)
     # an equal trace stays equal when one more qubit is traced; one
-    # batched solve per size decides every subset
-    equal = {}
-    for size in range(1, spec.n):
-        for batch, verdicts in und._solves(spec, size):
-            equal.update(zip(batch, verdicts.tolist()))
+    # walk decides every subset
+    walk = und._walk(spec, range(1, spec.n), witnesses=False)
+    equal = {mask: found is None for mask, found in walk}
     for mask, eq in equal.items():
         if eq and mask.bit_count() < spec.n - 1:
             for q in range(spec.n):
