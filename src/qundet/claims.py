@@ -19,7 +19,7 @@ import numpy as np
 from qundet import codes, dense, undetermined as und
 from qundet.pauli import PauliOperator, parse_pauli
 from qundet.protocols import QssConfig, bc_demo, qss_run
-from qundet.stabilizer import code_distance, in_logical_x_set, logical_x_set
+from qundet.stabilizer import code_distance, in_logical_x_set, logical_classes, logical_x_set
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def claim_2() -> ClaimResult:
 def claim_3() -> ClaimResult:
     def run():
         spec = codes.catalog("code_513")
-        d = code_distance(spec.group())
+        d = code_distance(logical_classes(spec.group()))
         r = und.unconditional_D(spec, cross_check=True)
         if (d, r.d_min) != (3, 3):
             return False, f"d={d}, d_min={r.d_min}, expected 3, 3"
@@ -151,7 +151,7 @@ def claim_5() -> ClaimResult:
         r = und.unconditional_D(spec, cross_check=True)
         if r.d_min != 5:
             return False, f"d_min={r.d_min}, expected 5"
-        d = code_distance(spec.group())
+        d = code_distance(logical_classes(spec.group()))
         mc = und.minimal_conditional_D(spec)
         if d != 3 or mc != 3:
             return False, f"d={d}, minimal conditional size={mc}, expected 3, 3"
@@ -167,7 +167,7 @@ def claim_6() -> ClaimResult:
     def run():
         spec = codes.catalog("code_422")
         m = und.mixed_pair_n2(spec)
-        d = code_distance(spec.group())
+        d = code_distance(logical_classes(spec.group()))
         if (m.d_mixed, d) != (3, 2):
             return False, f"d_mixed={m.d_mixed}, d={d}, expected 3, 2"
         listed = {"ZXYI", "IZXY", "XIZY", "XZIY"}
@@ -324,7 +324,7 @@ def claim_12() -> ClaimResult:
                 return False, f"{spec.name}: centralizer member anticommutes"
             if spec.k == 1:
                 d_min = und.unconditional_D(spec, cross_check=False).d_min
-                if d_min is not None and code_distance(group) > d_min:
+                if d_min is not None and code_distance(logical_classes(group)) > d_min:
                     return False, f"{spec.name}: d > D"
         # randomized associativity and sign behaviour at fixed seed
         rng = np.random.default_rng(_QSS_SEED)

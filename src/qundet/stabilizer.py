@@ -32,10 +32,8 @@ rows, as in Aaronson-Gottesman (quant-ph/0406196), in uint32 words up
 to n = 32 and uint64 past it, formed as the XOR of two factors, each
 doubled once per generator on first use, so a scan takes O(2^rank) time
 and O(2^(rank/2) + block) memory.  One kernel forms each block in
-reused buffers and counts its letters in place.  With 32-bit words and
-a low factor of at least 2^12 rows, a cold cyclic 19 (rank 18) scan,
-factors included, takes about 0.46 ms against 0.95 ms for 64-bit words
-over an even split with fresh arrays per block (see docs/method.md).
+reused buffers and counts its letters in place (word width and factor
+split are measured in docs/method.md).
 The minimum weight has one exact lower bound: the per-qubit floor (the
 qubits where every entry has a letter), and at least 1 unless entry 0
 is I.  When the reduced rep, the least-letters entry, weighs the bound
@@ -49,14 +47,15 @@ visits traced sets depth first from the letter-key rows, one
 elimination step per set at any n, and gives each set's verdict and
 least-letters witness.
 The centralizer is read as one coset table per logical class L * S
-(``logical_classes``).
+(``logical_classes``), and ``code_distance`` reads whatever tables it
+is given, so a caller that keeps them scans each class once.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -389,9 +388,8 @@ class CosetTable:
     O(2^(rank/2) + block) words, never the whole coset.  The factors
     are built on first use and shared by ``blocks`` and the scan:
     ``min_weight`` needs none when entry 0 weighs its lower bound, as on
-    GHZ, where a table built and read at n = 17..19 takes about 15-20 us
-    against 205-225 us with the scan (2-vCPU Xeon VM).  The caps bind
-    only the factor build, so that exit answers at any rank and n.
+    GHZ (timed in docs/method.md).  The caps bind only the factor
+    build, so that exit answers at any rank and n.
     Cyclic codes read floor 0 and are scanned.  Each entry's generator
     combo is the XOR of its rows' combos, and only the entries that are
     asked for get a sign, by one product of at most rank generators.
@@ -565,20 +563,14 @@ def coset_min_weight(group: StabilizerGroup, rep: PauliOperator) -> tuple[int, P
     return CosetTable(group, rep).min_weight()
 
 
-def logical_classes(
-    group: StabilizerGroup, z_bar: PauliOperator | None = None
-) -> Iterator[CosetTable]:
-    """The nontrivial logical classes L * S, one coset table at a time.
+def logical_classes(group: StabilizerGroup) -> Iterator[CosetTable]:
+    """The nontrivial logical classes L * S, one coset table each.
 
     Modulo S the centralizer is the union of 2^(2k) classes L * S
     (Gottesman, quant-ph/9705052).  L runs over the nonempty products of
     the centralizer basis vectors independent of S and of each other,
-    found by extending the group's reduced rows.  With z_bar, only the
-    classes anticommuting with it are built (z_bar commutes with S, so
-    L decides).  Keep no table longer than its use.
+    found by extending the group's reduced rows.
     """
-    if z_bar is not None and not group.commutes_with_all(z_bar):
-        raise ValueError("z_bar is not in the centralizer of the group")
     rows = list(group._rows)
     reps = []
     for p in group.centralizer_basis():
@@ -588,9 +580,7 @@ def logical_classes(
             reps.append(p)
     identity = PauliOperator.identity(group.n)
     for combo in range(1, 1 << len(reps)):
-        rep = _product(identity, reps, combo)
-        if z_bar is None or rep.anticommutes(z_bar):
-            yield CosetTable(group, rep)
+        yield CosetTable(group, _product(identity, reps, combo))
 
 
 def logical_x_set(group: StabilizerGroup, z_bar: PauliOperator) -> list[PauliOperator]:
@@ -599,22 +589,18 @@ def logical_x_set(group: StabilizerGroup, z_bar: PauliOperator) -> list[PauliOpe
     Counting is per distinct unsigned Pauli, not per coset modulo the
     group: one operator per (x, z) pair, sign stripped.  For a rank
     n - 1 group this yields 2^n operators.  Sorted by (weight, letters).
+    z_bar commutes with S, so each class's rep decides for the class.
     """
+    if not group.commutes_with_all(z_bar):
+        raise ValueError("z_bar is not in the centralizer of the group")
     members = [
         PauliOperator(group.n, x, z).unsigned()
-        for table in logical_classes(group, z_bar)
+        for table in logical_classes(group)
+        if table._rep.anticommutes(z_bar)
         for _, xs, zs in table.blocks()
         for x, z in zip(xs.tolist(), zs.tolist())
     ]
     return sorted(members, key=lambda p: (p.weight, p.letters))
-
-
-def logical_x_weights(group: StabilizerGroup, z_bar: PauliOperator) -> tuple[int, ...]:
-    """counts[w] = number of logical X set members of weight w, w = 0..n."""
-    counts = np.zeros(group.n + 1, dtype=np.int64)
-    for table in logical_classes(group, z_bar):
-        counts += table.weight_counts()
-    return tuple(counts.tolist())
 
 
 def logical_x_count(group: StabilizerGroup) -> int:
@@ -631,13 +617,11 @@ def in_logical_x_set(group: StabilizerGroup, z_bar: PauliOperator, candidate: Pa
     return group.commutes_with_all(candidate) and candidate.anticommutes(z_bar)
 
 
-def code_distance(group: StabilizerGroup) -> int:
-    """Minimum weight over unsigned centralizer members outside the group.
-
-    This is the usual stabilizer-code distance: the least w_min over
-    the nontrivial logical classes.
-    """
-    weights = [table.min_weight()[0] for table in logical_classes(group)]
+def code_distance(tables: Iterable[CosetTable]) -> int:
+    """The least minimum weight over the given logical-class tables: over
+    ``logical_classes(group)``, the code distance.  A table's minimum
+    weight is memoized, so one already read costs nothing here."""
+    weights = [table.min_weight()[0] for table in tables]
     if not weights:
         raise ValueError("group has no logical operators (rank = n with k = 0)")
     return min(weights)

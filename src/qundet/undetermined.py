@@ -19,9 +19,11 @@ entirely inside the kept set.  Consequences used throughout:
 Each spec's difference coset has one ``stabilizer.CosetTable``, which
 finds w_min from entry 0 when it meets the table's exact lower bound,
 and otherwise by one blockwise scan that stops at the first row of the
-bound's weight.  Kept-set queries need no
-enumeration: some coset element avoids the traced set T iff Z-bar
-restricted to T lies in the span of the generators restricted to T.
+bound's weight.  It is also its logical class's table, one of the
+spec's class tables that serve the distance, E_D and the weight-D
+listings.  Kept-set queries need no enumeration: some coset element
+avoids the traced set T iff Z-bar restricted to T lies in the span of
+the generators restricted to T.
 One ``stabilizer.kept_walk`` decides every traced set of a scan, a
 sweep or a single query, with its witness, in lexicographic order.
 Everything here is exact integer/bit work; the dense module provides
@@ -49,7 +51,6 @@ from qundet.stabilizer import (
     kept_walk,
     logical_classes,
     logical_x_count,
-    logical_x_weights,
 )
 
 T = TypeVar("T")
@@ -84,6 +85,17 @@ def _table_of(spec: CodeSpec) -> CosetTable:
     return CosetTable(_group_of(spec), _difference_rep(spec))
 
 
+@lru_cache(maxsize=4)
+def _classes_of(spec: CodeSpec) -> tuple[tuple[CosetTable, bool], ...]:
+    """(table, rep anticommutes with the difference rep) per nontrivial logical
+    class; the difference coset's class, found by its entry 0, is ``_table_of``'s."""
+    own, rep = _table_of(spec), _difference_rep(spec)
+    return tuple(
+        (own if table._keys[0] == own._keys[0] else table, table._rep.anticommutes(rep))
+        for table in logical_classes(_group_of(spec))
+    )
+
+
 def _subset_mask(subset: Sequence[int], n: int) -> int:
     """The traced mask of 1-based qubits: bit q-1 is qubit q."""
     if bad := [q for q in subset if not 1 <= q <= n]:
@@ -92,8 +104,12 @@ def _subset_mask(subset: Sequence[int], n: int) -> int:
 
 
 def _qubits(mask: int) -> tuple[int, ...]:
-    """The 1-based qubits of a traced mask, ascending."""
-    return tuple(q for q in range(1, mask.bit_length() + 1) if mask >> (q - 1) & 1)
+    """The 1-based qubits of a traced mask, ascending, one step per set bit."""
+    qubits = []
+    while mask:
+        qubits.append((mask & -mask).bit_length())
+        mask &= mask - 1
+    return tuple(qubits)
 
 
 def reduced_equal_on(
@@ -221,7 +237,7 @@ def _x_members_of_weight(spec: CodeSpec, d: int) -> list[PauliOperator]:
     """The weight-d logical X members in letters order, filtered in numpy
     before any PauliOperator is built (the set has 2^(2n - rank - 1))."""
     pairs: list[tuple[int, int]] = []
-    for table in logical_classes(_group_of(spec), _difference_rep(spec)):
+    for table in (t for t, is_x in _classes_of(spec) if is_x):
         for _, x, z in table.blocks():
             at = np.bitwise_count(x | z) == d
             pairs += zip(x[at].tolist(), z[at].tolist())
@@ -262,7 +278,7 @@ class EDResult(NamedTuple):
 
 @lru_cache(maxsize=4)
 def _x_weights_of(spec: CodeSpec) -> tuple[int, ...]:
-    return logical_x_weights(_group_of(spec), _difference_rep(spec))
+    return tuple(sum(t.weight_counts() for t, is_x in _classes_of(spec) if is_x).tolist())
 
 
 def necessary_ED(spec: CodeSpec, d: int) -> EDResult:
@@ -426,7 +442,7 @@ def analyze_code(
     exists); ``conditional`` lists the subset sizes to partition.  With
     ``oracle`` the symbolic verdict for every feasible subset is checked
     against dense reduced states; any disagreement raises.  w_min, the
-    distance, the E_D table and the mixed pair read coset tables.  Where
+    distance, the E_D table and the mixed pair read shared tables.  Where
     one needs a scan or blocks past the rank cap (``MAX_ENUM_RANK``) or
     the row cap (``MAX_ROW_N`` qubits), that field is None (the E_D
     table empty) with a reason in ``notes``; where the exact bound
@@ -441,7 +457,7 @@ def analyze_code(
         notes, "w_min and minimal_unconditional_d", lambda: unconditional_D(spec)
     )
     d_min, w_min = (None, None) if unconditional is None else unconditional[:2]
-    distance = _unless_capped(notes, "distance", lambda: code_distance(group))
+    distance = _unless_capped(notes, "distance", lambda: code_distance(t for t, _ in _classes_of(spec)))
     ed_ds = [d_min] if d_min is not None else []
     if max_trace is not None:
         ed_ds = list(range(1, min(max_trace, spec.n - 1) + 1))

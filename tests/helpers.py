@@ -5,6 +5,8 @@ products, on purpose: the package's own dense module shares bit
 conventions with the symbolic code, so these helpers are the
 conventions' outside check.  ``walk_distance`` walks the whole
 centralizer pair by pair, the reference for the logical-class tables;
+``logical_x_weights`` builds a fresh table per logical-X class, the
+reference for the class tables a spec shares;
 ``doubling`` and ``sorted_coset`` enumerate a whole coset with signs
 in plain numpy, the reference for the factored coset table, and
 ``signed_coset`` multiplies rep into every group element, the
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
+from qundet.stabilizer import logical_classes
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,6 +76,16 @@ def walk_distance(group):
         for x, z in group.normalizer_masks()
         if not group.contains_unsigned(PauliOperator(group.n, x, z))
     )
+
+
+def logical_x_weights(group, z_bar):
+    """counts[w] = number of logical X set members of weight w, w = 0..n,
+    over the class tables whose entry 0 anticommutes with z_bar."""
+    counts = np.zeros(group.n + 1, dtype=np.int64)
+    for table in logical_classes(group):
+        if table.element(0).anticommutes(z_bar):
+            counts += table.weight_counts()
+    return tuple(counts.tolist())
 
 
 def _letter_key(p):

@@ -7,6 +7,7 @@ the small catalog codes.  Codes of rank 16 and more, whose tables span
 several blocks, are checked against a whole-coset numpy doubling.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 from unittest.mock import patch
@@ -29,7 +30,7 @@ from qundet.stabilizer import (
     StabilizerGroup,
     coset_min_weight,
     kept_walk,
-    logical_x_weights,
+    logical_classes,
 )
 
 SMALL = [
@@ -146,24 +147,26 @@ def test_blocks_match_whole_coset_doubling(name):
     cx, cz, _, _ = helpers.doubling(group.centralizer_basis(), identity)
     anti = np.bitwise_count((cx & np.uint64(rep.z_bits)) ^ (cz & np.uint64(rep.x_bits))) & 1 == 1
     counts = np.bincount(np.bitwise_count(cx | cz)[anti], minlength=spec.n + 1)
-    assert logical_x_weights(group, rep) == tuple(counts.tolist())
+    assert und._x_weights_of(spec) == tuple(counts.tolist())
 
 
 def test_scans_at_the_rank_cap_stay_small():
     # the whole coset at rank 20 is 2^20 rows of x and z words, 8 MB in
-    # the uint32 words of n = 21
-    def peak(call, spec):
-        group, rep = spec.group(), spec.logical_z_ops()[0]
+    # the uint32 words of n = 21; an E_D row on an uncached spec builds
+    # its class tables, and the logical-X ones keep their factors
+    def peak(call, *args):
         tracemalloc.start()
-        call(group, rep)
+        call(*args)
         _, top = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return top
 
     ghz, cyclic = codes.catalog("ghz", n=21), codes.catalog("cyclic", n=21)
     assert ghz.group().rank == cyclic.group().rank == MAX_ENUM_RANK
-    assert peak(coset_min_weight, ghz) < 4 * 2**20
-    assert peak(logical_x_weights, cyclic) < 4 * 2**20
+    assert peak(coset_min_weight, ghz.group(), ghz.logical_z_ops()[0]) < 4 * 2**20
+    fresh = dataclasses.replace(cyclic, name="cyclic_21_uncached")
+    assert peak(und.necessary_ED, fresh, 7) < 4 * 2**20
+    assert all("_low" in vars(table) for table, is_x in und._classes_of(fresh) if is_x)
 
 
 def test_enumeration_cap_still_fires():
@@ -201,13 +204,19 @@ def test_ghz_past_both_caps_forms_no_factor(monkeypatch, n):
     spec = codes.catalog("ghz", n=n)
     d_min, w_min, _ = und.unconditional_D(spec)
     assert (w_min, d_min) == (n, 1)
-    assert stabilizer.code_distance(spec.group()) == 1
+    assert stabilizer.code_distance(logical_classes(spec.group())) == 1
+    # the spec's shared class tables too: only the E_D table needs
+    # blocks, and the caps refuse them before a factor is built
+    report = und.analyze_code(spec)
+    assert (report.w_min, report.d_min, report.distance, report.e_d_table) == (n, 1, 1, ())
 
 
 def test_table_cache_stays_small():
     # a cached table holds its two factors, 2^12 + 2^8 rows of x and z
     # words at the rank cap, its rows' combos and its memoized minimum weight
     assert und._table_of.cache_info().maxsize <= 8
+    # a k = 2 spec caches 15 class tables, each as large as _table_of's
+    assert und._classes_of.cache_info().maxsize <= 8
 
 
 def _least(elements):
@@ -397,8 +406,22 @@ def test_ghz_code_distance_forms_no_factor(monkeypatch):
     span = stabilizer._span
     monkeypatch.setattr(stabilizer, "_span", lambda *args: spans.append(args) or span(*args))
     for n in (17, 18, 19):
-        assert stabilizer.code_distance(codes.catalog("ghz", n=n).group()) == 1
+        assert stabilizer.code_distance(logical_classes(codes.catalog("ghz", n=n).group())) == 1
     assert spans == []
+
+
+@pytest.mark.parametrize("name, n, cosets", [("cyclic", 9, 3), ("code_422", None, 15)])
+def test_analyze_builds_each_coset_once(monkeypatch, name, n, cosets):
+    # w_min, the distance, every E_D row and the weight-D listing share
+    # one table per logical class, the difference coset's included, and
+    # each table builds its two factors once
+    spans = []
+    span = stabilizer._span
+    monkeypatch.setattr(stabilizer, "_span", lambda *args: spans.append(args) or span(*args))
+    spec = dataclasses.replace(codes.catalog(name, n=n), name=f"{name}_uncached")
+    report = und.analyze_code(spec, max_trace=spec.n - 1)
+    assert len(report.e_d_table) == spec.n - 1
+    assert len(spans) == 2 * cosets
 
 
 @pytest.mark.parametrize("gens,rep,witness,formed", [

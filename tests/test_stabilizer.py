@@ -16,9 +16,9 @@ from qundet.stabilizer import (
     code_distance,
     coset_min_weight,
     in_logical_x_set,
+    logical_classes,
     logical_x_count,
     logical_x_set,
-    logical_x_weights,
 )
 
 import helpers
@@ -238,7 +238,7 @@ def test_logical_x_count_closed_form(name, n):
     # the logical-class tables against a walk over every centralizer pair
     spec = codes.catalog(name, n=n)
     group = spec.group()
-    assert code_distance(group) == walk_distance(group)
+    assert code_distance(logical_classes(group)) == walk_distance(group)
     z_bars = spec.logical_z_ops()
     for z_bar in z_bars + [z_bars[0] * z_bars[-1]] * (spec.k == 2):
         members = logical_x_set(group, z_bar)
@@ -250,7 +250,7 @@ def test_logical_x_count_closed_form(name, n):
         walked.sort(key=lambda p: (p.weight, p.letters))
         assert [str(p) for p in members] == [str(p) for p in walked]
         assert logical_x_count(group) == len(members)
-        weights = logical_x_weights(group, z_bar)
+        weights = helpers.logical_x_weights(group, z_bar)
         assert weights == tuple(sum(p.weight == w for p in members) for w in range(spec.n + 1))
 
 
@@ -293,11 +293,13 @@ def test_in_logical_x_set_matches_enumeration():
 
 
 def test_code_distances():
-    assert code_distance(codes.catalog("code_513").group()) == 3
-    assert code_distance(codes.catalog("steane_713").group()) == 3
-    assert code_distance(codes.catalog("code_422").group()) == 2
+    def distance(name, n=None):
+        return code_distance(logical_classes(codes.catalog(name, n=n).group()))
+
+    assert distance("code_513") == distance("steane_713") == 3
+    assert distance("code_422") == 2
     for n in (3, 6):
-        assert code_distance(codes.catalog("ghz", n=n).group()) == 1
+        assert distance("ghz", n) == 1
 
 
 def test_dense_group_elements_match_generator_products():

@@ -157,8 +157,9 @@ def test_minimal_conditional_none():
 
 def _least_logical_x_weight(spec):
     """The least weight over the logical classes that anticommute with the difference rep."""
-    classes = logical_classes(spec.group(), und._difference_rep(spec))
-    return min(table.min_weight()[0] for table in classes)
+    rep = und._difference_rep(spec)
+    classes = logical_classes(spec.group())
+    return min(table.min_weight()[0] for table in classes if table.element(0).anticommutes(rep))
 
 
 def _catalog_specs():
@@ -179,6 +180,25 @@ def test_minimal_conditional_is_the_least_logical_x_weight(spec):
     # least weight; a weight of n is no feasible trace
     w = _least_logical_x_weight(spec)
     assert minimal_conditional_D(spec) == (w if w < spec.n else None)
+
+
+@pytest.mark.parametrize("spec", _catalog_specs(), ids=lambda spec: f"{spec.name}-{spec.n}")
+def test_shared_classes_match_fresh_tables(spec):
+    # the spec's one table per class against a fresh table per class and
+    # a walk over the whole centralizer; half the classes are logical X
+    group = spec.group()
+    flags = [is_x for _, is_x in und._classes_of(spec)]
+    assert (len(flags), sum(flags)) == (4**spec.k - 1, 4**spec.k // 2)
+    assert und._x_weights_of(spec) == helpers.logical_x_weights(group, und._difference_rep(spec))
+    assert und.analyze_code(spec).distance == walk_distance(group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_qubits_of_a_mask(data):
+    n = data.draw(st.integers(1, 130))
+    traced = data.draw(st.lists(st.integers(1, n), max_size=n))
+    assert und._qubits(und._subset_mask(traced, n)) == tuple(sorted(set(traced)))
 
 
 def test_scan_cyclic_verdict_matches_d_min():
@@ -425,7 +445,7 @@ def test_random_codes_agree_with_oracle(spec):
     w = _least_logical_x_weight(spec)
     assert minimal_conditional_D(spec) == (w if w < spec.n else None)
     group = spec.group()
-    assert code_distance(group) == walk_distance(group)
+    assert code_distance(logical_classes(group)) == walk_distance(group)
     # an equal trace stays equal when one more qubit is traced; one
     # walk decides every subset
     walk = und._walk(spec, range(1, spec.n), witnesses=False)
