@@ -47,8 +47,10 @@ visits traced sets depth first from the letter-key rows, one
 elimination step per set at any n, and gives each set's verdict and
 least-letters witness.
 The centralizer is read as one coset table per logical class L * S
-(``logical_classes``), and ``code_distance`` reads whatever tables it
-is given, so a caller that keeps them scans each class once.
+(``logical_classes``).  ``code_distance`` reads whatever tables it is
+given, so a caller that keeps them scans each class once, and
+``class_members``, the one reader that turns rows into operators,
+lists their entries: the logical X set and the weight-D listings.
 """
 
 from __future__ import annotations
@@ -338,10 +340,15 @@ def kept_walk(
     with no step.  Clearing the kept rows' leading bits from e leaves
     the least key in e * S_K.  With ``witnesses`` false a determined
     mask yields True, and a childless set whose last qubit has digit 0
-    in e keeps e with no step.
+    in e keeps e with no step.  ``sizes`` steps by 1 (another step
+    raises ValueError), and an empty one yields nothing.
     """
     if rep.n != group.n:
         raise ValueError("qubit count mismatch")
+    if sizes.step != 1:
+        raise ValueError(f"sizes must step by 1, got {sizes}")
+    if not sizes:
+        return
     n, r = group.n, group.rank
     qubits = [q for q in range(n) if within is None or within >> q & 1]
     bits, shifts = [1 << q for q in qubits], [2 * (n - 1 - q) + r for q in qubits]
@@ -386,10 +393,10 @@ class CosetTable:
     rows (see ``_formed``).  Entry hi << a | lo is high row hi XOR low
     row lo, so a scan in blocks of about ``_BLOCK_ROWS`` rows holds
     O(2^(rank/2) + block) words, never the whole coset.  The factors
-    are built on first use and shared by ``blocks`` and the scan:
-    ``min_weight`` needs none when entry 0 weighs its lower bound, as on
-    GHZ (timed in docs/method.md).  The caps bind only the factor
-    build, so that exit answers at any rank and n.
+    are built on first use and shared by the scan, the histogram and
+    ``class_members``: ``min_weight`` needs none when entry 0 weighs
+    its lower bound, as on GHZ (timed in docs/method.md).  The caps
+    bind only the factor build, so that exit answers at any rank and n.
     Cyclic codes read floor 0 and are scanned.  Each entry's generator
     combo is the XOR of its rows' combos, and only the entries that are
     asked for get a sign, by one product of at most rank generators.
@@ -469,11 +476,6 @@ class CosetTable:
         for offset, x, z in self._formed():
             np.bitwise_or(x, z, out=x)
             yield offset, np.bitwise_count(x, out=weight[: x.size])
-
-    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(offset, x, z) for consecutive runs of rows, in index order, as fresh arrays."""
-        for offset, x, z in self._formed():
-            yield offset, x.copy(), z.copy()
 
     def weight_counts(self) -> np.ndarray:
         """counts[w] = number of entries of weight w, w = 0..n."""
@@ -593,13 +595,22 @@ def logical_x_set(group: StabilizerGroup, z_bar: PauliOperator) -> list[PauliOpe
     """
     if not group.commutes_with_all(z_bar):
         raise ValueError("z_bar is not in the centralizer of the group")
-    members = [
-        PauliOperator(group.n, x, z).unsigned()
-        for table in logical_classes(group)
-        if table._rep.anticommutes(z_bar)
-        for _, xs, zs in table.blocks()
-        for x, z in zip(xs.tolist(), zs.tolist())
-    ]
+    return class_members(t for t in logical_classes(group) if t._rep.anticommutes(z_bar))
+
+
+def class_members(tables: Iterable[CosetTable], weight: int | None = None) -> list[PauliOperator]:
+    """The unsigned entries of the given class tables, all of them or those
+    of one weight, sorted by (weight, letters).  The weight filter runs
+    on each block in numpy before any PauliOperator is built, and each
+    block is read before ``_formed`` overwrites it with the next.
+    """
+    members = []
+    for table in tables:
+        for _, x, z in table._formed():
+            if weight is not None:
+                at = np.bitwise_count(x | z) == weight
+                x, z = x[at], z[at]
+            members += [PauliOperator(table.n, *xz).unsigned() for xz in zip(x.tolist(), z.tolist())]
     return sorted(members, key=lambda p: (p.weight, p.letters))
 
 

@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-import numpy as np
-
 from qundet import codes, dense
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator
@@ -47,6 +45,7 @@ from qundet.stabilizer import (
     CosetTable,
     EnumerationCapError,
     StabilizerGroup,
+    class_members,
     code_distance,
     kept_walk,
     logical_classes,
@@ -77,7 +76,7 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
 
 
 # a table holds its rows' generator combos, two factors once a scan or
-# blocks() needs them (2^12 + 2^8 rows of x and z words at the rank cap,
+# listing needs them (2^12 + 2^8 rows of x and z words at the rank cap,
 # 34 KB in the uint32 words of n <= 32, 68 KB past it) and its minimum
 # weight once read; the coset itself is scanned in blocks and never held
 @lru_cache(maxsize=4)
@@ -233,18 +232,6 @@ class CoverResult:
         return not self.uncovered
 
 
-def _x_members_of_weight(spec: CodeSpec, d: int) -> list[PauliOperator]:
-    """The weight-d logical X members in letters order, filtered in numpy
-    before any PauliOperator is built (the set has 2^(2n - rank - 1))."""
-    pairs: list[tuple[int, int]] = []
-    for table in (t for t, is_x in _classes_of(spec) if is_x):
-        for _, x, z in table.blocks():
-            at = np.bitwise_count(x | z) == d
-            pairs += zip(x[at].tolist(), z[at].tolist())
-    members = [PauliOperator(spec.n, x, z).unsigned() for x, z in pairs]
-    return sorted(members, key=lambda p: p.letters)
-
-
 def undetected_error_cover(spec: CodeSpec, d: int) -> CoverResult:
     """Find, per size-d subset, a logical X member supported exactly there.
 
@@ -256,7 +243,7 @@ def undetected_error_cover(spec: CodeSpec, d: int) -> CoverResult:
     if not 1 <= d <= spec.n - 1:
         raise ValueError(f"d must be in 1..{spec.n - 1}")
     by_support: dict[tuple[int, ...], PauliOperator] = {}
-    for p in _x_members_of_weight(spec, d):
+    for p in class_members((t for t, is_x in _classes_of(spec) if is_x), d):
         by_support.setdefault(tuple(sorted(p.support)), p)
     assignments = []
     uncovered = []
@@ -376,7 +363,8 @@ def mixed_pair_n2(spec: CodeSpec) -> MixedPairResult:
     if spec.k != 2:
         raise ValueError("mixed_pair_n2 needs a k=2 code")
     d_mixed, w_min, witness = unconditional_D(spec, cross_check=False)
-    weight_d = () if d_mixed is None else tuple(_x_members_of_weight(spec, d_mixed))
+    x_tables = (t for t, is_x in _classes_of(spec) if is_x)
+    weight_d = () if d_mixed is None else tuple(class_members(x_tables, d_mixed))
     return MixedPairResult(d_mixed, w_min, witness, logical_x_count(_group_of(spec)), weight_d)
 
 

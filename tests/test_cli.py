@@ -273,10 +273,10 @@ def test_qss_digest_pinned(capsys, argv, digest):
     # rank 18, whose w_min and E_D histogram read every block of its tables
     (["analyze", "--catalog", "cyclic", "--n", "19"],
      "8c476a6ec5c5fc3d86e91cec8cb1c667cbd188baf24e47b5d60eb4934ea026c3"),
-    # 17,472 witnesses, each from one elimination of its mask
+    # 17,472 witnesses, each set stepped once by the kept-set walk
     (["analyze", "--catalog", "cyclic", "--n", "21", "--conditional", "5"],
      "1dfa4f31c498df9eb96a74f9abb80bd845a14facda25394f13621cd1568d4efa"),
-    # 2,080 witnesses past 64 qubits, where the verdicts too are decided one mask at a time
+    # 2,080 witnesses past 64 qubits, from the same kept-set walk as below them
     (["analyze", "--catalog", "cyclic", "--n", "65", "--conditional", "2"],
      "a615104a1869cbfd47c82c11d3502405ab6f4185b4bc706e67712488963ac389"),
 ])

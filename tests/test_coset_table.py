@@ -39,6 +39,11 @@ SMALL = [
 ]
 
 
+def _copied_blocks(table):
+    """Offsets, x and z of every block, copied before ``_formed`` reuses its buffers."""
+    return zip(*((offset, x.copy(), z.copy()) for offset, x, z in table._formed()))
+
+
 def _permuted(p, perm):
     """The letter on qubit perm[j] + 1 moves to qubit j + 1, sign kept."""
     text = str(p)
@@ -130,7 +135,7 @@ def test_blocks_match_whole_coset_doubling(name):
     group, rep = spec.group(), spec.logical_z_ops()[0]
     assert group.rank == 16
     table = CosetTable(group, rep)
-    offsets, xs, zs = zip(*table.blocks())
+    offsets, xs, zs = _copied_blocks(table)
     x, z, phase = helpers.sorted_coset(group, rep)
     assert len(offsets) > 1
     assert offsets == tuple(range(0, len(x), len(xs[0])))
@@ -344,7 +349,7 @@ def test_word_widths_match_the_signed_coset(case, block_rows):
     with patch.object(stabilizer, "_BLOCK_ROWS", block_rows):
         table = CosetTable(group, rep)
         assert table.min_weight() == (best.weight, best)
-        offsets, xs, zs = zip(*table.blocks())
+        offsets, xs, zs = _copied_blocks(table)
         assert xs[0].dtype == (np.uint32 if group.n <= 32 else np.uint64)
         assert offsets == tuple(itertools.accumulate((len(b) for b in xs[:-1]), initial=0))
         assert np.array_equal(np.concatenate(xs), x)
@@ -395,7 +400,7 @@ def test_ghz_min_weight_forms_no_factor(monkeypatch):
     # block is a run of whole high rows against the whole low factor
     low, high = 1 << table._a, 1 << table.rank - table._a
     step = max(1, stabilizer._BLOCK_ROWS // low)
-    assert len(list(table.blocks())) == len(formed) == -(-high // step) > 1
+    assert len(list(table._formed())) == len(formed) == -(-high // step) > 1
     assert len(spans) == 2
 
 
@@ -437,7 +442,7 @@ def test_scan_stops_at_the_first_block_that_meets_the_bound(gens, rep, witness, 
     with patch.object(stabilizer, "_BLOCK_ROWS", 1):
         table = CosetTable(group, parse_pauli(rep))
         assert table._floor() == 0
-        assert len(list(table.blocks())) == 2
+        assert len(list(table._formed())) == 2
         offsets = []
         form = table._formed
         table._formed = lambda: (offsets.append(block[0]) or block for block in form())
@@ -526,6 +531,16 @@ def test_kept_walk_matches_brute_force(case, data):
     assert list(kept_walk(group, rep, range(size, size + 1), within)) == [
         (mask, witness[mask]) for mask in map(sum, itertools.combinations(bits, size))
     ]
+
+
+def test_kept_walk_sizes_empty_or_stepped():
+    # an empty range of sizes asks for no traced set, the empty one included,
+    # and a stepped range, which the walk would read as contiguous, raises
+    spec = codes.catalog("code_513")
+    group, rep = spec.group(), spec.logical_z_ops()[0]
+    assert list(kept_walk(group, rep, range(0, 0))) == list(kept_walk(group, rep, range(1, 1))) == []
+    with pytest.raises(ValueError, match="step by 1"):
+        list(kept_walk(group, rep, range(1, 5, 2)))
 
 
 def test_cyclic_65_steps_each_traced_set_once(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qundet import codes, stabilizer
+from qundet import undetermined as und
 from qundet.pauli import PauliOperator, parse_pauli
 from qundet.stabilizer import (
     DependentGeneratorsError,
@@ -252,6 +253,25 @@ def test_logical_x_count_closed_form(name, n):
         assert logical_x_count(group) == len(members)
         weights = helpers.logical_x_weights(group, z_bar)
         assert weights == tuple(sum(p.weight == w for p in members) for w in range(spec.n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.random_codes(max_n=6))
+def test_class_members_match_centralizer_doubling(spec):
+    # the spec's logical-X tables against the whole centralizer, doubled
+    # from its basis and kept where it anticommutes with the difference
+    # rep, at every weight and unfiltered, in (weight, letters) order
+    x, z, _, _ = helpers.doubling(spec.group().centralizer_basis(), PauliOperator.identity(spec.n))
+    rep = und._difference_rep(spec)
+    anti = np.bitwise_count((x & np.uint64(rep.z_bits)) ^ (z & np.uint64(rep.x_bits))) & 1 == 1
+    weight = np.bitwise_count(x | z)
+    tables = [table for table, is_x in und._classes_of(spec) if is_x]
+    for w in [*range(spec.n + 1), None]:
+        at = anti if w is None else anti & (weight == w)
+        letters = [PauliOperator(spec.n, a, b).letters for a, b in zip(x[at].tolist(), z[at].tolist())]
+        members = stabilizer.class_members(tables, w)
+        assert [(p.weight, p.letters) for p in members] == sorted(zip(weight[at].tolist(), letters))
+        assert all(str(p) == p.letters for p in members)  # each with a + sign
 
 
 def test_logical_x_set_412_contains_listed():

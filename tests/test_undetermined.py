@@ -193,6 +193,13 @@ def test_shared_classes_match_fresh_tables(spec):
     assert und.analyze_code(spec).distance == walk_distance(group)
 
 
+def test_one_qubit_spec_has_no_traced_set():
+    # 1..n-1 is empty at n = 1, so the oracle compares no subset
+    spec = CodeSpec("one_qubit", 1, 1, (), ("Z",))
+    assert analyze_code(spec, oracle=True).methods == ("symbolic", "oracle")
+    assert oracle_sweep(spec) == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_qubits_of_a_mask(data):
