@@ -42,10 +42,11 @@ class of GHZ, whose cold verdicts at n = 17..19 form no block; the
 cyclic and small catalog codes read floor 0 and are scanned, in index
 order, up to the first block that holds a row of the bound's weight.
 A two-information-set stop costs more than the scan it saves (see
-docs/method.md).  Kept-set queries enumerate nothing: ``kept_walk``
-visits traced sets depth first from the letter-key rows, one
-elimination step per set at any n, and gives each set's verdict and
-least-letters witness.
+docs/method.md).  Kept-set queries enumerate nothing: the table's
+``walk`` visits traced sets depth first from the letter-key rows and
+entry 0, one elimination step per set at any n, and gives each set's
+verdict and least-letters witness; a set that meets the floor is
+decided with no step.
 The centralizer is read as one coset table per logical class L * S
 (``logical_classes``).  ``code_distance`` reads whatever tables it is
 given, so a caller that keeps them scans each class once, and
@@ -320,61 +321,6 @@ def _trace(rows: list[int], e: int, s: int) -> tuple[list[int], int | None]:
     return kept, e ^ span[d] if d in span else None
 
 
-def kept_walk(
-    group: StabilizerGroup,
-    rep: PauliOperator,
-    sizes: range,
-    within: int | None = None,
-    witnesses: bool = True,
-) -> Iterator[tuple[int, PauliOperator | bool | None]]:
-    """Each traced mask inside ``within`` with a size in ``sizes``, and the
-    least-letters element of rep * S that avoids it, sign included, or None.
-
-    Bit q - 1 of a mask is qubit q, and the masks come in the
-    lexicographic order of their qubit tuples.  The elements that avoid
-    T are e * S_K, e any one of them and S_K the subgroup supported
-    inside the kept set (Fattal, Cubitt, Yamamoto, Bravyi and Chuang,
-    quant-ph/0406168).  The walk goes depth first from the group's rows
-    and rep at the empty set, and ``_trace`` steps each set once.  Once
-    e is None it is None on every superset, so that subtree is emitted
-    with no step.  Clearing the kept rows' leading bits from e leaves
-    the least key in e * S_K.  With ``witnesses`` false a determined
-    mask yields True, and a childless set whose last qubit has digit 0
-    in e keeps e with no step.  ``sizes`` steps by 1 (another step
-    raises ValueError), and an empty one yields nothing.
-    """
-    if rep.n != group.n:
-        raise ValueError("qubit count mismatch")
-    if sizes.step != 1:
-        raise ValueError(f"sizes must step by 1, got {sizes}")
-    if not sizes:
-        return
-    n, r = group.n, group.rank
-    qubits = [q for q in range(n) if within is None or within >> q & 1]
-    bits, shifts = [1 << q for q in qubits], [2 * (n - 1 - q) + r for q in qubits]
-    lo, hi = sizes.start, sizes.stop - 1
-    # T, the first index into qubits its children may add, the rows and e
-    # of T's parent, and the shift of T's last qubit (none at the root)
-    stack = [(0, 0, group._rows, _letter_key(rep) << r, 0)]
-    while stack:
-        mask, at, rows, e, s = stack.pop()
-        depth = mask.bit_count()
-        if mask and e is not None and (witnesses or depth < hi or e >> s & 3):
-            rows, e = _trace(rows, e, s)
-        if e is None and depth < lo == hi:
-            # T's supersets of the one size asked, in lexicographic order
-            tails = map(sum, itertools.combinations(bits[at:], hi - depth))
-            yield from zip(map(mask.__or__, tails), itertools.repeat(None))
-            continue
-        if depth >= lo and (e is None or not witnesses):
-            yield mask, None if e is None else True
-        elif depth >= lo:
-            yield mask, _product(rep, group.generators, _reduce(e, rows) & (1 << r) - 1)
-        # children up to the last qubit that leaves room for the smallest size still wanted
-        for j in range(len(qubits) + depth - max(lo, depth + 1), at - 1, -1) if depth < hi else ():
-            stack.append((mask | bits[j], j + 1, rows, e, shifts[j]))
-
-
 class CosetTable:
     """The signed coset {rep * s : s in group}, in letters order, scanned in blocks.
 
@@ -400,6 +346,8 @@ class CosetTable:
     Cyclic codes read floor 0 and are scanned.  Each entry's generator
     combo is the XOR of its rows' combos, and only the entries that are
     asked for get a sign, by one product of at most rank generators.
+    Kept-set queries (``walk``) read the same rows, entry 0 and floor,
+    and build no factor.
     """
 
     def __init__(self, group: StabilizerGroup, rep: PauliOperator):
@@ -407,7 +355,7 @@ class CosetTable:
             raise ValueError("qubit count mismatch")
         self.n, self.rank = group.n, group.rank
         n, r = self.n, self.rank
-        self._generators, self._rep = group.generators, rep
+        self.group, self._rep = group, rep
         # the reduced rep first, then the group's rows
         rows = [_reduce(_letter_key(rep) << r, group._rows), *group._rows]
         self._combos = [b & (1 << r) - 1 for b in rows]
@@ -491,10 +439,62 @@ class CosetTable:
             if pos & 1:
                 combo ^= c
             pos >>= 1
-        return _product(self._rep, self._generators, combo)
+        return _product(self._rep, self.group.generators, combo)
 
+    def walk(
+        self, sizes: range, within: int | None = None, witnesses: bool = True
+    ) -> Iterator[tuple[int, PauliOperator | bool | None]]:
+        """Each traced mask inside ``within`` with a size in ``sizes``, and the
+        least-letters entry that avoids it, sign included, or None.
+
+        Bit q - 1 of a mask is qubit q, and the masks come in the
+        lexicographic order of their qubit tuples.  The entries that avoid
+        T are e * S_K, e any one of them and S_K the subgroup supported
+        inside the kept set (Fattal, Cubitt, Yamamoto, Bravyi and Chuang,
+        quant-ph/0406168).  The walk goes depth first from the group's rows
+        and entry 0 at the empty set (any entry would do), and ``_trace``
+        steps each set once.  A set that adds a floor qubit gets e None
+        with no step, as every entry has a letter there.  Once e is None it
+        is None on every superset, so that subtree is emitted with no step.
+        Clearing the kept rows' leading bits from e leaves the least key in
+        e * S_K.  With ``witnesses`` false a determined mask yields True,
+        and a childless set whose last qubit has digit 0 in e keeps e with
+        no step.  ``sizes`` steps by 1 (another step raises ValueError),
+        and an empty one yields nothing.
+        """
+        if sizes.step != 1:
+            raise ValueError(f"sizes must step by 1, got {sizes}")
+        if not sizes:
+            return
+        n, r, gens = self.n, self.rank, self.group.generators
+        qubits = [q for q in range(n) if within is None or within >> q & 1]
+        bits, shifts = [1 << q for q in qubits], [2 * (n - 1 - q) + r for q in qubits]
+        floor = [self._floor >> s - r & 1 for s in shifts]
+        lo, hi = sizes.start, sizes.stop - 1
+        # T, the first index into qubits its children may add, the rows and e
+        # of T's parent, and the shift of T's last qubit (none at the root)
+        stack = [(0, 0, self.group._rows, self._keys[0] << r | self._combos[0], 0)]
+        while stack:
+            mask, at, rows, e, s = stack.pop()
+            depth = mask.bit_count()
+            if mask and e is not None and (witnesses or depth < hi or e >> s & 3):
+                rows, e = _trace(rows, e, s)
+            if e is None and depth < lo == hi:
+                # T's supersets of the one size asked, in lexicographic order
+                tails = map(sum, itertools.combinations(bits[at:], hi - depth))
+                yield from zip(map(mask.__or__, tails), itertools.repeat(None))
+                continue
+            if depth >= lo and (e is None or not witnesses):
+                yield mask, None if e is None else True
+            elif depth >= lo:
+                yield mask, _product(self._rep, gens, _reduce(e, rows) & (1 << r) - 1)
+            # children up to the last qubit that leaves room for the smallest size still wanted
+            for j in range(len(qubits) + depth - max(lo, depth + 1), at - 1, -1) if depth < hi else ():
+                stack.append((mask | bits[j], j + 1, rows, None if floor[j] else e, shifts[j]))
+
+    @cached_property
     def _floor(self) -> int:
-        """The number of qubits where every entry has a letter.
+        """The qubits where every entry has a letter, as the low bit of their key digits.
 
         Restricted to qubit q, the coset is rep|_q times the span of the
         rows' letters there.  That span is I alone, I and one letter, or
@@ -513,7 +513,7 @@ class CosetTable:
         low, high = self._keys[0] & digits, self._keys[0] >> 1 & digits
         two_letters = xs & ys | xs & zs | ys & zs
         same = low & ~high & xs | high & ~low & ys | low & high & zs
-        return ((low | high) & ~two_letters & ~same).bit_count()
+        return (low | high) & ~two_letters & ~same
 
     def min_weight(self) -> tuple[int, PauliOperator]:
         """Minimum weight and the least-letters entry of that weight.
@@ -529,7 +529,7 @@ class CosetTable:
         """
         if self._min is None:
             first = ((self._keys[0] | self._keys[0] >> 1) & self._digits).bit_count()
-            bound = max(self._floor(), int(self._keys[0] != 0))
+            bound = max(self._floor.bit_count(), int(self._keys[0] != 0))
             self._min = (first, self.element(0)) if first == bound else self._scan(bound)
         return self._min
 
@@ -602,7 +602,9 @@ def class_members(tables: Iterable[CosetTable], weight: int | None = None) -> li
     """The unsigned entries of the given class tables, all of them or those
     of one weight, sorted by (weight, letters).  The weight filter runs
     on each block in numpy before any PauliOperator is built, and each
-    block is read before ``_formed`` overwrites it with the next.
+    block is read before ``_formed`` overwrites it with the next.  An
+    unsigned entry's phase is its Y count, and its letter key orders
+    like its letters, so no letter string is built.
     """
     members = []
     for table in tables:
@@ -610,8 +612,11 @@ def class_members(tables: Iterable[CosetTable], weight: int | None = None) -> li
             if weight is not None:
                 at = np.bitwise_count(x | z) == weight
                 x, z = x[at], z[at]
-            members += [PauliOperator(table.n, *xz).unsigned() for xz in zip(x.tolist(), z.tolist())]
-    return sorted(members, key=lambda p: (p.weight, p.letters))
+            members += [
+                PauliOperator(table.n, xs, zs, (xs & zs).bit_count() & 3)
+                for xs, zs in zip(x.tolist(), z.tolist())
+            ]
+    return sorted(members, key=lambda p: (p.weight, _letter_key(p)))
 
 
 def logical_x_count(group: StabilizerGroup) -> int:

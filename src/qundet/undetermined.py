@@ -16,16 +16,17 @@ entirely inside the kept set.  Consequences used throughout:
   * the k=2 equal mixtures obey the same rule with the coset
     (Z-bar_1 Z-bar_2) * S.
 
-Each spec's difference coset has one ``stabilizer.CosetTable``, which
-finds w_min from entry 0 when it meets the table's exact lower bound,
-and otherwise by one blockwise scan that stops at the first row of the
-bound's weight.  It is also its logical class's table, one of the
-spec's class tables that serve the distance, E_D and the weight-D
-listings.  Kept-set queries need no enumeration: some coset element
-avoids the traced set T iff Z-bar restricted to T lies in the span of
-the generators restricted to T.
-One ``stabilizer.kept_walk`` decides every traced set of a scan, a
-sweep or a single query, with its witness, in lexicographic order.
+Each spec's difference coset has one ``stabilizer.CosetTable``
+(``_table_of``), which holds the spec's group and Z-bar, parsed and
+reduced once.  It finds w_min from entry 0 when it meets the table's
+exact lower bound, and otherwise by one blockwise scan that stops at
+the first row of the bound's weight.  It is also its logical class's
+table, one of the spec's class tables that serve the distance, E_D and
+the weight-D listings.  Kept-set queries need no enumeration: some
+coset element avoids the traced set T iff Z-bar restricted to T lies
+in the span of the generators restricted to T.  The same table's
+``walk`` decides every traced set of a scan, a sweep or a single
+query, with its witness, in lexicographic order.
 Everything here is exact integer/bit work; the dense module provides
 the independent floating-point verification.
 """
@@ -36,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from qundet import codes, dense
 from qundet.codes import CodeSpec
@@ -44,10 +45,8 @@ from qundet.pauli import PauliOperator
 from qundet.stabilizer import (
     CosetTable,
     EnumerationCapError,
-    StabilizerGroup,
     class_members,
     code_distance,
-    kept_walk,
     logical_classes,
     logical_x_count,
 )
@@ -60,11 +59,6 @@ X_SET_COUNTING_NOTE = (
 )
 
 
-@lru_cache(maxsize=128)
-def _group_of(spec: CodeSpec) -> StabilizerGroup:
-    return spec.group()
-
-
 def _difference_rep(spec: CodeSpec) -> PauliOperator:
     """Z-bar for k=1; Z-bar_1 * Z-bar_2 for the k=2 equal mixtures."""
     z_bars = spec.logical_z_ops()
@@ -75,23 +69,24 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
     raise ValueError(f"unsupported k={spec.k}")
 
 
-# a table holds its rows' generator combos, two factors once a scan or
-# listing needs them (2^12 + 2^8 rows of x and z words at the rank cap,
-# 34 KB in the uint32 words of n <= 32, 68 KB past it) and its minimum
-# weight once read; the coset itself is scanned in blocks and never held
+# a table holds the spec's group, its rows' generator combos, two factors
+# once a scan or listing needs them (2^12 + 2^8 rows of x and z words at
+# the rank cap, 34 KB in the uint32 words of n <= 32, 68 KB past it) and
+# its minimum weight once read; the coset itself is scanned in blocks and
+# never held
 @lru_cache(maxsize=4)
 def _table_of(spec: CodeSpec) -> CosetTable:
-    return CosetTable(_group_of(spec), _difference_rep(spec))
+    return CosetTable(spec.group(), _difference_rep(spec))
 
 
 @lru_cache(maxsize=4)
 def _classes_of(spec: CodeSpec) -> tuple[tuple[CosetTable, bool], ...]:
     """(table, rep anticommutes with the difference rep) per nontrivial logical
     class; the difference coset's class, found by its entry 0, is ``_table_of``'s."""
-    own, rep = _table_of(spec), _difference_rep(spec)
+    own = _table_of(spec)
     return tuple(
-        (own if table._keys[0] == own._keys[0] else table, table._rep.anticommutes(rep))
-        for table in logical_classes(_group_of(spec))
+        (own if table._keys[0] == own._keys[0] else table, table._rep.anticommutes(own._rep))
+        for table in logical_classes(own.group)
     )
 
 
@@ -125,15 +120,9 @@ def reduced_equal_on(
     if not 1 <= len(traced) <= spec.n - 1:
         raise ValueError(f"traced set must have 1..{spec.n - 1} qubits, got {traced}")
     # the walk inside the traced set visits one chain, down to the set itself
-    [(_, witness)] = _walk(spec, range(len(traced), len(traced) + 1), _subset_mask(traced, spec.n))
+    sizes = range(len(traced), len(traced) + 1)
+    [(_, witness)] = _table_of(spec).walk(sizes, _subset_mask(traced, spec.n))
     return witness is None, witness
-
-
-def _walk(
-    spec: CodeSpec, sizes: range, within: int | None = None, witnesses: bool = True
-) -> Iterator[tuple[int, PauliOperator | bool | None]]:
-    """``stabilizer.kept_walk`` on the spec's difference coset."""
-    return kept_walk(_group_of(spec), _difference_rep(spec), sizes, within, witnesses)
 
 
 class UnconditionalResult(NamedTuple):
@@ -171,7 +160,7 @@ def _assert_scan_agreement(spec: CodeSpec, d_min: int | None) -> None:
 
 def _scan_equal_all(spec: CodeSpec, size: int) -> bool:
     """Are the reductions equal after tracing out every subset of this size?"""
-    return all(f is None for _, f in _walk(spec, range(size, size + 1), witnesses=False))
+    return all(f is None for _, f in _table_of(spec).walk(range(size, size + 1), witnesses=False))
 
 
 @dataclass(frozen=True)
@@ -202,7 +191,7 @@ def conditional_scan(spec: CodeSpec, d_prime: int) -> ConditionalScan:
         raise ValueError(f"d_prime must be in 1..{spec.n - 1}")
     undet: list[tuple[int, ...]] = []
     det: list[tuple[tuple[int, ...], PauliOperator]] = []
-    for mask, witness in _walk(spec, range(d_prime, d_prime + 1)):
+    for mask, witness in _table_of(spec).walk(range(d_prime, d_prime + 1)):
         if witness is None:
             undet.append(_qubits(mask))
         else:
@@ -213,7 +202,7 @@ def conditional_scan(spec: CodeSpec, d_prime: int) -> ConditionalScan:
 def minimal_conditional_D(spec: CodeSpec) -> int | None:
     """Smallest subset size with at least one undetermined traced set."""
     for size in range(1, spec.n):
-        if any(f is None for _, f in _walk(spec, range(size, size + 1), witnesses=False)):
+        if any(f is None for _, f in _table_of(spec).walk(range(size, size + 1), witnesses=False)):
             return size
     return None
 
@@ -365,7 +354,7 @@ def mixed_pair_n2(spec: CodeSpec) -> MixedPairResult:
     d_mixed, w_min, witness = unconditional_D(spec, cross_check=False)
     x_tables = (t for t, is_x in _classes_of(spec) if is_x)
     weight_d = () if d_mixed is None else tuple(class_members(x_tables, d_mixed))
-    return MixedPairResult(d_mixed, w_min, witness, logical_x_count(_group_of(spec)), weight_d)
+    return MixedPairResult(d_mixed, w_min, witness, logical_x_count(_table_of(spec).group), weight_d)
 
 
 @dataclass(frozen=True)
@@ -439,7 +428,7 @@ def analyze_code(
     """
     if max_trace is not None and max_trace < 1:
         raise ValueError(f"max_trace must be at least 1, got {max_trace}")
-    group = _group_of(spec)
+    group = _table_of(spec).group
     notes = [X_SET_COUNTING_NOTE]
     unconditional = _unless_capped(
         notes, "w_min and minimal_unconditional_d", lambda: unconditional_D(spec)
@@ -489,7 +478,7 @@ def oracle_sweep(spec: CodeSpec) -> int:
     qubits in the walk's lexicographic order.
     """
     states0, states1 = dense.codeword_states(spec)
-    verdicts = list(_walk(spec, range(1, spec.n), witnesses=False))
+    verdicts = list(_table_of(spec).walk(range(1, spec.n), witnesses=False))
     devs = dense.reduced_distances(states0, states1, [mask for mask, _ in verdicts])
     for (mask, found), dev in zip(verdicts, devs):
         if (found is None) != (dev == 0):

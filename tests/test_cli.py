@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from qundet import report, undetermined as und
+from qundet import report
 from qundet.cli import main, run
 from qundet.codes import catalog, save_spec
+from qundet.stabilizer import CosetTable
 
 from helpers import zz_chain_doc
 
@@ -77,9 +78,10 @@ def test_analyze_with_oracle_flag(capsys):
 
 def test_analyze_oracle_disagreement_exits_2(monkeypatch, capsys):
     # flipped symbolic verdicts make every traced set disagree with the dense oracle
-    kept_walk = und.kept_walk
+    walk = CosetTable.walk
     monkeypatch.setattr(
-        und, "kept_walk", lambda *a: ((m, True if f is None else None) for m, f in kept_walk(*a))
+        CosetTable, "walk",
+        lambda *a, **k: ((m, True if f is None else None) for m, f in walk(*a, **k)),
     )
     assert run(["analyze", "--catalog", "code_412", "--oracle"]) == 2
     captured = capsys.readouterr()

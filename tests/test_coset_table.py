@@ -29,7 +29,6 @@ from qundet.stabilizer import (
     EnumerationCapError,
     StabilizerGroup,
     coset_min_weight,
-    kept_walk,
     logical_classes,
 )
 
@@ -181,7 +180,7 @@ def test_enumeration_cap_still_fires():
     group, rep = past_cap.group(), past_cap.logical_z_ops()[0]
     assert group.rank == MAX_ENUM_RANK + 1
     table = CosetTable(group, rep)
-    assert table._floor() == 0
+    assert table._floor.bit_count() == 0
     with pytest.raises(EnumerationCapError, match="rank 21 exceeds enumeration cap 20"):
         table.min_weight()
     with pytest.raises(EnumerationCapError):
@@ -199,13 +198,18 @@ def test_queries_run_to_the_row_cap():
     assert und.reduced_equal_on(codes.catalog("ghz", n=MAX_ROW_N + 1), [1]) == (True, None)
 
 
-@pytest.mark.parametrize("n", [MAX_ENUM_RANK + 2, MAX_ROW_N, MAX_ROW_N + 1, 200])
-def test_ghz_past_both_caps_forms_no_factor(monkeypatch, n):
-    # every GHZ class meets its bound at entry 0, so neither cap is reached
+@pytest.fixture
+def refused_span(monkeypatch):
+    """Any factor build fails the test."""
     def refuse(start, basis):
         raise AssertionError("a factor was built")
 
     monkeypatch.setattr(stabilizer, "_span", refuse)
+
+
+@pytest.mark.parametrize("n", [MAX_ENUM_RANK + 2, MAX_ROW_N, MAX_ROW_N + 1, 200])
+def test_ghz_past_both_caps_forms_no_factor(refused_span, n):
+    # every GHZ class meets its bound at entry 0, so neither cap is reached
     spec = codes.catalog("ghz", n=n)
     d_min, w_min, _ = und.unconditional_D(spec)
     assert (w_min, d_min) == (n, 1)
@@ -214,6 +218,40 @@ def test_ghz_past_both_caps_forms_no_factor(monkeypatch, n):
     # blocks, and the caps refuse them before a factor is built
     report = und.analyze_code(spec)
     assert (report.w_min, report.d_min, report.distance, report.e_d_table) == (n, 1, 1, ())
+    assert und.reduced_equal_on(spec, [1]) == (True, None)
+
+
+@pytest.mark.parametrize("n", [MAX_ENUM_RANK + 1, MAX_ROW_N + 1])
+def test_kept_set_queries_form_no_factor(refused_span, n):
+    # the difference coset of cyclic 21 (rank 20, at the enumeration cap)
+    # and cyclic 65 (past the row cap) has floor 0; its walk reads the
+    # table's rows and entry 0, never its factors
+    spec = codes.catalog("cyclic", n=n)
+    assert und._table_of(spec)._floor == 0
+    equal, witness = und.reduced_equal_on(spec, [1, 2])
+    assert not equal and not {1, 2} & set(witness.support)
+    scan = und.conditional_scan(spec, 2)
+    assert (len(scan.undetermined), len(scan.determined)) == (0, n * (n - 1) // 2)
+    assert und.minimal_conditional_D(spec) == 3
+
+
+@pytest.mark.parametrize("name, steps", [("ghz", [0, 0]), ("cyclic", [1, 18 + 171])])
+def test_floor_qubits_need_no_step(monkeypatch, name, steps):
+    # every GHZ entry has a letter on every qubit, so every traced set
+    # meets the floor and is equal with no elimination step; cyclic 19's
+    # floor is empty, so each set is stepped once: the one query's set,
+    # then the 18 singletons with a second qubit to add and the 171 pairs
+    traced = []
+    trace = stabilizer._trace
+    monkeypatch.setattr(stabilizer, "_trace", lambda *args: traced.append(args) or trace(*args))
+    spec = codes.catalog(name, n=19)
+    equal, _ = und.reduced_equal_on(spec, [3])
+    counts = [len(traced)]
+    scan = und.conditional_scan(spec, 2)
+    counts.append(len(traced) - counts[0])
+    assert counts == steps
+    assert equal is (name == "ghz")
+    assert len(scan.undetermined if equal else scan.determined) == 171
 
 
 def test_table_cache_stays_small():
@@ -366,9 +404,10 @@ def test_floor_counts_the_qubits_every_entry_covers(case):
     covered = ~0
     for p in coset:
         covered &= p.x_bits | p.z_bits
-    floor = CosetTable(group, rep)._floor()
-    assert floor == covered.bit_count()
-    assert floor <= _least(coset).weight
+    # the floor holds qubit q at the low bit of its key digit
+    floor = CosetTable(group, rep)._floor
+    assert floor == sum(1 << 2 * (group.n - 1 - q) for q in range(group.n) if covered >> q & 1)
+    assert floor.bit_count() <= _least(coset).weight
 
 
 def test_ghz_min_weight_forms_no_factor(monkeypatch):
@@ -441,7 +480,7 @@ def test_scan_stops_at_the_first_block_that_meets_the_bound(gens, rep, witness, 
     group = StabilizerGroup([parse_pauli(g) for g in gens])
     with patch.object(stabilizer, "_BLOCK_ROWS", 1):
         table = CosetTable(group, parse_pauli(rep))
-        assert table._floor() == 0
+        assert table._floor.bit_count() == 0
         assert len(list(table._formed())) == 2
         offsets = []
         form = table._formed
@@ -493,10 +532,10 @@ def test_restriction_solve_matches_brute_force(case):
     # every traced mask, the empty and the full one included, once as
     # verdicts only and once with the witnesses
     group, rep = case
-    every = range(group.n + 1)
+    table, every = CosetTable(group, rep), range(group.n + 1)
     want = dict(zip(range(1 << group.n), _least_avoiding(group, rep, range(1 << group.n))))
-    assert dict(kept_walk(group, rep, every)) == want
-    verdicts = dict(kept_walk(group, rep, every, witnesses=False))
+    assert dict(table.walk(every)) == want
+    verdicts = dict(table.walk(every, witnesses=False))
     assert verdicts == {mask: None if w is None else True for mask, w in want.items()}
 
 
@@ -507,28 +546,28 @@ def test_kept_walk_matches_brute_force(case, data):
     # empty and the full one included, in lexicographic order of the qubit
     # tuples; with witnesses, as verdicts only, and for a range of sizes
     group, rep = case
-    qubits = range(group.n)
+    table, qubits = CosetTable(group, rep), range(group.n)
     if group.n > 8:
         qubits = sorted(data.draw(st.sets(st.integers(0, group.n - 1), max_size=8)))
     bits = [1 << q for q in qubits]
     within, every = sum(bits), range(len(bits) + 1)
     masks = [sum(c) for c in sorted(c for size in every for c in itertools.combinations(bits, size))]
     want = list(zip(masks, _least_avoiding(group, rep, masks)))
-    assert list(kept_walk(group, rep, every, within)) == want
+    assert list(table.walk(every, within)) == want
     verdicts = [(mask, None if w is None else True) for mask, w in want]
-    assert list(kept_walk(group, rep, every, within, witnesses=False)) == verdicts
+    assert list(table.walk(every, within, witnesses=False)) == verdicts
     lo = data.draw(st.integers(0, len(qubits)))
     sizes = range(lo, data.draw(st.integers(lo, len(qubits))) + 1)
-    assert list(kept_walk(group, rep, sizes, within)) == [
+    assert list(table.walk(sizes, within)) == [
         (mask, w) for mask, w in want if mask.bit_count() in sizes
     ]
-    assert list(kept_walk(group, rep, sizes, within, witnesses=False)) == [
+    assert list(table.walk(sizes, within, witnesses=False)) == [
         (mask, w) for mask, w in verdicts if mask.bit_count() in sizes
     ]
     # one size, as conditional_scan walks it, in itertools.combinations' order
     size = data.draw(st.integers(0, len(qubits)))
     witness = dict(want)
-    assert list(kept_walk(group, rep, range(size, size + 1), within)) == [
+    assert list(table.walk(range(size, size + 1), within)) == [
         (mask, witness[mask]) for mask in map(sum, itertools.combinations(bits, size))
     ]
 
@@ -537,10 +576,10 @@ def test_kept_walk_sizes_empty_or_stepped():
     # an empty range of sizes asks for no traced set, the empty one included,
     # and a stepped range, which the walk would read as contiguous, raises
     spec = codes.catalog("code_513")
-    group, rep = spec.group(), spec.logical_z_ops()[0]
-    assert list(kept_walk(group, rep, range(0, 0))) == list(kept_walk(group, rep, range(1, 1))) == []
+    table = CosetTable(spec.group(), spec.logical_z_ops()[0])
+    assert list(table.walk(range(0, 0))) == list(table.walk(range(1, 1))) == []
     with pytest.raises(ValueError, match="step by 1"):
-        list(kept_walk(group, rep, range(1, 5, 2)))
+        list(table.walk(range(1, 5, 2)))
 
 
 def test_cyclic_65_steps_each_traced_set_once(monkeypatch):

@@ -253,7 +253,7 @@ def test_reduced_distances_separate_the_verdicts(name, n):
     spec = catalog(name, n=n)
     s0, s1 = codeword_states(spec)
     floor = 2 ** ((3 - spec.n) / 2)
-    verdicts = list(und._walk(spec, range(1, spec.n), witnesses=False))
+    verdicts = list(und._table_of(spec).walk(range(1, spec.n), witnesses=False))
     dists = reduced_distances(s0, s1, [traced for traced, _ in verdicts])
     for (traced, found), dist in zip(verdicts, dists):
         if found is None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qundet.undetermined as und
 from qundet import dense
 from qundet.codes import CodeSpec, CodeValidationError, catalog, validate
-from qundet.stabilizer import code_distance, logical_classes
+from qundet.stabilizer import CosetTable, code_distance, logical_classes
 from qundet.undetermined import (
     analyze_code,
     conditional_scan,
@@ -387,19 +387,19 @@ def test_ghz_x_set_size_scaling():
 
 def test_oracle_sweep_catches_disagreement(monkeypatch):
     spec = catalog("code_412")
-    real = und.kept_walk
+    real = CosetTable.walk
     walks = []
 
-    def lying(*args):
+    def lying(*args, **kwargs):
         # flip the walk's verdict for the traced set (1, 2)
         verdicts = [
             (mask, (True if found is None else None) if mask == 0b11 else found)
-            for mask, found in real(*args)
+            for mask, found in real(*args, **kwargs)
         ]
         walks.append(len(verdicts))
         return iter(verdicts)
 
-    monkeypatch.setattr(und, "kept_walk", lying)
+    monkeypatch.setattr(CosetTable, "walk", lying)
     with pytest.raises(RuntimeError, match=r"disagreement on code_412 traced \(1, 2\)"):
         analyze_code(spec, oracle=True)
     # one walk decides every traced subset
@@ -455,7 +455,7 @@ def test_random_codes_agree_with_oracle(spec):
     assert code_distance(logical_classes(group)) == walk_distance(group)
     # an equal trace stays equal when one more qubit is traced; one
     # walk decides every subset
-    walk = und._walk(spec, range(1, spec.n), witnesses=False)
+    walk = und._table_of(spec).walk(range(1, spec.n), witnesses=False)
     equal = {mask: found is None for mask, found in walk}
     for mask, eq in equal.items():
         if eq and mask.bit_count() < spec.n - 1:
