@@ -19,7 +19,7 @@ import numpy as np
 from qundet import codes, dense, undetermined as und
 from qundet.pauli import PauliOperator, parse_pauli
 from qundet.protocols import QssConfig, bc_demo, qss_run
-from qundet.stabilizer import code_distance, in_logical_x_set, logical_classes, logical_x_set
+from qundet.stabilizer import in_logical_x_set, logical_x_set
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def claim_2() -> ClaimResult:
 def claim_3() -> ClaimResult:
     def run():
         spec = codes.catalog("code_513")
-        d = code_distance(logical_classes(spec.group()))
+        d = und.analyze_code(spec).distance
         r = und.unconditional_D(spec, cross_check=True)
         if (d, r.d_min) != (3, 3):
             return False, f"d={d}, d_min={r.d_min}, expected 3, 3"
@@ -151,7 +151,7 @@ def claim_5() -> ClaimResult:
         r = und.unconditional_D(spec, cross_check=True)
         if r.d_min != 5:
             return False, f"d_min={r.d_min}, expected 5"
-        d = code_distance(logical_classes(spec.group()))
+        d = und.analyze_code(spec).distance
         mc = und.minimal_conditional_D(spec)
         if d != 3 or mc != 3:
             return False, f"d={d}, minimal conditional size={mc}, expected 3, 3"
@@ -166,14 +166,12 @@ def claim_5() -> ClaimResult:
 def claim_6() -> ClaimResult:
     def run():
         spec = codes.catalog("code_422")
-        m = und.mixed_pair_n2(spec)
-        d = code_distance(logical_classes(spec.group()))
-        if (m.d_mixed, d) != (3, 2):
-            return False, f"d_mixed={m.d_mixed}, d={d}, expected 3, 2"
+        report = und.analyze_code(spec)
+        if (report.mixed.d_mixed, report.distance) != (3, 2):
+            return False, f"d_mixed={report.mixed.d_mixed}, d={report.distance}, expected 3, 2"
         listed = {"ZXYI", "IZXY", "XIZY", "XZIY"}
-        group = spec.group()
-        zz = spec.logical_z_ops()[0] * spec.logical_z_ops()[1]
-        x12 = {p.letters for p in logical_x_set(group, zz)}
+        z1, z2 = spec.logical_z_ops()
+        x12 = {p.letters for p in logical_x_set(spec.group(), z1 * z2)}
         if not listed <= x12:
             return False, f"missing from X12: {sorted(listed - x12)}"
         # the sweep shows reduced_equal_on agrees with the dense oracle on
@@ -323,8 +321,8 @@ def claim_12() -> ClaimResult:
             if any(b.anticommutes(g) for b in basis for g in group.generators):
                 return False, f"{spec.name}: centralizer member anticommutes"
             if spec.k == 1:
-                d_min = und.unconditional_D(spec, cross_check=False).d_min
-                if d_min is not None and code_distance(logical_classes(group)) > d_min:
+                report = und.analyze_code(spec)
+                if report.d_min is not None and report.distance > report.d_min:
                     return False, f"{spec.name}: d > D"
         # randomized associativity and sign behaviour at fixed seed
         rng = np.random.default_rng(_QSS_SEED)

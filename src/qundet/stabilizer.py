@@ -48,8 +48,8 @@ entry 0, one elimination step per set at any n, and gives each set's
 verdict and least-letters witness; a set that meets the floor is
 decided with no step.
 The centralizer is read as one coset table per logical class L * S
-(``logical_classes``).  ``code_distance`` reads whatever tables it is
-given, so a caller that keeps them scans each class once, and
+(``logical_classes``), kept by a table's ``classes``.  ``code_distance``
+reads whatever tables it is given, so kept tables scan each class once, and
 ``class_members``, the one reader that turns rows into operators,
 lists their entries: the logical X set and the weight-D listings.
 """
@@ -347,7 +347,9 @@ class CosetTable:
     combo is the XOR of its rows' combos, and only the entries that are
     asked for get a sign, by one product of at most rank generators.
     Kept-set queries (``walk``) read the same rows, entry 0 and floor,
-    and build no factor.
+    and build no factor.  The minimum weight and the read-only weight
+    histogram are memoized, and ``classes`` holds the group's logical
+    class tables once read, so one table owns all a spec's derived state.
     """
 
     def __init__(self, group: StabilizerGroup, rep: PauliOperator):
@@ -365,6 +367,7 @@ class CosetTable:
         # the low bit of every two-bit digit of a letter key
         self._digits = (1 << 2 * n) // 3
         self._min: tuple[int, PauliOperator] | None = None
+        self._counts: np.ndarray | None = None
 
     @cached_property
     def _words(self) -> np.ndarray:
@@ -426,11 +429,23 @@ class CosetTable:
             yield offset, np.bitwise_count(x, out=weight[: x.size])
 
     def weight_counts(self) -> np.ndarray:
-        """counts[w] = number of entries of weight w, w = 0..n."""
-        counts = np.zeros(self.n + 1, dtype=np.int64)
-        for _, weight in self._weights():
-            counts += np.bincount(weight, minlength=self.n + 1)
-        return counts
+        """counts[w] = number of entries of weight w, w = 0..n; memoized and read-only."""
+        if self._counts is None:
+            counts = np.zeros(self.n + 1, dtype=np.int64)
+            for _, weight in self._weights():
+                counts += np.bincount(weight, minlength=self.n + 1)
+            counts.flags.writeable = False
+            self._counts = counts
+        return self._counts
+
+    @cached_property
+    def classes(self) -> tuple[tuple[CosetTable, bool], ...]:
+        """(table, its rep anticommutes with this rep) per nontrivial logical
+        class of the group; this table stands for its own, found by entry 0."""
+        return tuple(
+            (self if t._keys[0] == self._keys[0] else t, t._rep.anticommutes(self._rep))
+            for t in logical_classes(self.group)
+        )
 
     def element(self, pos: int) -> PauliOperator:
         """The entry at a sorted position, sign included."""

@@ -20,11 +20,13 @@ Each spec's difference coset has one ``stabilizer.CosetTable``
 (``_table_of``), which holds the spec's group and Z-bar, parsed and
 reduced once.  It finds w_min from entry 0 when it meets the table's
 exact lower bound, and otherwise by one blockwise scan that stops at
-the first row of the bound's weight.  It is also its logical class's
-table, one of the spec's class tables that serve the distance, E_D and
-the weight-D listings.  Kept-set queries need no enumeration: some
-coset element avoids the traced set T iff Z-bar restricted to T lies
-in the span of the generators restricted to T.  The same table's
+the first row of the bound's weight.  It is the one per-spec cache and
+owns the spec's logical class tables (``classes``, itself for its own):
+their minimum weights give the distance, their memoized histograms E_D
+and their entries the weight-D listings.
+Kept-set queries need no enumeration: some coset element avoids the
+traced set T iff Z-bar restricted to T lies in the span of the
+generators restricted to T.  The same table's
 ``walk`` decides every traced set of a scan, a sweep or a single
 query, with its witness, in lexicographic order.
 Everything here is exact integer/bit work; the dense module provides
@@ -47,7 +49,6 @@ from qundet.stabilizer import (
     EnumerationCapError,
     class_members,
     code_distance,
-    logical_classes,
     logical_x_count,
 )
 
@@ -71,23 +72,13 @@ def _difference_rep(spec: CodeSpec) -> PauliOperator:
 
 # a table holds the spec's group, its rows' generator combos, two factors
 # once a scan or listing needs them (2^12 + 2^8 rows of x and z words at
-# the rank cap, 34 KB in the uint32 words of n <= 32, 68 KB past it) and
-# its minimum weight once read; the coset itself is scanned in blocks and
-# never held
+# the rank cap, 34 KB in the uint32 words of n <= 32, 68 KB past it), its
+# minimum weight and histogram once read, and its class tables once the
+# distance, E_D or a listing asks (15 at k = 2, each as large as itself);
+# the coset itself is scanned in blocks and never held
 @lru_cache(maxsize=4)
 def _table_of(spec: CodeSpec) -> CosetTable:
     return CosetTable(spec.group(), _difference_rep(spec))
-
-
-@lru_cache(maxsize=4)
-def _classes_of(spec: CodeSpec) -> tuple[tuple[CosetTable, bool], ...]:
-    """(table, rep anticommutes with the difference rep) per nontrivial logical
-    class; the difference coset's class, found by its entry 0, is ``_table_of``'s."""
-    own = _table_of(spec)
-    return tuple(
-        (own if table._keys[0] == own._keys[0] else table, table._rep.anticommutes(own._rep))
-        for table in logical_classes(own.group)
-    )
 
 
 def _subset_mask(subset: Sequence[int], n: int) -> int:
@@ -232,7 +223,7 @@ def undetected_error_cover(spec: CodeSpec, d: int) -> CoverResult:
     if not 1 <= d <= spec.n - 1:
         raise ValueError(f"d must be in 1..{spec.n - 1}")
     by_support: dict[tuple[int, ...], PauliOperator] = {}
-    for p in class_members((t for t, is_x in _classes_of(spec) if is_x), d):
+    for p in class_members((t for t, is_x in _table_of(spec).classes if is_x), d):
         by_support.setdefault(tuple(sorted(p.support)), p)
     assignments = []
     uncovered = []
@@ -252,11 +243,6 @@ class EDResult(NamedTuple):
     passed: bool
 
 
-@lru_cache(maxsize=4)
-def _x_weights_of(spec: CodeSpec) -> tuple[int, ...]:
-    return tuple(sum(t.weight_counts() for t, is_x in _classes_of(spec) if is_x).tolist())
-
-
 def necessary_ED(spec: CodeSpec, d: int) -> EDResult:
     """Count weight-d logical X members against the binomial threshold.
 
@@ -265,7 +251,7 @@ def necessary_ED(spec: CodeSpec, d: int) -> EDResult:
     """
     if not 1 <= d <= spec.n:
         raise ValueError(f"d must be in 1..{spec.n}")
-    e_d = _x_weights_of(spec)[d]
+    e_d = sum(int(t.weight_counts()[d]) for t, is_x in _table_of(spec).classes if is_x)
     binomial = math.comb(spec.n, d)
     return EDResult(e_d, binomial, e_d >= binomial)
 
@@ -352,7 +338,7 @@ def mixed_pair_n2(spec: CodeSpec) -> MixedPairResult:
     if spec.k != 2:
         raise ValueError("mixed_pair_n2 needs a k=2 code")
     d_mixed, w_min, witness = unconditional_D(spec, cross_check=False)
-    x_tables = (t for t, is_x in _classes_of(spec) if is_x)
+    x_tables = (t for t, is_x in _table_of(spec).classes if is_x)
     weight_d = () if d_mixed is None else tuple(class_members(x_tables, d_mixed))
     return MixedPairResult(d_mixed, w_min, witness, logical_x_count(_table_of(spec).group), weight_d)
 
@@ -434,7 +420,7 @@ def analyze_code(
         notes, "w_min and minimal_unconditional_d", lambda: unconditional_D(spec)
     )
     d_min, w_min = (None, None) if unconditional is None else unconditional[:2]
-    distance = _unless_capped(notes, "distance", lambda: code_distance(t for t, _ in _classes_of(spec)))
+    distance = _unless_capped(notes, "distance", lambda: code_distance(t for t, _ in _table_of(spec).classes))
     ed_ds = [d_min] if d_min is not None else []
     if max_trace is not None:
         ed_ds = list(range(1, min(max_trace, spec.n - 1) + 1))

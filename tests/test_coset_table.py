@@ -151,7 +151,8 @@ def test_blocks_match_whole_coset_doubling(name):
     cx, cz, _, _ = helpers.doubling(group.centralizer_basis(), identity)
     anti = np.bitwise_count((cx & np.uint64(rep.z_bits)) ^ (cz & np.uint64(rep.x_bits))) & 1 == 1
     counts = np.bincount(np.bitwise_count(cx | cz)[anti], minlength=spec.n + 1)
-    assert und._x_weights_of(spec) == tuple(counts.tolist())
+    x_tables = [t for t, is_x in und._table_of(spec).classes if is_x]
+    assert sum(t.weight_counts() for t in x_tables).tolist() == counts.tolist()
 
 
 def test_scans_at_the_rank_cap_stay_small():
@@ -170,7 +171,7 @@ def test_scans_at_the_rank_cap_stay_small():
     assert peak(coset_min_weight, ghz.group(), ghz.logical_z_ops()[0]) < 4 * 2**20
     fresh = dataclasses.replace(cyclic, name="cyclic_21_uncached")
     assert peak(und.necessary_ED, fresh, 7) < 4 * 2**20
-    assert all("_low" in vars(table) for table, is_x in und._classes_of(fresh) if is_x)
+    assert all("_low" in vars(table) for table, is_x in und._table_of(fresh).classes if is_x)
 
 
 def test_enumeration_cap_still_fires():
@@ -256,10 +257,12 @@ def test_floor_qubits_need_no_step(monkeypatch, name, steps):
 
 def test_table_cache_stays_small():
     # a cached table holds its two factors, 2^12 + 2^8 rows of x and z
-    # words at the rank cap, its rows' combos and its memoized minimum weight
+    # words at the rank cap, its rows' combos, its memoized minimum weight
+    # and histogram, and, once read, its class tables: a k = 2 table owns
+    # 15, each as large as itself
     assert und._table_of.cache_info().maxsize <= 8
-    # a k = 2 spec caches 15 class tables, each as large as _table_of's
-    assert und._classes_of.cache_info().maxsize <= 8
+    caches = [obj for obj in vars(und).values() if callable(getattr(obj, "cache_info", None))]
+    assert caches == [und._table_of]
 
 
 def _least(elements):

@@ -265,7 +265,7 @@ def test_class_members_match_centralizer_doubling(spec):
     rep = und._difference_rep(spec)
     anti = np.bitwise_count((x & np.uint64(rep.z_bits)) ^ (z & np.uint64(rep.x_bits))) & 1 == 1
     weight = np.bitwise_count(x | z)
-    tables = [table for table, is_x in und._classes_of(spec) if is_x]
+    tables = [table for table, is_x in und._table_of(spec).classes if is_x]
     for w in [*range(spec.n + 1), None]:
         at = anti if w is None else anti & (weight == w)
         letters = [PauliOperator(spec.n, a, b).letters for a, b in zip(x[at].tolist(), z[at].tolist())]

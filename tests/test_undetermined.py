@@ -187,9 +187,11 @@ def test_shared_classes_match_fresh_tables(spec):
     # the spec's one table per class against a fresh table per class and
     # a walk over the whole centralizer; half the classes are logical X
     group = spec.group()
-    flags = [is_x for _, is_x in und._classes_of(spec)]
+    classes = und._table_of(spec).classes
+    flags = [is_x for _, is_x in classes]
     assert (len(flags), sum(flags)) == (4**spec.k - 1, 4**spec.k // 2)
-    assert und._x_weights_of(spec) == helpers.logical_x_weights(group, und._difference_rep(spec))
+    x_weights = sum(t.weight_counts() for t, is_x in classes if is_x)
+    assert tuple(x_weights.tolist()) == helpers.logical_x_weights(group, und._difference_rep(spec))
     assert und.analyze_code(spec).distance == walk_distance(group)
 
 
@@ -367,6 +369,32 @@ def test_analyze_code_k2():
     assert report.mixed.d_mixed > report.distance
     as_json = report.as_dict()
     assert as_json["mixed"]["x12_size"] == 32
+
+
+def test_one_cached_table_owns_a_specs_classes_and_histograms(monkeypatch):
+    # a cold k = 2 analysis builds the difference table and 15 class
+    # tables, the difference class's own dropped for the cached table; a
+    # repeat reads every field from that one table and builds none
+    built = []
+    init = CosetTable.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(CosetTable, "__init__", counted)
+    spec = catalog("code_422")
+    und._table_of.cache_clear()
+    report = analyze_code(spec, max_trace=3, conditional=[2]).as_dict()
+    assert len(built) == 16
+    assert analyze_code(spec, max_trace=3, conditional=[2]).as_dict() == report
+    assert len(built) == 16
+    table = und._table_of(spec)
+    assert sum(own is table for own, _ in table.classes) == 1
+    counts = table.weight_counts()
+    assert table.weight_counts() is counts
+    with pytest.raises(ValueError):
+        counts[0] = 1
 
 
 @pytest.mark.parametrize("name,n", [
