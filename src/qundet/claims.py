@@ -330,10 +330,9 @@ def claim_12() -> ClaimResult:
             n = int(rng.integers(1, 7))
             trips = []
             for _ in range(3):
-                x = int(rng.integers(0, 1 << n))
-                z = int(rng.integers(0, 1 << n))
+                key = int(rng.integers(0, 1 << 2 * n))
                 ph = int(rng.integers(0, 4))
-                trips.append(PauliOperator(n, x, z, ph))
+                trips.append(PauliOperator(n, key, ph))
             a, b, c = trips
             if (a * b) * c != a * (b * c):
                 return False, f"associativity broken for {a}, {b}, {c}"

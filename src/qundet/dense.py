@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from qundet.codes import CodeSpec
-from qundet.pauli import PauliOperator
+from qundet.pauli import PauliOperator, key_bits
 from qundet.stabilizer import StabilizerGroup
 
 ORACLE_MAX_N = 10
@@ -73,14 +73,6 @@ def _check_cap(n: int) -> None:
         raise OracleCapError(f"dense oracle capped at n={ORACLE_MAX_N}, got n={n}")
 
 
-def _index_masks(p: PauliOperator) -> tuple[int, int]:
-    """x and z bits of ``p`` in basis-index order (qubit 1 = MSB)."""
-    def mirror(bits: int) -> int:
-        return sum(1 << (p.n - q) for q in range(1, p.n + 1) if bits >> (q - 1) & 1)
-
-    return mirror(p.x_bits), mirror(p.z_bits)
-
-
 def pauli_matrix(p: PauliOperator) -> np.ndarray:
     """Dense 2^n x 2^n realization of a signed Pauli operator."""
     _check_cap(p.n)
@@ -90,7 +82,8 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
 
 def apply_pauli(p: PauliOperator, v: np.ndarray) -> np.ndarray:
     """``P v`` along the last axis of ``v``, as a signed permutation."""
-    x, z = _index_masks(p)
+    # qubit 1 is the most significant bit of both the key and the index
+    x, z = key_bits(p.key, p.n, basis_order=True)
     src = np.arange(1 << p.n) ^ x
     signs = np.where(np.bitwise_count(src & z) & 1, -1, 1)
     return v[..., src] * ((1j ** p.phase_exp) * signs)

@@ -1,18 +1,27 @@
-"""Signed n-qubit Pauli operators in binary symplectic form.
+"""Signed n-qubit Pauli operators, stored as letter keys.
 
-An operator is stored as two length-n bit-vectors (Python ints, bit
-``i`` is qubit ``i+1``) plus a power of i:
+An operator is a power of i times a tensor of letters,
 
     operator = i**phase_exp * prod_q X_q**x_q Z_q**z_q
 
 under the fixed convention Y = iXZ.  With this convention the letter Y
-at qubit q contributes x=1, z=1 and one factor of i to ``phase_exp``,
-so "YY" parses to phase_exp=2, x=0b11, z=0b11.
+at qubit q has x = z = 1 and adds one factor of i to ``phase_exp``, so
+"YY" parses to phase_exp = 2.  Qubit 1 is the leftmost character of a
+Pauli string ("XZZXI" puts X on qubit 1).  An operator is Hermitian iff
+phase_exp and the number of Y letters have equal parity; Hermitian
+operators carry a real sign +/-1, the rest carry +/-i.
 
-Qubit 1 is the leftmost character of a Pauli string ("XZZXI" puts X on
-qubit 1).  An operator is Hermitian iff phase_exp and the number of Y
-letters have equal parity; Hermitian operators carry a real sign +/-1,
-the rest carry +/-i.
+The letters are stored as one integer, the *letter key*: the base-4
+numeral of the letters, with digits I, X, Y, Z = 0..3 and qubit 1 the
+most significant digit.  Keys order like letter strings, a string
+parses with one ``str.translate`` and one ``int(..., 4)``, and the
+letters come back from one hex format.  A digit's low bit is x ^ z and
+its high bit z, so the key is XOR-linear in (x, z): a product's key is
+the XOR of its factors' keys, and two operators anticommute iff
+key_a & swap(key_b) has odd parity (``swap`` exchanges a digit's two
+bits).  This module owns that layout: the x and z bit-vectors (bit i is
+qubit i + 1) are read-only views derived by ``key_bits``, and
+``PauliOperator.from_bits`` is the way back.
 
 All values are immutable; every operation returns a fresh operator.
 """
@@ -21,32 +30,58 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 _SIGN_PREFIX = {"": 0, "+": 0, "-": 2, "+i": 1, "-i": 3, "i": 1}
 _PREFIX_OF_EXP = {0: "", 2: "-", 1: "+i", 3: "-i"}
-_STRING_RE = re.compile(r"^([+-]?i?)([IXYZ]+)$")
-# a letter's x and z bit as a binary digit
-_X_DIGITS = str.maketrans("IXYZ", "0110")
-_Z_DIGITS = str.maketrans("IXYZ", "0011")
+_STRING_RE = re.compile(r"([+-]?i?)([IXYZ]+)")
+# a letter's key digit, and the two letters of each hex digit of a key
+_DIGITS = str.maketrans("IXYZ", "0123")
+_LETTER_PAIRS = str.maketrans({f"{d:x}": "IXYZ"[d >> 2] + "IXYZ"[d & 3] for d in range(16)})
 
 
 class PauliFormatError(ValueError):
     """Raised for malformed Pauli strings."""
 
 
+def low_digits(n: int) -> int:
+    """The low bit of every digit of an n-qubit key."""
+    return (1 << 2 * n) // 3
+
+
+def swap(key: int, n: int) -> int:
+    """An n-qubit key with the two bits of every digit exchanged.
+
+    Per qubit, key_a & swap(key_b) holds (x ^ z) z' + z (x' ^ z') = x z' + z x' (mod 2).
+    """
+    low = low_digits(n)
+    return key >> 1 & low | (key & low) << 1
+
+
+def key_bits(key: int, n: int, basis_order: bool = False) -> tuple[int, int]:
+    """The x and z bit-vectors of an n-qubit key.
+
+    Bit i is qubit i + 1, as in ``x_bits`` and ``z_bits``; with
+    ``basis_order`` qubit 1 is the most significant bit, as it is in the
+    key and in a dense basis index.
+    """
+    digits = bin(key | 1 << 2 * n)[3:]  # each qubit's (z, x ^ z) bits, qubit 1 first
+    high, low = (digits[::2], digits[1::2]) if basis_order else (digits[-2::-2], digits[::-2])
+    z = int(high, 2)
+    return int(low, 2) ^ z, z
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     n: int
-    x_bits: int
-    z_bits: int
+    key: int
     phase_exp: int = 0
 
     def __post_init__(self) -> None:
-        mask = (1 << self.n) - 1
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        if self.x_bits & ~mask or self.z_bits & ~mask:
-            raise ValueError("bit-vector wider than qubit count")
+        if self.key >> 2 * self.n:
+            raise ValueError("letter key wider than qubit count")
         if not 0 <= self.phase_exp < 4:
             object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
@@ -54,12 +89,24 @@ class PauliOperator:
 
     @classmethod
     def identity(cls, n: int) -> PauliOperator:
-        return cls(n, 0, 0, 0)
+        return cls(n, 0, 0)
+
+    @classmethod
+    def from_bits(cls, n: int, x_bits: int, z_bits: int, phase_exp: int = 0) -> PauliOperator:
+        """i**phase_exp * prod_q X_q**x_q Z_q**z_q, bit i of each vector qubit i + 1.
+
+        The inverse of ``key_bits``: read qubit 1 first as a base-4
+        numeral, a bit-vector puts its bits on the low bits of the digits.
+        """
+        top = 1 << n  # keeps the leading zeros; [:2:-1] drops it and "0b"
+        low = bin(x_bits ^ z_bits | top)[:2:-1]
+        high = bin(z_bits | top)[:2:-1]
+        return cls(n, int(low, 4) | int(high, 4) << 1, phase_exp)
 
     @classmethod
     def from_string(cls, text: str, n: int | None = None) -> PauliOperator:
-        """Parse an optional sign prefix (+, -, +i, -i) and IXYZ letters."""
-        m = _STRING_RE.match(text.strip())
+        """Parse an optional sign prefix (+, -, +i, -i) and IXYZ letters, nothing else."""
+        m = _STRING_RE.fullmatch(text)
         if m is None:
             raise PauliFormatError(f"not a Pauli string: {text!r}")
         prefix, letters = m.groups()
@@ -67,12 +114,8 @@ class PauliOperator:
             raise PauliFormatError(
                 f"expected {n} qubits, got {len(letters)} in {text!r}"
             )
-        # bit i of x and z is qubit i + 1, so read the letters backwards
-        backwards = letters[::-1]
-        x = int(backwards.translate(_X_DIGITS), 2)
-        z = int(backwards.translate(_Z_DIGITS), 2)
-        phase = _SIGN_PREFIX[prefix] + letters.count("Y")
-        return cls(len(letters), x, z, phase % 4)
+        key = int(letters.translate(_DIGITS), 4)
+        return cls(len(letters), key, _SIGN_PREFIX[prefix] + letters.count("Y"))
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> PauliOperator:
@@ -88,23 +131,13 @@ class PauliOperator:
     def __mul__(self, other: PauliOperator) -> PauliOperator:
         if self.n != other.n:
             raise ValueError(f"qubit count mismatch: {self.n} != {other.n}")
-        # moving other's X's past self's Z's costs (-1) per crossing
-        phase = self.phase_exp + other.phase_exp
-        phase += 2 * (self.z_bits & other.x_bits).bit_count()
-        return PauliOperator(
-            self.n,
-            self.x_bits ^ other.x_bits,
-            self.z_bits ^ other.z_bits,
-            phase % 4,
-        )
+        return product(self, (other,), 1)
 
     def commutes(self, other: PauliOperator) -> bool:
         """Parity-0 symplectic inner product <=> dense matrices commute."""
         if self.n != other.n:
             raise ValueError(f"qubit count mismatch: {self.n} != {other.n}")
-        anti = (self.x_bits & other.z_bits).bit_count()
-        anti += (self.z_bits & other.x_bits).bit_count()
-        return anti % 2 == 0
+        return (self.key & swap(other.key, self.n)).bit_count() & 1 == 0
 
     def anticommutes(self, other: PauliOperator) -> bool:
         return not self.commutes(other)
@@ -114,28 +147,34 @@ class PauliOperator:
         k %= self.n
         if k == 0:
             return self
-        mask = (1 << self.n) - 1
-
-        def rot(v: int) -> int:
-            return (v << k | v >> (self.n - k)) & mask
-
-        return PauliOperator(self.n, rot(self.x_bits), rot(self.z_bits), self.phase_exp)
+        # qubit q + k is k digits less significant
+        bits, s = 2 * self.n, 2 * k
+        key = (self.key >> s | self.key << bits - s) & (1 << bits) - 1
+        return PauliOperator(self.n, key, self.phase_exp)
 
     # -- inspection ----------------------------------------------------
 
     @property
+    def x_bits(self) -> int:
+        return key_bits(self.key, self.n)[0]
+
+    @property
+    def z_bits(self) -> int:
+        return key_bits(self.key, self.n)[1]
+
+    @property
     def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
+        return ((self.key | self.key >> 1) & low_digits(self.n)).bit_count()
 
     @property
     def support(self) -> frozenset[int]:
         """1-based qubit indices where the letter is not I."""
-        occ = self.x_bits | self.z_bits
-        return frozenset(i + 1 for i in range(self.n) if occ >> i & 1)
+        return frozenset(q for q, letter in enumerate(self.letters, start=1) if letter != "I")
 
     @property
     def y_count(self) -> int:
-        return (self.x_bits & self.z_bits).bit_count()
+        # Y is digit 2: high bit set, low bit clear
+        return (self.key >> 1 & ~self.key & low_digits(self.n)).bit_count()
 
     @property
     def sign_exp(self) -> int:
@@ -148,20 +187,35 @@ class PauliOperator:
 
     @property
     def letters(self) -> str:
-        return "".join(
-            "IXZY"[(self.x_bits >> i & 1) + 2 * (self.z_bits >> i & 1)]
-            for i in range(self.n)
-        )
+        # two letters per hex digit; an odd n formats one leading I too many
+        return f"{self.key:0{(self.n + 1) // 2}x}".translate(_LETTER_PAIRS)[self.n & 1 :]
 
     def unsigned(self) -> PauliOperator:
         """Same letters with sign +1 (phase_exp = number of Y's)."""
-        return PauliOperator(self.n, self.x_bits, self.z_bits, self.y_count % 4)
+        return PauliOperator(self.n, self.key, self.y_count)
 
     def __str__(self) -> str:
         return _PREFIX_OF_EXP[self.sign_exp] + self.letters
 
     def __repr__(self) -> str:
         return f"PauliOperator.from_string({str(self)!r})"
+
+
+def product(p: PauliOperator, ops: Sequence[PauliOperator], combo: int) -> PauliOperator:
+    """p times the operators whose bits are set in combo, in index order.
+
+    Keys XOR, and phases add, plus 2 per qubit where the left factor has
+    z and the right one x: moving that X past that Z costs a sign.
+    """
+    key, phase, high = p.key, p.phase_exp, low_digits(p.n) << 1
+    while combo:
+        bit = combo & -combo
+        g = ops[bit.bit_length() - 1]
+        # z is a digit's high bit, x the XOR of its two bits
+        phase += g.phase_exp + 2 * (key & (g.key ^ g.key << 1) & high).bit_count()
+        key ^= g.key
+        combo ^= bit
+    return PauliOperator(p.n, key, phase)
 
 
 def parse_pauli(text: str, n: int | None = None) -> PauliOperator:

@@ -1,13 +1,10 @@
 """Stabilizer groups over letter keys.
 
 A group is given by commuting, independent, Hermitian Pauli generators
-whose generated group avoids -I.  Each generator's *letter key*
-(``_letter_key``) is an integer ordered like its letter string and
-XOR-linear in (x, z).  Two Paulis anticommute iff key_a & swap(key_b)
-has odd parity, where ``_swap`` exchanges the two bits of every digit,
-so commutation reads the keys too.
-
-One elimination of letter keys per group does the rest.  The group
+whose generated group avoids -I.  It reads each generator's stored
+letter key (``PauliOperator.key``, laid out in ``qundet.pauli``), which
+orders like its letters and is XOR-linear, so commutation and one
+elimination of the keys per group do the rest.  The group
 row-reduces the keys once, each row packed as key << rank | combo,
 where the combo names the generators the row is the product of.  The
 first generator that vanishes names the dependent subset (or -I),
@@ -62,7 +59,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from qundet.pauli import PauliOperator
+from qundet.pauli import PauliOperator, key_bits, low_digits, product, swap
 
 MAX_ENUM_RANK = 20
 # the widest n whose x and z rows pack into one uint64 word each
@@ -104,36 +101,6 @@ class EnumerationCapError(ValueError):
     """Raised when an enumeration would exceed its configured cap."""
 
 
-def _letter_key(p: PauliOperator) -> int:
-    """Integer ordered like p.letters: digits I=0 < X=1 < Y=2 < Z=3, qubit 1 first.
-
-    The digit is x ^ 3z: its low bit is x ^ z and its high bit z.  Each
-    of the two bit-vectors, read qubit 1 first as a base-4 numeral, puts
-    its bits on the digits.  The key is XOR-linear in (x, z): the key of
-    a product is the XOR of the keys of its factors.
-    """
-    top = 1 << p.n  # keeps the leading zeros; bin(...)[:2:-1] drops it and "0b"
-    low = bin(p.x_bits ^ p.z_bits | top)[:2:-1]
-    high = bin(p.z_bits | top)[:2:-1]
-    return int(low, 4) | int(high, 4) << 1
-
-
-def _key_bits(key: int, n: int) -> tuple[int, int]:
-    """(x_bits, z_bits) of an n-qubit letter key, the inverse of ``_letter_key``."""
-    digits = bin(key | 1 << 2 * n)[3:]  # qubit 1's two bits first
-    z = int(digits[-2::-2], 2)
-    return int(digits[::-2], 2) ^ z, z
-
-
-def _swap(key: int, n: int) -> int:
-    """An n-qubit letter key with the two bits of every digit exchanged.
-
-    Per qubit, key_a & _swap(key_b) holds (x ^ z) z' + z (x' ^ z') = x z' + z x' (mod 2).
-    """
-    digits = (1 << 2 * n) // 3  # the low bit of every digit
-    return key >> 1 & digits | (key & digits) << 1
-
-
 def _reduce(v: int, rows: Sequence[int]) -> int:
     """v with the leading bit of every row cleared.
 
@@ -152,23 +119,6 @@ def _insert(rows: list[int], v: int) -> None:
         if b & lead:
             rows[i] = b ^ v
     rows.append(v)
-
-
-def _product(p: PauliOperator, ops: Sequence[PauliOperator], combo: int) -> PauliOperator:
-    """p times the operators whose bits are set in combo, in index order.
-
-    The rule of PauliOperator.__mul__ on plain ints: phases add, plus 2
-    per z(a) & x(b) bit.
-    """
-    x, z, phase = p.x_bits, p.z_bits, p.phase_exp
-    while combo:
-        low = combo & -combo
-        g = ops[low.bit_length() - 1]
-        phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
-        x ^= g.x_bits
-        z ^= g.z_bits
-        combo ^= low
-    return PauliOperator(p.n, x, z, phase & 3)
 
 
 class StabilizerGroup:
@@ -196,8 +146,8 @@ class StabilizerGroup:
                     (idx,), f"generator {idx} ({g}) is not Hermitian; its square is -I"
                 )
         self.n = n
-        self._keys = [_letter_key(g) for g in generators]
-        swapped = [_swap(key, n) for key in self._keys]
+        self._keys = [g.key for g in generators]
+        swapped = [swap(key, n) for key in self._keys]
         for i, key in enumerate(self._keys):
             for j in range(i + 1, len(swapped)):
                 if (key & swapped[j]).bit_count() & 1:
@@ -218,7 +168,7 @@ class StabilizerGroup:
             v = _reduce(key << self.rank | 1 << i, rows)
             if v >> self.rank == 0:
                 subset = tuple(j + 1 for j in range(i + 1) if v >> j & 1)
-                if _product(PauliOperator.identity(self.n), self.generators, v).phase_exp == 2:
+                if product(PauliOperator.identity(self.n), self.generators, v).phase_exp == 2:
                     raise MinusIdentityError(subset)
                 raise DependentGeneratorsError(subset)
             _insert(rows, v)
@@ -231,13 +181,13 @@ class StabilizerGroup:
         """True iff p is in the group up to sign."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        return _reduce(_letter_key(p) << self.rank, self._rows) >> self.rank == 0
+        return _reduce(p.key << self.rank, self._rows) >> self.rank == 0
 
     def anticommuting(self, p: PauliOperator) -> list[PauliOperator]:
         """The generators that anticommute with p, in order."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        swapped = _swap(_letter_key(p), self.n)
+        swapped = swap(p.key, self.n)
         return [g for g, key in zip(self.generators, self._keys) if (key & swapped).bit_count() & 1]
 
     def commutes_with_all(self, p: PauliOperator) -> bool:
@@ -273,7 +223,7 @@ class StabilizerGroup:
             v = 1 << c
             for b, lead in zip(rows, leads):
                 v |= (b >> c & 1) << lead
-            basis.append(PauliOperator(n, *_key_bits(_swap(v, n), n)).unsigned())
+            basis.append(PauliOperator(n, swap(v, n)).unsigned())
         return basis
 
     def normalizer_masks(self) -> Iterator[tuple[int, int]]:
@@ -281,18 +231,19 @@ class StabilizerGroup:
 
         Yields 2^(2n - rank) pairs in Gray-code order, the zero pair
         first.  Phases are irrelevant at this level; wrap a pair in
-        PauliOperator(...).unsigned() for the Hermitian representative.
+        PauliOperator.from_bits(n, x, z).unsigned() for the Hermitian
+        representative.
         The brute-force reference for ``logical_classes``.
         """
-        basis = self.centralizer_basis()
+        basis = [key_bits(b.key, self.n) for b in self.centralizer_basis()]
         if len(basis) > MAX_ENUM_RANK:
             raise EnumerationCapError(f"rank {len(basis)} exceeds enumeration cap {MAX_ENUM_RANK}")
         x, z = 0, 0
         yield x, z
         for m in range(1, 1 << len(basis)):
-            b = basis[(m & -m).bit_length() - 1]
-            x ^= b.x_bits
-            z ^= b.z_bits
+            bx, bz = basis[(m & -m).bit_length() - 1]
+            x ^= bx
+            z ^= bz
             yield x, z
 
 
@@ -356,16 +307,14 @@ class CosetTable:
         if rep.n != group.n:
             raise ValueError("qubit count mismatch")
         self.n, self.rank = group.n, group.rank
-        n, r = self.n, self.rank
+        r = self.rank
         self.group, self._rep = group, rep
         # the reduced rep first, then the group's rows
-        rows = [_reduce(_letter_key(rep) << r, group._rows), *group._rows]
+        rows = [_reduce(rep.key << r, group._rows), *group._rows]
         self._combos = [b & (1 << r) - 1 for b in rows]
         self._keys = [b >> r for b in rows]
         # half the rows, and at least an eighth of a block (see _formed)
         self._a = min(r, max((r + 1) // 2, (_BLOCK_ROWS // 8).bit_length() - 1))
-        # the low bit of every two-bit digit of a letter key
-        self._digits = (1 << 2 * n) // 3
         self._min: tuple[int, PauliOperator] | None = None
         self._counts: np.ndarray | None = None
 
@@ -380,7 +329,7 @@ class CosetTable:
         if self.n > MAX_ROW_N:
             raise EnumerationCapError(f"n {self.n} exceeds bit-packed row cap {MAX_ROW_N}")
         dtype = np.uint32 if self.n <= 32 else np.uint64
-        return np.array([_key_bits(key, self.n) for key in self._keys], dtype=dtype)
+        return np.array([key_bits(key, self.n) for key in self._keys], dtype=dtype)
 
     @cached_property
     def _low(self) -> np.ndarray:
@@ -454,7 +403,7 @@ class CosetTable:
             if pos & 1:
                 combo ^= c
             pos >>= 1
-        return _product(self._rep, self.group.generators, combo)
+        return product(self._rep, self.group.generators, combo)
 
     def walk(
         self, sizes: range, within: int | None = None, witnesses: bool = True
@@ -502,7 +451,7 @@ class CosetTable:
             if depth >= lo and (e is None or not witnesses):
                 yield mask, None if e is None else True
             elif depth >= lo:
-                yield mask, _product(self._rep, gens, _reduce(e, rows) & (1 << r) - 1)
+                yield mask, product(self._rep, gens, _reduce(e, rows) & (1 << r) - 1)
             # children up to the last qubit that leaves room for the smallest size still wanted
             for j in range(len(qubits) + depth - max(lo, depth + 1), at - 1, -1) if depth < hi else ():
                 stack.append((mask | bits[j], j + 1, rows, None if floor[j] else e, shifts[j]))
@@ -518,7 +467,7 @@ class CosetTable:
         on q and rep's is neither I nor it.  A key digit's (low, high)
         bits read X as (1, 0), Y as (0, 1) and Z as (1, 1).
         """
-        digits = self._digits
+        digits = low_digits(self.n)
         xs = ys = zs = 0
         for key in self._keys[1:]:
             low, high = key & digits, key >> 1 & digits
@@ -543,7 +492,7 @@ class CosetTable:
         tie goes to the earlier entry.
         """
         if self._min is None:
-            first = ((self._keys[0] | self._keys[0] >> 1) & self._digits).bit_count()
+            first = PauliOperator(self.n, self._keys[0]).weight
             bound = max(self._floor.bit_count(), int(self._keys[0] != 0))
             self._min = (first, self.element(0)) if first == bound else self._scan(bound)
         return self._min
@@ -591,13 +540,13 @@ def logical_classes(group: StabilizerGroup) -> Iterator[CosetTable]:
     rows = list(group._rows)
     reps = []
     for p in group.centralizer_basis():
-        v = _reduce(_letter_key(p) << group.rank, rows)
+        v = _reduce(p.key << group.rank, rows)
         if v >> group.rank:
             _insert(rows, v)
             reps.append(p)
     identity = PauliOperator.identity(group.n)
     for combo in range(1, 1 << len(reps)):
-        yield CosetTable(group, _product(identity, reps, combo))
+        yield CosetTable(group, product(identity, reps, combo))
 
 
 def logical_x_set(group: StabilizerGroup, z_bar: PauliOperator) -> list[PauliOperator]:
@@ -628,10 +577,10 @@ def class_members(tables: Iterable[CosetTable], weight: int | None = None) -> li
                 at = np.bitwise_count(x | z) == weight
                 x, z = x[at], z[at]
             members += [
-                PauliOperator(table.n, xs, zs, (xs & zs).bit_count() & 3)
+                PauliOperator.from_bits(table.n, xs, zs, (xs & zs).bit_count())
                 for xs, zs in zip(x.tolist(), z.tolist())
             ]
-    return sorted(members, key=lambda p: (p.weight, _letter_key(p)))
+    return sorted(members, key=lambda p: (p.weight, p.key))
 
 
 def logical_x_count(group: StabilizerGroup) -> int:

@@ -10,7 +10,8 @@ reference for the class tables a spec shares;
 ``doubling`` and ``sorted_coset`` enumerate a whole coset with signs
 in plain numpy, the reference for the factored coset table, and
 ``signed_coset`` multiplies rep into every group element, the
-per-element reference.  ``masks_of`` turns qubit tuples into the
+per-element reference.  The ``bits_*`` functions keep the (x, z)
+formulas of the Pauli algebra, the reference for its letter keys.  ``masks_of`` turns qubit tuples into the
 traced masks that the engine and the oracle take.  ``random_codes``
 draws valid codes by random Clifford circuits.  ``relating_unitary`` and its checks work on
 plain state vectors, the reference for the fact behind the oracle's
@@ -74,7 +75,7 @@ def walk_distance(group):
     return min(
         (x | z).bit_count()
         for x, z in group.normalizer_masks()
-        if not group.contains_unsigned(PauliOperator(group.n, x, z))
+        if not group.contains_unsigned(PauliOperator.from_bits(group.n, x, z))
     )
 
 
@@ -90,6 +91,39 @@ def logical_x_weights(group, z_bar):
 
 def _letter_key(p):
     return int(p.letters.translate(str.maketrans("IXYZ", "0123")), 4)
+
+
+# The (x, z) formulas that PauliOperator used before it stored letter
+# keys, on plain bit-vectors (bit i is qubit i + 1), as the reference
+# for the key arithmetic.
+
+def bits_letters(n, x, z):
+    return "".join("IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in range(n))
+
+
+def bits_product(a, b):
+    """(x, z, phase) of a * b, each given as (x, z, phase): moving b's X's
+    past a's Z's costs (-1) per crossing."""
+    (ax, az, ap), (bx, bz, bp) = a, b
+    return ax ^ bx, az ^ bz, (ap + bp + 2 * (az & bx).bit_count()) % 4
+
+
+def bits_anticommute(a, b):
+    (ax, az, _), (bx, bz, _) = a, b
+    return ((ax & bz).bit_count() + (az & bx).bit_count()) % 2 == 1
+
+
+def bits_weight(x, z):
+    return (x | z).bit_count()
+
+
+def bits_y_count(x, z):
+    return (x & z).bit_count()
+
+
+def bits_mirrored(n, v):
+    """v with qubit 1 moved to the most significant of n bits (a dense basis index)."""
+    return sum(1 << (n - 1 - i) for i in range(n) if v >> i & 1)
 
 
 def doubling(ops, start):

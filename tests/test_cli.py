@@ -130,6 +130,33 @@ def test_analyze_invalid_spec_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# README's code_412 example with '-' on a generator and on the logical Z;
+# .github/workflows/tests.yml runs the same spec through the installed package
+SIGNED_SPEC = {"name": "signed_412", "n": 4, "k": 1,
+               "stabilizers": ["-YIYI", "IYIY", "ZZZZ"], "logical_z": ["-YXIZ"]}
+
+
+def test_signed_spec_file_digest_pinned(tmp_path, capsys):
+    # the signs reach every witness ("-XIZY") and the oracle's codewords
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SIGNED_SPEC))
+    assert run(["analyze", "--spec", str(path), "--conditional", "1", "--oracle", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [w["witness"] for w in doc["result"]["conditional"]["1"]["determined"]] == [
+        "IXYZ", "-XIZY", "-YXIZ", "-XYZI"]
+    assert doc["manifest"]["result_digest"] == (
+        "ffbf44348f5f06989c5d4ac72bf3300d4918243a9d60754ad3f537a70b777676")
+
+
+def test_padded_pauli_in_spec_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SIGNED_SPEC, "stabilizers": ["-YIYI", "IYIY", "ZZZZ "]}))
+    assert run(["analyze", "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stabilizers[2]: not a Pauli string: 'ZZZZ '\n"
+
+
 def test_bad_arguments_raise_exit_1():
     with pytest.raises(SystemExit) as exc:
         run(["not-a-command"])

@@ -174,6 +174,15 @@ def test_schema_bad_letters():
                         "logical_z": ["AB"]})
 
 
+@pytest.mark.parametrize("padded", [" ZZI", "ZZI ", "IZZ\n"])
+def test_schema_rejects_padded_letters(padded):
+    # docs/code_spec.schema.json's pattern admits no whitespace, so a
+    # saved spec could not hold one
+    with pytest.raises(SchemaError, match=r"stabilizers\[0\]: not a Pauli string"):
+        spec_from_dict({"name": "x", "n": 3, "k": 1, "stabilizers": [padded, "IZZ"],
+                        "logical_z": ["XXX"]})
+
+
 def test_load_reports_json_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "name": "x",\n  oops\n}')

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qundet import codes, stabilizer
+from qundet import codes, pauli, stabilizer
 from qundet import undetermined as und
 from qundet.codes import CodeSpec
 from qundet.pauli import PauliOperator, parse_pauli
@@ -94,12 +94,13 @@ def test_table_matches_brute_force(spec):
     signed = [str(table.element(i)) for i in range(1 << table.rank)]
     assert signed == [str(p) for p in sorted(coset, key=lambda p: p.letters)]
 
+    occupied = [el.x_bits | el.z_bits for el in coset]
     first_undetermined = None
     for size in range(1, spec.n):
         undetermined, determined = [], []
         for traced in itertools.combinations(range(1, spec.n + 1), size):
             mask = sum(1 << (q - 1) for q in traced)
-            surviving = [el for el in coset if (el.x_bits | el.z_bits) & mask == 0]
+            surviving = [el for el, occ in zip(coset, occupied) if occ & mask == 0]
             if surviving:
                 determined.append((traced, min(surviving, key=lambda p: p.letters)))
             else:
@@ -143,7 +144,7 @@ def test_blocks_match_whole_coset_doubling(name):
 
     weight = np.bitwise_count(x | z)
     at = int(np.argmax(weight == weight.min()))
-    witness = PauliOperator(spec.n, int(x[at]), int(z[at]), int(phase[at]))
+    witness = PauliOperator.from_bits(spec.n, int(x[at]), int(z[at]), int(phase[at]))
     assert table.min_weight() == (int(weight.min()), witness)
 
     # the logical X set: centralizer members anticommuting with Z-bar
@@ -281,12 +282,12 @@ def z_type_cosets(draw):
     rows: list[int] = []
     for z in draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3 * n)):
         if len(rows) < n - 1 and not StabilizerGroup(
-            [PauliOperator(n, 0, r) for r in rows], n
-        ).contains_unsigned(PauliOperator(n, 0, z)):
+            [PauliOperator.from_bits(n, 0, r) for r in rows], n
+        ).contains_unsigned(PauliOperator.from_bits(n, 0, z)):
             rows.append(z)
-    group = StabilizerGroup([PauliOperator(n, 0, z) for z in rows])
+    group = StabilizerGroup([PauliOperator.from_bits(n, 0, z) for z in rows])
     x = draw(st.integers(1, (1 << n) - 1))
-    return group, PauliOperator(n, x, draw(st.one_of(st.just(0), st.just(x), bits_of(n))))
+    return group, PauliOperator.from_bits(n, x, draw(st.one_of(st.just(0), st.just(x), bits_of(n))))
 
 
 def _behind_gadget(group, rep):
@@ -305,7 +306,7 @@ def _behind_gadget(group, rep):
 
     def behind(p, x=0, z=0):
         # p on qubits 4.., and the x and z bits on qubits 1-3
-        return PauliOperator(n, p.x_bits << 3 | x, p.z_bits << 3 | z, p.phase_exp)
+        return PauliOperator.from_bits(n, p.x_bits << 3 | x, p.z_bits << 3 | z, p.phase_exp)
 
     none = PauliOperator.identity(group.n)
     gens = [behind(none, x=0b110), behind(none, z=0b111), *map(behind, group.generators)]
@@ -324,10 +325,9 @@ def random_cosets(draw):
     gens = spec.stabilizer_ops()
     group = StabilizerGroup(gens[: draw(st.integers(1, len(gens)))])
     n = spec.n
-    any_rep = st.builds(PauliOperator, st.just(n), bits_of(n), bits_of(n), st.sampled_from((0, 2)))
+    any_rep = st.builds(PauliOperator.from_bits, st.just(n), bits_of(n), bits_of(n), st.sampled_from((0, 2)))
     inside = st.builds(
-        lambda combo, sign: stabilizer._product(
-            PauliOperator(n, 0, 0, sign), group.generators, combo),
+        lambda combo, sign: pauli.product(PauliOperator(n, 0, sign), group.generators, combo),
         st.integers(0, (1 << group.rank) - 1), st.sampled_from((0, 2)))
     if planted:
         return _behind_gadget(group, draw(inside))
@@ -371,9 +371,9 @@ def wide_cosets(draw):
             row[:] = x, z
     signs = st.sampled_from((0, 2))
     group = StabilizerGroup(
-        [PauliOperator(n, x, z, ((x & z).bit_count() + draw(signs)) % 4) for x, z in rows]
+        [PauliOperator.from_bits(n, x, z, ((x & z).bit_count() + draw(signs)) % 4) for x, z in rows]
     )
-    rep = PauliOperator(n, draw(bits_of(n)), draw(bits_of(n)), draw(signs))
+    rep = PauliOperator.from_bits(n, draw(bits_of(n)), draw(bits_of(n)), draw(signs))
     return group, rep
 
 
@@ -437,7 +437,7 @@ def test_ghz_min_weight_forms_no_factor(monkeypatch):
         w, witness = table.min_weight()
         assert formed == spans == []
         x, z, phase = helpers.sorted_coset(group, rep)
-        assert (w, witness) == (n, PauliOperator(n, int(x[0]), int(z[0]), int(phase[0])))
+        assert (w, witness) == (n, PauliOperator.from_bits(n, int(x[0]), int(z[0]), int(phase[0])))
     # the factors are still there when the blocks are asked for: each
     # block is a run of whole high rows against the whole low factor
     low, high = 1 << table._a, 1 << table.rank - table._a
@@ -499,7 +499,7 @@ def _least_avoiding(group, rep, masks):
     for mask in masks:
         inside = np.flatnonzero((x | z) & np.uint64(mask) == 0)
         at = inside[np.argmin(key[inside])] if len(inside) else None
-        out.append(None if at is None else PauliOperator(group.n, int(x[at]), int(z[at]), int(phase[at])))
+        out.append(None if at is None else PauliOperator.from_bits(group.n, int(x[at]), int(z[at]), int(phase[at])))
     return out
 
 
@@ -523,10 +523,10 @@ def local_subgroups(draw):
     for q in range(a):
         x, z = draw(letters)
         x, z = x << q | tx, z << q | tz
-        gens.append(PauliOperator(n, x, z, ((x & z).bit_count() + draw(signs)) % 4))
+        gens.append(PauliOperator.from_bits(n, x, z, ((x & z).bit_count() + draw(signs)) % 4))
     with_tail = draw(st.booleans())
     x, z = draw(bits_of(a)) | tx * with_tail, draw(bits_of(a)) | tz * with_tail
-    return StabilizerGroup(gens), PauliOperator(n, x, z, draw(signs))
+    return StabilizerGroup(gens), PauliOperator.from_bits(n, x, z, draw(signs))
 
 
 @settings(max_examples=40, deadline=None)

@@ -36,7 +36,7 @@ def _extended_sets(spec):
     """Per codeword, per stacked vector: the generators that fix it."""
     gens = spec.stabilizer_ops()
     z_bars = spec.logical_z_ops()
-    flip = [PauliOperator(z.n, z.x_bits, z.z_bits, (z.phase_exp + 2) % 4) for z in z_bars]
+    flip = [PauliOperator(z.n, z.key, z.phase_exp + 2) for z in z_bars]
     if spec.k == 1:
         return {0: [gens + [z_bars[0]]], 1: [gens + [flip[0]]]}
     return {
@@ -83,7 +83,7 @@ def test_pauli_matrix_spot_checks():
 )))
 def test_pauli_matrix_matches_reference(args):
     n, x, z, p = args
-    op = PauliOperator(n, x, z, p)
+    op = PauliOperator.from_bits(n, x, z, p)
     np.testing.assert_allclose(pauli_matrix(op), matrix_of(op), atol=1e-12)
 
 
@@ -109,7 +109,7 @@ def test_apply_pauli_matches_matrix(args):
     # pauli_matrix is built from apply_pauli, so the kernel is checked
     # against the independent Kronecker-product helper
     n, x, z, p, seed = args
-    op = PauliOperator(n, x, z, p)
+    op = PauliOperator.from_bits(n, x, z, p)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
     expect = (matrix_of(op) @ v.T).T
@@ -647,6 +647,6 @@ def test_reduced_distances_reject_non_stabilizer_stacks():
 
 def test_oracle_cap():
     with pytest.raises(OracleCapError):
-        pauli_matrix(PauliOperator(dense.ORACLE_MAX_N + 1, 0, 0, 0))
+        pauli_matrix(PauliOperator.identity(dense.ORACLE_MAX_N + 1))
     with pytest.raises(OracleCapError):
         codeword_states(catalog("ghz", n=dense.ORACLE_MAX_N + 1))

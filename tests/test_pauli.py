@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qundet.pauli import PauliFormatError, PauliOperator, parse_pauli
+from qundet.pauli import PauliFormatError, PauliOperator, key_bits, parse_pauli
 
+import helpers
 from helpers import matrix_from_string, matrix_of
 
 
@@ -17,7 +18,7 @@ def paulis(max_n=4):
     return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n), bits(n), bits(n), st.integers(0, 3)
-        ).map(lambda t: PauliOperator(*t))
+        ).map(lambda t: PauliOperator.from_bits(*t))
     )
 
 
@@ -40,7 +41,8 @@ def test_five_qubit_product():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "i", "ABC", "xyz", "X Z", "++X", "X-", "IXQ"]:
+    # the spec schema's pattern admits no whitespace, a trailing newline included
+    for bad in ["", "i", "ABC", "xyz", "X Z", "++X", "X-", "IXQ", " ZZI", "ZZI ", "IZZ\n"]:
         with pytest.raises(PauliFormatError):
             parse_pauli(bad)
     with pytest.raises(PauliFormatError):
@@ -60,15 +62,15 @@ def test_hermiticity():
     assert parse_pauli("-Y").is_hermitian
     assert not parse_pauli("iY").is_hermitian
     # bare XZ product without the i is anti-Hermitian
-    assert not PauliOperator(1, 1, 1, 0).is_hermitian
-    assert str(PauliOperator(1, 1, 1, 0)) == "-iY"
+    assert not PauliOperator.from_bits(1, 1, 1, 0).is_hermitian
+    assert str(PauliOperator.from_bits(1, 1, 1, 0)) == "-iY"
 
 
 def test_sign_property():
     assert parse_pauli("ZZ").sign_exp == 0
     assert parse_pauli("-ZZ").sign_exp == 2
     # the bare XZ product is -iY: an imaginary sign
-    assert PauliOperator(1, 1, 1, 0).sign_exp == 3
+    assert PauliOperator.from_bits(1, 1, 1, 0).sign_exp == 3
 
 
 def test_weight_support():
@@ -165,3 +167,32 @@ def test_weight_subadditive(a, b):
     if a.n != b.n:
         return
     assert (a * b).weight <= a.weight + b.weight
+
+
+def wide_bits(n):
+    """(x, z, phase) on n qubits."""
+    return st.tuples(bits(n), bits(n), st.integers(0, 3))
+
+
+@given(st.integers(1, 130).flatmap(lambda n: st.tuples(st.just(n), wide_bits(n))))
+def test_key_round_trips_through_bits_letters_and_strings(case):
+    # 1..130 qubits, odd n included: the hex letters format pads odd n by one I
+    n, (x, z, phase) = case
+    p = PauliOperator.from_bits(n, x, z, phase)
+    assert (p.x_bits, p.z_bits) == key_bits(p.key, n) == (x, z)
+    assert key_bits(p.key, n, basis_order=True) == (helpers.bits_mirrored(n, x), helpers.bits_mirrored(n, z))
+    assert p.letters == helpers.bits_letters(n, x, z)
+    assert p.key == helpers._letter_key(p)
+    assert PauliOperator.from_string(str(p), n) == p
+    assert PauliOperator.from_string(p.letters).key == p.key
+    assert (p.weight, p.y_count) == (helpers.bits_weight(x, z), helpers.bits_y_count(x, z))
+    assert p.unsigned().phase_exp == helpers.bits_y_count(x, z) % 4
+
+
+@given(st.integers(1, 130).flatmap(lambda n: st.tuples(st.just(n), wide_bits(n), wide_bits(n))))
+def test_key_arithmetic_matches_bit_formulas(case):
+    n, a, b = case
+    pa, pb = PauliOperator.from_bits(n, *a), PauliOperator.from_bits(n, *b)
+    prod = pa * pb
+    assert (prod.x_bits, prod.z_bits, prod.phase_exp) == helpers.bits_product(a, b)
+    assert pa.anticommutes(pb) == helpers.bits_anticommute(a, b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qundet import codes, stabilizer
+from qundet import codes, pauli, stabilizer
 from qundet import undetermined as und
 from qundet.pauli import PauliOperator, parse_pauli
 from qundet.stabilizer import (
@@ -62,15 +62,15 @@ def test_noncommuting_error():
 def pauli_pairs(draw):
     n = draw(st.integers(1, 12))
     bits = st.integers(0, (1 << n) - 1)
-    return tuple(PauliOperator(n, draw(bits), draw(bits)) for _ in range(2))
+    return tuple(PauliOperator.from_bits(n, draw(bits), draw(bits)) for _ in range(2))
 
 
 @settings(max_examples=300, deadline=None)
 @given(pauli_pairs())
 def test_swapped_key_parity_is_anticommutation(pair):
     a, b = pair
-    swapped = stabilizer._swap(stabilizer._letter_key(b), b.n)
-    assert (stabilizer._letter_key(a) & swapped).bit_count() & 1 == a.anticommutes(b)
+    anti = helpers.bits_anticommute((a.x_bits, a.z_bits, 0), (b.x_bits, b.z_bits, 0))
+    assert (a.key & pauli.swap(b.key, b.n)).bit_count() & 1 == anti == a.anticommutes(b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,7 +78,7 @@ def test_swapped_key_parity_is_anticommutation(pair):
 def test_anticommuting_lists_the_anticommuting_generators(spec, data):
     group = spec.group()
     bits = st.integers(0, (1 << spec.n) - 1)
-    p = PauliOperator(spec.n, data.draw(bits), data.draw(bits))
+    p = PauliOperator.from_bits(spec.n, data.draw(bits), data.draw(bits))
     assert group.anticommuting(p) == [g for g in group.generators if g.anticommutes(p)]
 
 
@@ -168,7 +168,7 @@ def test_centralizer_basis_spans_the_commutant(spec):
         (x, z)
         for x in range(1 << g.n)
         for z in range(1 << g.n)
-        if g.commutes_with_all(PauliOperator(g.n, x, z))
+        if g.commutes_with_all(PauliOperator.from_bits(g.n, x, z))
     }
     assert commutant == set(g.normalizer_masks())
 
@@ -244,7 +244,7 @@ def test_logical_x_count_closed_form(name, n):
     for z_bar in z_bars + [z_bars[0] * z_bars[-1]] * (spec.k == 2):
         members = logical_x_set(group, z_bar)
         walked = [
-            PauliOperator(spec.n, x, z).unsigned()
+            PauliOperator.from_bits(spec.n, x, z).unsigned()
             for x, z in group.normalizer_masks()
             if ((x & z_bar.z_bits).bit_count() + (z & z_bar.x_bits).bit_count()) & 1
         ]
@@ -268,7 +268,7 @@ def test_class_members_match_centralizer_doubling(spec):
     tables = [table for table, is_x in und._table_of(spec).classes if is_x]
     for w in [*range(spec.n + 1), None]:
         at = anti if w is None else anti & (weight == w)
-        letters = [PauliOperator(spec.n, a, b).letters for a, b in zip(x[at].tolist(), z[at].tolist())]
+        letters = [PauliOperator.from_bits(spec.n, a, b).letters for a, b in zip(x[at].tolist(), z[at].tolist())]
         members = stabilizer.class_members(tables, w)
         assert [(p.weight, p.letters) for p in members] == sorted(zip(weight[at].tolist(), letters))
         assert all(str(p) == p.letters for p in members)  # each with a + sign
@@ -386,7 +386,7 @@ def generating_sets(draw):
     dependent = PauliOperator.identity(spec.n)
     for i in sorted(picks):
         dependent = dependent * gens[i]
-    dependent = dependent * PauliOperator(spec.n, 0, 0, draw(st.sampled_from((0, 2))))
+    dependent = dependent * PauliOperator(spec.n, 0, draw(st.sampled_from((0, 2))))
     return gens[:at] + [dependent] + gens[at:]
 
 
